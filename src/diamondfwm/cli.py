@@ -3,8 +3,8 @@
 Subcommands: spectrum, pulse, optimize, validate, presets.  All
 frequencies on the command line and in output files are in Gamma units
 (Gamma = 2*pi*6 MHz); ``--si`` appends SI columns.  Exit codes: 0 ok,
-2 config parse error, 3 validation error, 4 numerical error,
-5 invariant failure.
+2 config parse error or unreadable config / unwritable output,
+3 validation error, 4 numerical error, 5 invariant failure.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="sweep the probe detuning and write a CSV")
     _add_common(sp)
-    sp.add_argument("--mode", choices=SWEEP_MODES, default="fwm")
+    sp.add_argument("--mode", choices=SWEEP_MODES,
+                    help="spectroscopy mode (default the config's sweep.mode, else fwm)")
     sp.add_argument("--from", dest="sweep_from", type=float, help="sweep start [Gamma]")
     sp.add_argument("--to", dest="sweep_to", type=float, help="sweep end [Gamma]")
     sp.add_argument("--step", type=float, help="sweep step [Gamma]")
@@ -108,17 +109,18 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_spectrum(args) -> int:
     started = time.perf_counter()
     bundle, preset_name = _load_bundle(args)
-    table = spectrum_sweep(args.mode, bundle, start=args.sweep_from,
+    mode = args.mode or bundle.sweep.mode
+    table = spectrum_sweep(mode, bundle, start=args.sweep_from,
                            stop=args.sweep_to, step=args.step,
                            linewidth=args.linewidth, threads=args.threads)
     columns = table.columns()
     if args.si:
         columns["delta_p_mhz"] = table.delta_p * MHZ_PER_GAMMA
     manifest = make_manifest("spectrum", bundle, preset=preset_name, started=started,
-                             mode=args.mode, sweep_from=float(table.delta_p[0]),
+                             mode=mode, sweep_from=float(table.delta_p[0]),
                              sweep_to=float(table.delta_p[-1]),
                              linewidth=args.linewidth)
-    path = write_csv(args.out / f"spectrum_{args.mode}.csv", columns, manifest)
+    path = write_csv(args.out / f"spectrum_{mode}.csv", columns, manifest)
     i_es = int(np.argmax(table.eta_s))
     print(f"wrote {path} ({table.delta_p.size} points)")
     print(f"T_p peak at delta_p = {table.peak_delta_p('T_p'):+.3f} "
@@ -206,6 +208,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigValidationError("--threads", f"must be >= 1, got {args.threads}")
         return args.func(args)
     except ConfigParseError as exc:
         print(f"error (parse): {exc}", file=sys.stderr)
@@ -219,8 +223,8 @@ def main(argv=None) -> int:
     except SimulationError as exc:   # pragma: no cover - catch-all
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"error (parse): {exc}", file=sys.stderr)
+    except OSError as exc:   # unreadable config, or an --out path that cannot be written
+        print(f"error (io): {exc}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -99,7 +99,8 @@ class RateTable:
             value = getattr(self, f.name)
             _require(isinstance(value, (int, float)) and not isinstance(value, bool),
                      f"rates.{f.name}", "must be a number")
-            _require(value >= 0.0, f"rates.{f.name}", f"must be >= 0, got {value}")
+            _require(math.isfinite(value) and value >= 0.0, f"rates.{f.name}",
+                     f"must be finite and >= 0, got {value}")
             s(self, f.name, float(value))
         _require(self.Gamma21 <= self.Gamma2_total + _EPS, "rates.Gamma21",
                  f"partial rate {self.Gamma21} exceeds rates.Gamma2_total = {self.Gamma2_total}")
@@ -131,6 +132,7 @@ class DriveConfig:
             value = getattr(self, f.name)
             _require(isinstance(value, (int, float)) and not isinstance(value, bool),
                      f"fields.{f.name}", "must be a number")
+            _require(math.isfinite(value), f"fields.{f.name}", f"must be finite, got {value}")
             object.__setattr__(self, f.name, float(value))
         _require(self.omega_c >= 0.0, "fields.omega_c", "Rabi frequency must be >= 0")
         _require(self.omega_d >= 0.0, "fields.omega_d", "Rabi frequency must be >= 0")
@@ -167,6 +169,10 @@ class MediumConfig:
     n_z: int = 2000
 
     def __post_init__(self):
+        for name in ("alpha_p", "alpha_c", "alpha_s", "lambda_p", "lambda_c",
+                     "lambda_d", "lambda_s"):
+            _require(math.isfinite(getattr(self, name)), f"medium.{name}",
+                     f"must be finite, got {getattr(self, name)}")
         _require(self.alpha_p >= 0.0, "medium.alpha_p", "optical depth must be >= 0")
         _require(isinstance(self.n_z, int) and not isinstance(self.n_z, bool),
                  "medium.n_z", "must be an integer")
@@ -194,7 +200,8 @@ class MediumConfig:
         _require((alpha_p is None) != (od is None), "medium.alpha_p",
                  "specify exactly one of alpha_p or od")
         if alpha_p is None:
-            _require(od >= 0.0, "medium.od", "optical depth must be >= 0")
+            _require(math.isfinite(od) and od >= 0.0, "medium.od",
+                     f"optical depth must be finite and >= 0, got {od}")
             alpha_p = 2.0 * float(od)
         alpha_p = float(alpha_p)
         if alpha_p > 0.0:
@@ -229,11 +236,13 @@ class SweepOptions:
     def __post_init__(self):
         _require(self.mode in SWEEP_MODES, "sweep.mode",
                  f"must be one of {SWEEP_MODES}, got {self.mode!r}")
-        _require(self.step > 0.0, "sweep.step", "must be > 0")
+        _require(math.isfinite(self.step) and self.step > 0.0, "sweep.step",
+                 "must be finite and > 0")
         _require(math.isfinite(self.start) and math.isfinite(self.stop),
                  "sweep.from", "sweep range must be finite")
         if self.linewidth is not None:
-            _require(self.linewidth > 0.0, "sweep.linewidth", "FWHM must be > 0")
+            _require(math.isfinite(self.linewidth) and self.linewidth > 0.0,
+                     "sweep.linewidth", "FWHM must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -246,11 +255,13 @@ class PulseOptions:
     def __post_init__(self):
         _require(self.shape == "square", "pulse.shape",
                  f"only 'square' is implemented, got {self.shape!r}")
-        _require(self.duration > 0.0, "pulse.duration", "must be > 0")
+        _require(math.isfinite(self.duration) and self.duration > 0.0, "pulse.duration",
+                 "must be finite and > 0")
         _require(isinstance(self.n_freq, int) and self.n_freq >= 16,
                  "pulse.n_freq", "must be an integer >= 16")
         if self.window is not None:
-            _require(self.window > 0.0, "pulse.window", "must be > 0")
+            _require(math.isfinite(self.window) and self.window > 0.0, "pulse.window",
+                     "must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ equations along zeta in [0, 1] are
     d/dzeta (u_p, u_s) = M(zeta, omega) (u_p, u_s)
 
 with M assembled from the local linear response at the attenuated
-coupling field omega_c(zeta).  Everything is integrated with fixed-step
-RK4; the coupling profile is sampled at half-step resolution so the
-transfer-matrix integrator finds its midpoint values on the same grid.
+coupling field omega_c(zeta).  The coupling profile is evaluated in
+closed form (Wright omega function) at half-step resolution, so the
+fixed-step RK4 transfer-matrix integrator finds its midpoint values on
+the same grid.
 """
 
 from __future__ import annotations
@@ -27,47 +28,13 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy.special import wrightomega
 
-from .config import ConfigBundle, SWEEP_MODES, with_mode
+from .config import ConfigBundle, with_mode
 from .errors import ConfigValidationError
 from .response import _chi_arrays, _two_level_arrays
 
 _PAIR_CHUNK = 64   # frequency points per vectorized block, keeps temporaries small
-
-
-def _profile_kernel(w0, n_half, h, num, den0, slope):
-    """RK4 integration of d w/d zeta = num * w / (den0 + slope*|w|^2).
-
-    ``w0`` is a batch of initial coupling amplitudes; returns the
-    half-step profile of shape (batch, n_half + 1).
-    """
-    out = np.empty((w0.shape[0], n_half + 1), dtype=np.complex128)
-    for b in range(w0.shape[0]):
-        w = w0[b]
-        out[b, 0] = w
-        for i in range(n_half):
-            d = den0 + slope * (w.real * w.real + w.imag * w.imag)
-            k1 = num * w / d if d != 0.0 else 0.0j
-            w2 = w + 0.5 * h * k1
-            d = den0 + slope * (w2.real * w2.real + w2.imag * w2.imag)
-            k2 = num * w2 / d if d != 0.0 else 0.0j
-            w3 = w + 0.5 * h * k2
-            d = den0 + slope * (w3.real * w3.real + w3.imag * w3.imag)
-            k3 = num * w3 / d if d != 0.0 else 0.0j
-            w4 = w + h * k3
-            d = den0 + slope * (w4.real * w4.real + w4.imag * w4.imag)
-            k4 = num * w4 / d if d != 0.0 else 0.0j
-            w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[b, i + 1] = w
-    return out
-
-
-try:  # optional JIT; the interpreted fallback is identical
-    from numba import njit
-
-    _profile_kernel = njit(cache=True)(_profile_kernel)
-except ImportError:  # pragma: no cover
-    pass
 
 
 @dataclass(frozen=True)
@@ -127,11 +94,16 @@ class TransferMatrix:
 
 
 def coupling_profile(bundle: ConfigBundle, omega_c0: Optional[complex] = None) -> CouplingProfile:
-    """Integrate the coupling-field envelope across the medium.
+    """Coupling-field envelope across the medium, in closed form.
 
-    Solves d omega_c/d zeta = (i gamma31 alpha_c / 2) rho_31 with the
-    local two-level steady state slaved to omega_c(zeta) (the coupling
-    beam reaches steady state long before the probe arrives).
+    The envelope obeys d omega_c/d zeta = (i gamma31 alpha_c / 2) rho_31
+    with the local two-level steady state slaved to omega_c(zeta) (the
+    coupling beam reaches steady state long before the probe arrives),
+    i.e. d w/d zeta = num * w / (den0 + gamma31 |w|^2).  The ODE is
+    separable: with s = |w|^2, a = gamma31 s0/den0 and
+    r = 2 Re(num) zeta/den0, x = gamma31 s/den0 solves x + ln x = z with
+    z = ln a + a + r, so x is the Wright omega function of z (Corless &
+    Jeffrey 2002), and w = w0 exp(num/(2 Re num) * ln(s/s0)).
     """
     if omega_c0 is None:
         if bundle.drive is None:
@@ -139,21 +111,28 @@ def coupling_profile(bundle: ConfigBundle, omega_c0: Optional[complex] = None) -
         omega_c0 = bundle.drive.omega_c
     rates, medium = bundle.rates, bundle.medium
     n = medium.n_z
-    n_half = 2 * n
-    zeta = np.linspace(0.0, 1.0, n_half + 1)
-    if medium.alpha_c == 0.0 or omega_c0 == 0.0:
-        return CouplingProfile(zeta=zeta,
-                               omega_c=np.full(n_half + 1, complex(omega_c0)),
-                               n_steps=n)
+    zeta = np.linspace(0.0, 1.0, 2 * n + 1)
+    w0 = complex(omega_c0)
     g31, G3 = rates.gamma31, rates.Gamma3_total
     dc = bundle.drive.delta_c if bundle.drive is not None else 0.0
     # rhs(w) = (i g31 ac / 2) * (i/2) w (1 - 2 rho33) / (g31 - i dc)
-    #        = num * w / (den0 + g31 |w|^2),  den0 = G3 (g31^2 + dc^2)
+    #        = num * w / (den0 + g31 |w|^2),  den0 = G3 (g31^2 + dc^2),
+    # num = -(g31 ac / 4) den0 / (g31 - i dc); it vanishes with alpha_c,
+    # gamma31 or den0, and then the beam is not absorbed at all
     den0 = G3 * (g31 ** 2 + dc ** 2)
-    num = -0.25 * g31 * medium.alpha_c * den0 / (g31 - 1j * dc)
-    w0 = np.array([complex(omega_c0)], dtype=np.complex128)
-    prof = _profile_kernel(w0, n_half, 1.0 / n_half, num, den0, g31)[0]
-    return CouplingProfile(zeta=zeta, omega_c=prof, n_steps=n)
+    num = -0.25 * g31 * medium.alpha_c * G3 * (g31 + 1j * dc)
+    if w0 == 0.0 or num == 0.0:
+        return CouplingProfile(zeta=zeta, omega_c=np.full(zeta.size, w0), n_steps=n)
+    ln_a = 2.0 * math.log(abs(w0)) + math.log(g31 / den0)
+    a = g31 * abs(w0) ** 2 / den0
+    r = (2.0 * num.real / den0) * zeta
+    x = wrightomega(ln_a + a + r)
+    # x < 1: ln x = z - x, so ln(s/s0) = (a - x) + r, safe even if x underflows;
+    # x >= 1: log(x) keeps the digits that a - x would cancel when saturated
+    with np.errstate(divide="ignore"):
+        log_ratio = np.where(x < 1.0, (a - x) + r, np.log(x) - ln_a)
+    omega_c = w0 * np.exp((num / (2.0 * num.real)) * log_ratio)
+    return CouplingProfile(zeta=zeta, omega_c=omega_c, n_steps=n)
 
 
 def _mat_mul(a11, a12, a21, a22, b11, b12, b21, b22):
@@ -363,20 +342,15 @@ def spectrum_sweep(mode: str, bundle: ConfigBundle, start: Optional[float] = Non
     sweep.linewidth) is set, T_p and eta_s are additionally convolved
     with a Lorentzian of that FWHM and emitted as extra columns.
     """
-    if mode not in SWEEP_MODES:
-        raise ConfigValidationError("sweep.mode",
-                                    f"must be one of {SWEEP_MODES}, got {mode!r}")
-    start = bundle.sweep.start if start is None else float(start)
-    stop = bundle.sweep.stop if stop is None else float(stop)
-    step = bundle.sweep.step if step is None else float(step)
-    if linewidth is None:
-        linewidth = bundle.sweep.linewidth
-    if step <= 0.0:
-        raise ConfigValidationError("sweep.step", "must be > 0")
-    n_pts = int(math.floor((stop - start) / step + 1e-9)) + 1
+    given = (("start", start), ("stop", stop), ("step", step), ("linewidth", linewidth))
+    # replace() re-runs SweepOptions validation on the mode and overrides
+    sweep = replace(bundle.sweep, mode=mode,
+                    **{k: float(v) for k, v in given if v is not None})
+    n_pts = int(math.floor((sweep.stop - sweep.start) / sweep.step + 1e-9)) + 1
     if n_pts < 1:
-        raise ConfigValidationError("sweep.from", f"empty sweep range [{start}, {stop}]")
-    delta_ps = start + step * np.arange(n_pts)
+        raise ConfigValidationError("sweep.from",
+                                    f"empty sweep range [{sweep.start}, {sweep.stop}]")
+    delta_ps = sweep.start + sweep.step * np.arange(n_pts)
 
     run = with_mode(bundle, mode)
     profile = coupling_profile(run)
@@ -385,8 +359,8 @@ def spectrum_sweep(mode: str, bundle: ConfigBundle, start: Optional[float] = Non
     table = SpectrumTable(mode=mode, delta_p=delta_ps,
                           T_p=np.abs(a) ** 2, eta_s=np.abs(c) ** 2,
                           T_s=np.abs(d) ** 2, eta_p=np.abs(b) ** 2)
-    if linewidth is not None:
-        table = replace(table, linewidth=float(linewidth),
-                        T_p_conv=lorentzian_convolve(delta_ps, table.T_p, linewidth),
-                        eta_s_conv=lorentzian_convolve(delta_ps, table.eta_s, linewidth))
+    if sweep.linewidth is not None:
+        table = replace(table, linewidth=sweep.linewidth,
+                        T_p_conv=lorentzian_convolve(delta_ps, table.T_p, sweep.linewidth),
+                        eta_s_conv=lorentzian_convolve(delta_ps, table.eta_s, sweep.linewidth))
     return table

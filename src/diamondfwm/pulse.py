@@ -10,7 +10,8 @@ input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -63,28 +64,22 @@ def propagate_pulse(bundle: ConfigBundle, duration: Optional[float] = None,
     pulse switched on at window/8, leaving most of the window for the
     causal medium response to ring down before it wraps around.
     """
-    opts = bundle.pulse
-    duration = opts.duration if duration is None else float(duration)
-    shape = opts.shape if shape is None else shape
-    window = (opts.window if opts.window is not None else 8.0 * duration) \
-        if window is None else float(window)
-    n_freq = opts.n_freq if n_freq is None else int(n_freq)
+    given = (("duration", float, duration), ("shape", str, shape),
+             ("window", float, window), ("n_freq", int, n_freq))
+    # replace() re-runs PulseOptions validation on the overrides
+    opts = replace(bundle.pulse, **{k: cast(v) for k, cast, v in given if v is not None})
+    duration, n_freq = opts.duration, opts.n_freq
+    window = 8.0 * duration if opts.window is None else opts.window
     if bundle.drive is None:
         raise ConfigValidationError("fields", "this config has no drive fields")
-    if delta_p is None:
-        delta_p = bundle.drive.delta_p
-    if shape != "square":
-        raise ConfigValidationError("pulse.shape",
-                                    f"only 'square' is implemented, got {shape!r}")
-    if duration <= 0.0:
-        raise ConfigValidationError("pulse.duration", "must be > 0")
+    delta_p = bundle.drive.delta_p if delta_p is None else float(delta_p)
+    if not math.isfinite(delta_p):
+        raise ConfigValidationError("fields.delta_p", f"must be finite, got {delta_p}")
     if window < 4.0 * duration:
         raise PulseGridError(
             "pulse.window",
             f"window {window:g} is shorter than 4x the pulse duration {duration:g}; "
             "the wrapped medium response would alias into the pulse")
-    if n_freq < 16:
-        raise PulseGridError("pulse.n_freq", "needs at least 16 frequency samples")
     dt = window / n_freq
     omega_max = np.pi / dt
     if omega_max < MIN_SPAN_GAMMA:

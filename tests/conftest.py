@@ -21,13 +21,6 @@ def fig3_small(fig3):
     return replace(fig3, medium=replace(fig3.medium, n_z=400))
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_profile_kernel():
-    # first call may JIT-compile the profile integrator; keep that out of
-    # individual test timings
-    dfm.coupling_profile(dfm.preset("fig3"))
-
-
 def rk4_integrate(rhs, y0, t_end, dt):
     """Plain fixed-step RK4 time integrator used by test oracles."""
     y = np.asarray(y0, dtype=complex)

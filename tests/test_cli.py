@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,3 +183,57 @@ def test_config_file_workflow(tmp_path):
     assert rc == 0
     manifest, _ = read_csv(tmp_path / "spectrum_cascade.csv")
     assert manifest["config_hash"] == dfm.bundle_hash(dfm.preset("fig3"))
+
+
+def test_spectrum_config_mode_used_unless_overridden(tmp_path):
+    import diamondfwm as dfm
+    b = dfm.preset("fig3")
+    cfg = tmp_path / "two_level.yaml"
+    cfg.write_text(dfm.dump_config(replace(b, sweep=replace(b.sweep, mode="two_level"))))
+    rc = run(["spectrum", "--config", cfg, "--from", -2, "--to", 2, "--step", 0.5,
+              "--out", tmp_path])
+    assert rc == 0
+    manifest, cols = read_csv(tmp_path / "spectrum_two_level.csv")
+    assert manifest["arg_mode"] == "two_level"
+    assert np.all(cols["eta_s"] == 0.0)
+    assert not (tmp_path / "spectrum_fwm.csv").exists()
+    rc = run(["spectrum", "--config", cfg, "--mode", "fwm", "--from", -2, "--to", 2,
+              "--step", 0.5, "--out", tmp_path])
+    assert rc == 0
+    assert (tmp_path / "spectrum_fwm.csv").exists()
+
+
+def test_non_finite_config_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "inf.yaml"
+    cfg.write_text("medium:\n  od: 75\nfields:\n  omega_c: 11\n  delta_c: .inf\n")
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path]) == 3
+    assert "fields.delta_c" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["spectrum", "--linewidth", "inf"], "sweep.linewidth"),
+    (["spectrum", "--to", "inf"], "sweep.from"),
+    (["spectrum", "--step", "nan"], "sweep.step"),
+    (["pulse", "--delta-p", "nan"], "fields.delta_p"),
+    (["pulse", "--duration", "inf"], "pulse.duration"),
+])
+def test_non_finite_flags_exit_3(tmp_path, capsys, argv, key):
+    assert run(argv + ["--preset", "fig3", "--out", tmp_path]) == 3
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_threads_below_one_exit_3(tmp_path, capsys, threads):
+    assert run(["spectrum", "--preset", "fig3", "--threads", threads,
+                "--out", tmp_path]) == 3
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    assert run(["spectrum", "--preset", "fig3", "--from", 0, "--to", 1,
+                "--out", blocker / "sub"]) == 2
+    assert "error (io)" in capsys.readouterr().err

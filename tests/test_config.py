@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,3 +176,57 @@ def test_mode_overrides():
         dfm.with_mode(b, "sideways")
     with pytest.raises(ConfigValidationError):
         dfm.with_mode(dfm.preset("od200"), "fwm")
+
+
+SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan])
+FUZZ_KEYS = {
+    "rates": {"Gamma2_total": rate_values, "Gamma3_total": rate_values,
+              "Gamma4_total": rate_values, "gamma_extra": st.floats(0.0, 0.5),
+              "gamma31": rate_values},
+    "medium": {"od": st.floats(0.0, 300.0)},
+    "fields": {"omega_c": rabis, "omega_d": rabis, "delta_p": detunings,
+               "delta_c": detunings, "delta_d": detunings},
+    "sweep": {"step": st.floats(0.01, 1.0), "linewidth": st.floats(0.1, 5.0)},
+    "pulse": {"duration": st.floats(1.0, 50.0), "window": st.floats(10.0, 400.0)},
+}
+
+
+@st.composite
+def fuzz_documents(draw):
+    """YAML documents whose numbers are finite draws, inf/-inf/nan, or absent;
+    returns (text, whether any value is non-finite)."""
+    doc = {"medium": {"od": 75.0, "n_z": 100}}
+    special = False
+    for section, keys in FUZZ_KEYS.items():
+        for key, values in keys.items():
+            value = draw(st.one_of(st.none(), SPECIAL, values))
+            if value is not None:
+                doc.setdefault(section, {})[key] = value
+                special |= not math.isfinite(value)
+    return yaml.safe_dump(doc), special
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=fuzz_documents())
+def test_config_is_rejected_or_gives_finite_observables(drawn):
+    text, special = drawn
+    try:
+        bundle = parse_config(text)
+    except ConfigValidationError:
+        return
+    assert not special, "a non-finite value passed validation"
+    if bundle.drive is not None:
+        obs = dfm.observables_at(bundle)
+        assert all(math.isfinite(v) for v in (obs.T_p, obs.eta_s, obs.T_s, obs.eta_p))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("fields.delta_c", ".inf"), ("fields.omega_c", ".nan"), ("rates.Gamma2_total", ".inf"),
+    ("pulse.duration", ".inf"), ("pulse.window", ".inf"), ("sweep.linewidth", ".inf"),
+    ("medium.od", ".inf"), ("medium.alpha_p", "-.inf")])
+def test_non_finite_value_names_its_key(key, value):
+    section, name = key.split(".")
+    doc = f"{section}:\n  {name}: {value}\n"
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc if section == "medium" else MINIMAL + doc)
+    assert key in str(err.value)

@@ -10,6 +10,8 @@ import diamondfwm as dfm
 from diamondfwm import (ConfigValidationError, RateTable, coupling_profile,
                         observables_at, spectrum_sweep, transfer_matrix)
 
+from conftest import rk4_integrate
+
 RATES = RateTable()
 
 
@@ -61,7 +63,8 @@ def test_profile_satisfies_separable_invariant(wc, dc, od):
         den0*ln(s/s0) + g31*(s - s0) = -g31^2 * alpha_c * G3 * zeta / 2
 
     for s = |omega_c|^2, and the accumulated phase is
-    (delta_c / 2 g31) * ln(s/s0).  Checks the RK4 endpoint against both.
+    (delta_c / 2 g31) * ln(s/s0).  Checks the closed-form profile
+    against both.
     """
     drive = dfm.DriveConfig(omega_c=wc, omega_d=0.0, delta_p=0.0, delta_c=dc, delta_d=0.0)
     b = bundle_for(od=od, drive=drive, n_z=600)
@@ -74,12 +77,59 @@ def test_profile_satisfies_separable_invariant(wc, dc, od):
         s = abs(prof.omega_c[idx]) ** 2
         lhs = den0 * math.log(s / s0) + g31 * (s - s0)
         rhs = -0.5 * g31 ** 2 * b.medium.alpha_c * G3 * zeta
-        # tolerance covers the integrator's own O(h^4) truncation at the
-        # steepest decays the draw ranges allow
-        assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-6)
+        assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
         phase = np.angle(prof.omega_c[idx] / prof.omega_c[0])
         want = (dc / (2.0 * g31)) * math.log(s / s0)
-        assert math.remainder(phase - want, 2 * math.pi) == pytest.approx(0.0, abs=1e-6)
+        assert math.remainder(phase - want, 2 * math.pi) == pytest.approx(0.0, abs=1e-11)
+
+
+def _fine_rk4_profile(b, zeta_end, n_steps=4000):
+    """Oracle: RK4 on d w/d zeta = (i g31 alpha_c / 2) rho31(w), with rho31
+    the driven two-level steady state written out directly."""
+    r, dc = b.rates, b.drive.delta_c
+
+    def rhs(w):
+        s = abs(w) ** 2
+        den = r.Gamma3_total * (r.gamma31 ** 2 + dc ** 2) + s * r.gamma31
+        rho33 = 0.5 * s * r.gamma31 / den if den > 0.0 else 0.0
+        rho31 = 0.5j * w * (1.0 - 2.0 * rho33) / (r.gamma31 - 1j * dc)
+        return 0.5j * r.gamma31 * b.medium.alpha_c * rho31
+
+    return complex(rk4_integrate(rhs, b.drive.omega_c, zeta_end, zeta_end / n_steps))
+
+
+@pytest.mark.parametrize("name, wc, dc", [
+    ("fig3", None, None), ("fig4", None, None), ("od200", 14.0, -6.0),
+    ("od200", 3.0, 0.5), ("fig3", 1e4, 5.0)])
+def test_profile_matches_fine_rk4(name, wc, dc):
+    b = dfm.preset(name)
+    if wc is not None:
+        drive = dfm.DriveConfig(omega_c=wc, omega_d=0.0, delta_p=0.0, delta_c=dc, delta_d=0.0)
+        b = replace(b, drive=drive)
+    prof = coupling_profile(b)
+    mid = len(prof.zeta) // 2
+    for idx, zeta_end in ((mid, 0.5), (-1, 1.0)):
+        want = _fine_rk4_profile(b, zeta_end)
+        assert abs(prof.omega_c[idx] - want) <= 1e-10 * abs(prof.omega_c[0])
+
+
+@pytest.mark.parametrize("od, wc", [(1e5, 11.0), (1e7, 11.0), (75.0, 1e4), (1e5, 1e4)])
+def test_profile_stays_finite_and_monotone_at_extremes(od, wc):
+    drive = dfm.DriveConfig(omega_c=wc, omega_d=0.0, delta_p=0.0, delta_c=5.0, delta_d=0.0)
+    prof = coupling_profile(bundle_for(od=od, drive=drive, n_z=400))
+    mags = np.abs(prof.omega_c)
+    assert np.all(np.isfinite(prof.omega_c))
+    assert np.all(np.diff(mags) <= 0.0)
+    assert mags[0] == wc and mags[-1] < wc
+
+
+def test_profile_constant_without_coupling_decay():
+    # Gamma3_total = 0 with gamma_extra > 0 gives den0 = 0: the coupling
+    # transition is fully saturated and the beam is not absorbed
+    rates = RateTable(Gamma3_total=0.0, Gamma31=0.0, gamma_extra=0.5)
+    med = dfm.MediumConfig(alpha_p=150.0, alpha_c=150.0, alpha_s=150.0, n_z=400)
+    b = dfm.ConfigBundle(rates=rates, medium=med, drive=dfm.preset("fig3").drive)
+    assert np.all(coupling_profile(b).omega_c == 11.0 + 0j)
 
 
 def test_fig3_profile_regression(fig3):
