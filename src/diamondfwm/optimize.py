@@ -158,6 +158,9 @@ def optimize_eta(od: float, bounds: Optional[Sequence] = None, starts: int = 32,
         raise BoundsError("optimize.od", "optical depth must be >= 0")
     if starts < 1:
         raise BoundsError("optimize.starts", "needs at least one start")
+    if max_evals < 1:
+        raise BoundsError("optimize.max_evals",
+                          f"needs at least one evaluation per start, got {max_evals}")
     b = _check_bounds(bounds if bounds is not None else default_bounds())
     objective = make_objective(od, rates=rates, n_z=n_z)
     x0s = _latin_hypercube(b, starts, seed)

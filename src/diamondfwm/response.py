@@ -20,6 +20,8 @@ the sideband frequency omega.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +92,48 @@ def two_level_steady_state(omega_c_local: complex, delta_c: float,
     return ZerothOrderState(rho33=float(rho33), rho31=complex(rho31))
 
 
+class Workspace:
+    """Scratch arrays for one thread, taken in stack order from one buffer
+    that is reused from call to call.
+
+    ``take(shape)`` returns the next free block of the buffer, and the
+    blocks taken inside ``with frame():`` are free again when it exits.
+    A block that does not fit is allocated fresh; ``reset()`` then grows
+    the buffer to the deepest stack seen, so the next round of takes
+    allocates nothing.
+    """
+
+    def __init__(self):
+        self._buf = np.empty(0, np.complex128)
+        self._top = 0    # complex128 words in use
+        self._peak = 0   # deepest _top seen
+
+    def take(self, shape, dtype=np.complex128):
+        count = math.prod(shape)
+        start = self._top
+        self._top += -(-count * np.dtype(dtype).itemsize // 16)
+        self._peak = max(self._peak, self._top)
+        if self._top > self._buf.size:
+            return np.empty(shape, dtype)
+        return self._buf[start:self._top].view(dtype)[:count].reshape(shape)
+
+    @contextlib.contextmanager
+    def frame(self):
+        top = self._top
+        try:
+            yield
+        finally:
+            self._top = top
+
+    def reset(self):
+        """Free every block; grow the buffer if the last round overflowed it."""
+        if self._peak > self._buf.size:
+            self._buf = np.empty(self._peak, np.complex128)
+        self._top = 0
+
+
 def _chi_arrays(omega_c, rho11, rho13, rho31, rho33,
-                delta_p, omega, delta_c, delta_d, omega_d, rates):
+                delta_p, omega, delta_c, delta_d, omega_d, rates, ws=None):
     """Susceptibility coefficients on broadcastable arrays.
 
     Solves, at sideband frequency omega, the steady-state system for the
@@ -106,54 +148,113 @@ def _chi_arrays(omega_c, rho11, rho13, rho31, rho33,
     identity ((i/2) Wd), so it is eliminated in closed form; this is
     exact dense elimination specialized to the block structure and
     vectorizes over position and frequency.
+
+    Every array of the grid shape (``omega_c`` and the populations and
+    coherences) or of the full shape is taken from ``ws`` (a fresh
+    Workspace when None).  The four returned arrays stay taken; the
+    scratch is free again on return.  Each step is the numpy operation
+    of the formula in the comments, on the same operands in the same
+    order, so the result does not depend on how the frequencies are
+    split into calls, bit for bit.
     """
+    ws = Workspace() if ws is None else ws
+    grid = np.broadcast_shapes(*(np.shape(x) for x in (omega_c, rho11, rho13, rho31, rho33)))
+    full = np.broadcast_shapes(grid, np.shape(delta_p), np.shape(omega))
+    mul, add, sub = np.multiply, np.add, np.subtract
+    chi_pp, chi_ps, chi_sp, chi_ss = (ws.take(full) for _ in range(4))
+
+    # terms that depend on the frequency only are small plain arrays
     delta = delta_p + delta_d
     d1 = 1j * (delta_p + omega) - rates.gamma21
     d2 = 1j * (delta_p - delta_c + omega) - rates.gamma23
     d3 = 1j * (delta + omega) - rates.gamma41
     d4 = 1j * (delta - delta_c + omega) - rates.gamma43
-
-    oc = -0.5j * omega_c          # upper off-diagonal of each 2x2 block
-    occ = -0.5j * np.conj(omega_c)
     w = 0.5j * np.conj(omega_d)   # couples P=(r21,r23) to Q=(r41,r43)
     v = 0.5j * omega_d
     e = w * v                     # = -|omega_d|^2 / 4
-    g = oc * occ                  # = -|omega_c|^2 / 4
 
-    det_q = d3 * d4 - g
-    scale2 = (1.0 + np.abs(d1) + np.abs(d2) + np.abs(d3) + np.abs(d4)
-              + np.abs(omega_c) + abs(omega_d)) ** 2
-    if np.any(np.abs(det_q) < _DET_TOL * scale2):
-        raise SingularResponseError(
-            "lower coherence block is singular (zero decoherence with coincident resonances)")
-    inv_q = 1.0 / det_q
+    with ws.frame():
+        # oc = -0.5j omega_c, occ = -0.5j conj(omega_c): upper off-diagonals
+        # of the 2x2 blocks
+        oc, occ = ws.take(grid), ws.take(grid)
+        mul(-0.5j, omega_c, out=oc)
+        mul(-0.5j, np.conj(omega_c, out=occ), out=occ)
+        tmp, inv_q, s11, s22, oc_fac, occ_fac, inv_p, p2 = (ws.take(full) for _ in range(8))
 
-    # Schur complement of the Q block: S = Dp - e Dq^{-1}
-    f = e * inv_q
-    s11 = d1 - f * d4
-    s22 = d2 - f * d3
-    fac = 1.0 + f                 # off-diagonals become oc*fac, occ*fac
-    det_p = s11 * s22 - g * fac * fac
-    if np.any(np.abs(det_p) < _DET_TOL * scale2):
-        raise SingularResponseError(
-            "reduced probe block is singular (zero decoherence with coincident resonances)")
-    inv_p = 1.0 / det_p
+        with ws.frame():
+            g = mul(oc, occ, out=ws.take(grid))   # = -|omega_c|^2 / 4
+            # threshold = _DET_TOL (1 + |d1| + |d2| + |d3| + |d4| + |omega_c| + |omega_d|)^2
+            threshold, mag = ws.take(full, np.float64), ws.take(full, np.float64)
+            add(1.0 + np.abs(d1) + np.abs(d2) + np.abs(d3) + np.abs(d4),
+                np.abs(omega_c, out=ws.take(grid, np.float64)), out=threshold)
+            add(threshold, abs(omega_d), out=threshold)
+            np.square(threshold, out=threshold)
+            mul(_DET_TOL, threshold, out=threshold)
+            below = ws.take(full, np.bool_)
 
-    # probe source: bp = -(i/2)(rho11, rho13), bq = 0
-    bp1 = -0.5j * rho11
-    bp2 = -0.5j * rho13
-    chi_pp = (s22 * bp1 - oc * fac * bp2) * inv_p
-    p2 = (s11 * bp2 - occ * fac * bp1) * inv_p
-    chi_sp = -v * (d3 * p2 - occ * chi_pp) * inv_q
+            def singular(det):
+                return np.less(np.abs(det, out=mag), threshold, out=below).any()
 
-    # signal source: bp = 0, bq = -(i/2)(rho31, rho33)
-    bq1 = -0.5j * rho31
-    bq2 = -0.5j * rho33
-    rp1 = -w * (d4 * bq1 - oc * bq2) * inv_q
-    rp2 = -w * (d3 * bq2 - occ * bq1) * inv_q
-    chi_ps = (s22 * rp1 - oc * fac * rp2) * inv_p
-    p2 = (s11 * rp2 - occ * fac * rp1) * inv_p
-    chi_ss = (d3 * (bq2 - v * p2) - occ * (bq1 - v * chi_ps)) * inv_q
+            sub(d3 * d4, g, out=inv_q)   # det_q
+            if singular(inv_q):
+                raise SingularResponseError(
+                    "lower coherence block is singular (zero decoherence with coincident resonances)")
+            np.divide(1.0, inv_q, out=inv_q)
+
+            # Schur complement of the Q block: S = Dp - e Dq^{-1}, with
+            # f = e inv_q: s11 = d1 - f d4, s22 = d2 - f d3, fac = 1 + f,
+            # off-diagonals oc fac and occ fac
+            fac = f = mul(e, inv_q, out=ws.take(full))
+            sub(d1, mul(f, d4, out=s11), out=s11)
+            sub(d2, mul(f, d3, out=s22), out=s22)
+            add(1.0, f, out=fac)
+            mul(oc, fac, out=oc_fac)
+            mul(occ, fac, out=occ_fac)
+            # det_p = s11 s22 - g fac fac
+            mul(s11, s22, out=inv_p)
+            sub(inv_p, mul(mul(g, fac, out=tmp), fac, out=tmp), out=inv_p)
+            if singular(inv_p):
+                raise SingularResponseError(
+                    "reduced probe block is singular (zero decoherence with coincident resonances)")
+            np.divide(1.0, inv_p, out=inv_p)
+
+        def solve_p(x1, x2, out1, out2):
+            """(out1, out2) = ((s22 x1 - oc fac x2) inv_p, (s11 x2 - occ fac x1) inv_p)"""
+            for out, s, x, y, off in ((out1, s22, x1, x2, oc_fac), (out2, s11, x2, x1, occ_fac)):
+                mul(s, x, out=out)
+                sub(out, mul(off, y, out=tmp), out=out)
+                mul(out, inv_p, out=out)
+
+        # probe source: bp = -(i/2)(rho11, rho13), bq = 0
+        with ws.frame():
+            bp1 = mul(-0.5j, rho11, out=ws.take(grid))
+            bp2 = mul(-0.5j, rho13, out=ws.take(grid))
+            solve_p(bp1, bp2, chi_pp, p2)
+        # chi_sp = -v (d3 p2 - occ chi_pp) inv_q
+        mul(d3, p2, out=chi_sp)
+        sub(chi_sp, mul(occ, chi_pp, out=tmp), out=chi_sp)
+        mul(-v, chi_sp, out=chi_sp)
+        mul(chi_sp, inv_q, out=chi_sp)
+
+        # signal source: bp = 0, bq = -(i/2)(rho31, rho33);
+        # rp1 = -w (d4 bq1 - oc bq2) inv_q, rp2 = -w (d3 bq2 - occ bq1) inv_q
+        with ws.frame():
+            bq1 = mul(-0.5j, rho31, out=ws.take(grid))
+            bq2 = mul(-0.5j, rho33, out=ws.take(grid))
+            with ws.frame():
+                rp1, rp2, off_b = ws.take(full), ws.take(full), ws.take(grid)
+                for out, d, x, off, y in ((rp1, d4, bq1, oc, bq2), (rp2, d3, bq2, occ, bq1)):
+                    mul(d, x, out=out)
+                    sub(out, mul(off, y, out=off_b), out=out)
+                    mul(-w, out, out=out)
+                    mul(out, inv_q, out=out)
+                solve_p(rp1, rp2, chi_ps, p2)
+            # chi_ss = (d3 (bq2 - v p2) - occ (bq1 - v chi_ps)) inv_q
+            sub(bq2, mul(v, p2, out=p2), out=p2)
+            mul(d3, p2, out=chi_ss)
+            sub(bq1, mul(v, chi_ps, out=tmp), out=tmp)
+            sub(chi_ss, mul(occ, tmp, out=tmp), out=chi_ss)
+            mul(chi_ss, inv_q, out=chi_ss)
     return chi_pp, chi_ps, chi_sp, chi_ss
 
 

@@ -231,6 +231,25 @@ def test_threads_below_one_exit_3(tmp_path, capsys, threads):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_evals", [0, -1])
+def test_max_evals_below_one_exit_3(tmp_path, capsys, max_evals):
+    assert run(["optimize", "--od", 50, "--starts", 1, "--max-evals", max_evals,
+                "--out", tmp_path]) == 3
+    assert "optimize.max_evals" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_spectrum_od_too_high_for_grid_exit_4(tmp_path, capsys):
+    cfg = tmp_path / "dense.yaml"
+    cfg.write_text("medium:\n  od: 100000.0\nfields:\n  omega_c: 11\n  omega_d: 6\n"
+                   "  delta_c: 5\n  delta_d: -4\n")
+    assert run(["spectrum", "--config", cfg, "--from", -1, "--to", 1, "--step", 0.5,
+                "--out", tmp_path]) == 4
+    err = capsys.readouterr().err
+    assert "OD 100000" in err and "medium.n_z = 2000" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_unwritable_out_exit_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")

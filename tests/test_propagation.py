@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diamondfwm as dfm
-from diamondfwm import (ConfigValidationError, RateTable, coupling_profile,
+from diamondfwm import (ConfigValidationError, NumericalError, RateTable, coupling_profile,
                         observables_at, spectrum_sweep, transfer_matrix)
+from diamondfwm import propagation
+from diamondfwm.response import _two_level_arrays
 
 from conftest import rk4_integrate
 
@@ -215,6 +218,121 @@ def test_passivity_defect_property(fig3_small):
     assert tm.passivity_defect == 0.0
 
 
+def test_optical_depth_too_high_for_grid_raises(fig3):
+    # RK4 on the default n_z 2000 overflows at OD 1e5
+    b = replace(fig3, medium=dfm.MediumConfig.derive(RATES, od=1e5))
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(NumericalError, match=r"OD 100000 with medium.n_z = 2000"):
+        observables_at(b)
+
+
+# ---------------------------------------------------------------------------
+# tiled kernel
+
+
+def _reference_components(bundle, profile, delta_p, omega, step_range=None):
+    """The transfer-matrix kernel as plain numpy expressions over the whole
+    batch at once, one temporary array per operation.  The tiled kernel
+    performs the same operations in the same order, so it must match this
+    bit for bit."""
+    r, dr = bundle.rates, bundle.drive
+    i0, i1 = step_range or (0, profile.n_steps)
+    wc = profile.omega_c[2 * i0:2 * i1 + 1][:, None]
+    rho33, rho31 = _two_level_arrays(wc, dr.delta_c, r.gamma31, r.Gamma3_total)
+    rho11, rho13 = 1.0 - rho33, np.conj(rho31)
+    dp, om = np.asarray(delta_p, float)[None, :], np.asarray(omega, float)[None, :]
+
+    delta = dp + dr.delta_d
+    d1 = 1j * (dp + om) - r.gamma21
+    d2 = 1j * (dp - dr.delta_c + om) - r.gamma23
+    d3 = 1j * (delta + om) - r.gamma41
+    d4 = 1j * (delta - dr.delta_c + om) - r.gamma43
+    oc, occ = -0.5j * wc, -0.5j * np.conj(wc)
+    w, v = 0.5j * np.conj(dr.omega_d), 0.5j * dr.omega_d
+    g = oc * occ
+    inv_q = 1.0 / (d3 * d4 - g)
+    f = w * v * inv_q
+    s11, s22, fac = d1 - f * d4, d2 - f * d3, 1.0 + f
+    inv_p = 1.0 / (s11 * s22 - g * fac * fac)
+    bp1, bp2 = -0.5j * rho11, -0.5j * rho13
+    chi_pp = (s22 * bp1 - oc * fac * bp2) * inv_p
+    p2 = (s11 * bp2 - occ * fac * bp1) * inv_p
+    chi_sp = -v * (d3 * p2 - occ * chi_pp) * inv_q
+    bq1, bq2 = -0.5j * rho31, -0.5j * rho33
+    rp1 = -w * (d4 * bq1 - oc * bq2) * inv_q
+    rp2 = -w * (d3 * bq2 - occ * bq1) * inv_q
+    chi_ps = (s22 * rp1 - oc * fac * rp2) * inv_p
+    p2 = (s11 * rp2 - occ * fac * rp1) * inv_p
+    chi_ss = (d3 * (bq2 - v * p2) - occ * (bq1 - v * chi_ps)) * inv_q
+
+    med = bundle.medium
+    cp, cs = 0.5 * r.gamma21 * med.alpha_p, 0.5 * r.gamma43 * med.alpha_s
+    cx = 0.5 * math.sqrt(r.gamma21 * med.alpha_p * r.gamma43 * med.alpha_s)
+    M = (1j * cp * chi_pp, 1j * cx * chi_ps, 1j * cx * chi_sp, 1j * cs * chi_ss)
+    if i1 == i0:
+        ones, zeros = np.ones(dp.size, complex), np.zeros(dp.size, complex)
+        return ones, zeros, zeros, ones
+
+    def mat_mul(a, b):
+        return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+                a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+
+    def plus_eye(k, scale):
+        return 1.0 + scale * k[0], scale * k[1], scale * k[2], 1.0 + scale * k[3]
+
+    h = 1.0 / profile.n_steps
+    A0, Am, A1 = ([m[sl] for m in M] for sl in (slice(0, -2, 2), slice(1, -1, 2), slice(2, None, 2)))
+    k2 = mat_mul(Am, plus_eye(A0, 0.5 * h))
+    k3 = mat_mul(Am, plus_eye(k2, 0.5 * h))
+    k4 = mat_mul(A1, plus_eye(k3, h))
+    R = [h / 6.0 * (a + 2 * b + 2 * c + d) for a, b, c, d in zip(A0, k2, k3, k4)]
+    R[0], R[3] = 1.0 + R[0], 1.0 + R[3]
+    while R[0].shape[0] > 1:
+        m = R[0].shape[0] // 2
+        prod = mat_mul([x[1:2 * m:2] for x in R], [x[0:2 * m:2] for x in R])
+        R = [np.concatenate([p, x[2 * m:]]) for p, x in zip(prod, R)]
+    return tuple(x[0] for x in R)
+
+
+@pytest.mark.parametrize("n_z", [400, 2000, 8000])
+def test_tiles_threads_and_step_ranges_match_reference_bitwise(monkeypatch, n_z):
+    b = bundle_for(od=110.0, n_z=n_z)
+    prof = coupling_profile(b)
+    rng = np.random.default_rng(n_z)
+    dp, om = rng.uniform(-10, 15, 67), rng.uniform(-40, 40, 67)   # 67 = 22*3 + 1 = 64 + 3
+    want = _reference_components(b, prof, dp, om)
+    grid = 2 * n_z + 1
+    # 64 frequencies of n_z 8000 would take ~270 MB of workspace per thread
+    for per_tile in (1, 3, 64) if n_z <= 2000 else (1, 3):
+        monkeypatch.setattr(propagation, "_TILE_ELEMENTS", per_tile * grid)
+        for threads in (1, 2):
+            got = propagation._transfer_components(b, prof, dp, om, threads=threads)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (per_tile, threads)
+    for step_range in ((n_z // 3, n_z - n_z // 5), (n_z // 2, n_z // 2)):
+        got = propagation._transfer_components(b, prof, dp, om, step_range=step_range)
+        want = _reference_components(b, prof, dp, om, step_range)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), step_range
+    assert np.array_equal(got[0], np.ones(dp.size)) and not np.any(got[1])
+
+
+def test_warm_transfer_call_allocates_under_1mb(fig3):
+    # the tiles write into the thread's workspace, so a call after a warm
+    # one allocates only its O(grid + batch) inputs and outputs
+    prof = coupling_profile(fig3)
+    dp = np.linspace(-10.0, 15.0, 501)
+    om = np.zeros_like(dp)
+    propagation._transfer_components(fig3, prof, dp, om)
+    tracemalloc.start()
+    try:
+        propagation._transfer_components(fig3, prof, dp, om)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -296,6 +414,33 @@ def test_lorentzian_convolution_columns(fig3_small):
     tv = lambda y: np.sum(np.abs(np.diff(y)))
     assert tv(table.eta_s_conv) <= tv(table.eta_s)
     assert table.eta_s_conv.max() <= table.eta_s.max() + 1e-12
+
+
+def _dense_lorentzian(x, y, fwhm):
+    half = 0.5 * fwhm
+    kernel = half / ((x[:, None] - x[None, :]) ** 2 + half ** 2)
+    return kernel @ y / kernel.sum(axis=1)
+
+
+def test_lorentzian_matches_dense_kernel():
+    x = -10.0 + 0.05 * np.arange(401)
+    y = np.random.default_rng(7).uniform(0.0, 1.0, x.size)
+    for fwhm in (0.02, 5.0 / 6.0, 40.0):
+        got = dfm.lorentzian_convolve(x, y, fwhm)
+        assert np.max(np.abs(got - _dense_lorentzian(x, y, fwhm))) <= 1e-12
+
+
+def test_lorentzian_fine_sweep_completes():
+    # --step 1e-4 over the default range: a dense kernel would need ~500 GB
+    x = -10.0 + 1e-4 * np.arange(250_001)
+    got = dfm.lorentzian_convolve(x, np.full(x.size, 0.3), 5.0 / 6.0)
+    assert got.shape == x.shape and np.max(np.abs(got - 0.3)) < 1e-12
+
+
+def test_lorentzian_rejects_non_uniform_grid():
+    x = np.array([0.0, 0.1, 0.3, 0.4])
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        dfm.lorentzian_convolve(x, np.ones(4), 1.0)
 
 
 def test_sweep_threads_match_serial(fig3_small):
