@@ -3,8 +3,8 @@ diamond-type four-wave mixing in a four-level atomic ensemble."""
 
 __version__ = "0.1.0"
 
-from .config import (ConfigBundle, DriveConfig, MediumConfig, OptimizeOptions,
-                     PulseOptions, RateTable, SweepOptions, bundle_hash,
+from .config import (ConfigBundle, DriveConfig, MediumConfig, PulseOptions,
+                     RateTable, SweepOptions, bundle_hash,
                      dump_config, load_config, parse_config, preset, with_mode,
                      GAMMA_HZ, GAMMA_RAD_PER_S, TIME_UNIT_NS)
 from .errors import (BoundsError, ConfigParseError, ConfigValidationError,
@@ -26,7 +26,7 @@ __all__ = [
     "BoundsError", "CheckResult", "ConfigBundle", "ConfigParseError",
     "ConfigValidationError", "CouplingProfile", "DriveConfig", "GAMMA_HZ",
     "GAMMA_RAD_PER_S", "MediumConfig", "NoUniqueSteadyStateError", "NumericalError",
-    "ObjectiveError", "Observables", "OptimizationResult", "OptimizeOptions",
+    "ObjectiveError", "Observables", "OptimizationResult",
     "PulseGridError", "PulseOptions", "PulseResult", "RateTable", "ResponseMatrix",
     "SimulationError", "SingularResponseError", "SpectrumTable", "SweepOptions",
     "TIME_UNIT_NS", "TransferMatrix", "UnknownPresetError", "ZerothOrderState",

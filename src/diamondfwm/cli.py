@@ -23,7 +23,8 @@ from .config import (DEFAULT_LINEWIDTH, GAMMA_HZ, PRESET_NAMES, SWEEP_MODES,
 from .errors import (ConfigParseError, ConfigValidationError, NumericalError,
                      SimulationError)
 from .manifest import make_manifest, write_csv, write_json
-from .optimize import PARAM_NAMES, optimize_eta
+from .optimize import (DELTA_MAX, MAX_EVALS, OMEGA_MAX, PARAM_NAMES, SEED, STARTS,
+                       default_bounds, optimize_eta)
 from .propagation import observables_at, spectrum_sweep
 from .pulse import propagate_pulse
 from .validate import run_checks
@@ -90,11 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(op, config=False)
     op.add_argument("--od", type=float, required=True,
                     help="resonant optical depth of the probe transition")
-    op.add_argument("--starts", type=int, default=32)
-    op.add_argument("--seed", type=int, default=0)
-    op.add_argument("--max-evals", type=int, default=2000)
-    op.add_argument("--omega-max", type=float, default=30.0)
-    op.add_argument("--delta-max", type=float, default=15.0)
+    op.add_argument("--starts", type=int, default=STARTS)
+    op.add_argument("--seed", type=int, default=SEED)
+    op.add_argument("--max-evals", type=int, default=MAX_EVALS)
+    op.add_argument("--omega-max", type=float, default=OMEGA_MAX)
+    op.add_argument("--delta-max", type=float, default=DELTA_MAX)
     op.set_defaults(func=cmd_optimize)
 
     va = sub.add_parser("validate", help="run the model invariant suite")
@@ -153,10 +154,8 @@ def cmd_pulse(args) -> int:
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
-    w = (0.0, args.omega_max)
-    d = (-args.delta_max, args.delta_max)
-    result = optimize_eta(args.od, bounds=(w, w, d, d, d), starts=args.starts,
-                          seed=args.seed, max_evals=args.max_evals,
+    result = optimize_eta(args.od, bounds=default_bounds(args.omega_max, args.delta_max),
+                          starts=args.starts, seed=args.seed, max_evals=args.max_evals,
                           threads=args.threads)
     rates = RateTable()
     bundle = ConfigBundle(rates=rates, medium=MediumConfig.derive(rates, od=args.od),

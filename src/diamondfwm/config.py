@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+import re
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import yaml
 
@@ -40,6 +41,12 @@ DEFAULT_PULSE_DURATION = 200e-9 * GAMMA_RAD_PER_S
 DEFAULT_LINEWIDTH = 5.0 / 6.0
 
 _EPS = 1e-9
+
+# Field metadata.  Each config dataclass declares its document keys: a
+# field's key is its name unless it carries {"key": ...}, and a
+# {"derived": True} field is computed, never read from or written to a
+# document.
+_DERIVED = {"derived": True}
 
 
 def _require(cond, key, message):
@@ -110,9 +117,6 @@ class RateTable:
                  f"Gamma42 + Gamma43 = {self.Gamma42 + self.Gamma43} exceeds "
                  f"rates.Gamma4_total = {self.Gamma4_total}")
 
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class DriveConfig:
@@ -142,9 +146,6 @@ class DriveConfig:
         """Two-photon detuning delta_p + delta_d."""
         return self.delta_p + self.delta_d
 
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class MediumConfig:
@@ -160,8 +161,8 @@ class MediumConfig:
     """
 
     alpha_p: float
-    alpha_c: float
-    alpha_s: float
+    alpha_c: float = field(metadata=_DERIVED)
+    alpha_s: float = field(metadata=_DERIVED)
     lambda_p: float = 795.0
     lambda_c: float = 780.0
     lambda_d: float = 1324.0
@@ -188,14 +189,13 @@ class MediumConfig:
 
     @classmethod
     def derive(cls, rates: RateTable, alpha_p: Optional[float] = None,
-               od: Optional[float] = None, lambda_p: float = 795.0,
-               lambda_c: float = 780.0, lambda_d: float = 1324.0,
-               lambda_s: float = 1367.0, n_z: int = 2000) -> "MediumConfig":
+               od: Optional[float] = None, **grid) -> "MediumConfig":
         """Build a medium, deriving alpha_c and alpha_s from the rates.
 
         Exactly one of ``alpha_p`` (the propagation-equation parameter)
         or ``od`` (the conventional resonant optical depth, -ln T) must
-        be given; they are related by alpha_p = 2*od.
+        be given; they are related by alpha_p = 2*od.  ``grid`` sets the
+        wavelengths and ``n_z``; unset ones keep the field defaults.
         """
         _require((alpha_p is None) != (od is None), "medium.alpha_p",
                  "specify exactly one of alpha_p or od")
@@ -203,21 +203,20 @@ class MediumConfig:
             _require(math.isfinite(od) and od >= 0.0, "medium.od",
                      f"optical depth must be finite and >= 0, got {od}")
             alpha_p = 2.0 * float(od)
-        alpha_p = float(alpha_p)
-        if alpha_p > 0.0:
-            for key, value in (("rates.Gamma21", rates.Gamma21),
-                               ("rates.gamma31", rates.gamma31),
-                               ("rates.gamma43", rates.gamma43)):
-                _require(value > 0.0, key, "must be > 0 to derive alpha_c/alpha_s")
-            alpha_c = alpha_p * (lambda_c / lambda_p) ** 2 \
-                * (rates.Gamma31 / rates.gamma31) * (rates.gamma21 / rates.Gamma21)
-            alpha_s = alpha_p * (lambda_s / lambda_p) ** 2 \
-                * (rates.Gamma43 / rates.gamma43) * (rates.gamma21 / rates.Gamma21)
-        else:
-            alpha_c = alpha_s = 0.0
-        return cls(alpha_p=alpha_p, alpha_c=alpha_c, alpha_s=alpha_s,
-                   lambda_p=lambda_p, lambda_c=lambda_c, lambda_d=lambda_d,
-                   lambda_s=lambda_s, n_z=n_z)
+        medium = cls(alpha_p=float(alpha_p), alpha_c=0.0, alpha_s=0.0, **grid)
+        if medium.alpha_p == 0.0:
+            return medium
+        for key, value in (("rates.Gamma21", rates.Gamma21),
+                           ("rates.gamma31", rates.gamma31),
+                           ("rates.gamma43", rates.gamma43)):
+            _require(value > 0.0, key, "must be > 0 to derive alpha_c/alpha_s")
+        lp = medium.lambda_p
+        return replace(
+            medium,
+            alpha_c=medium.alpha_p * (medium.lambda_c / lp) ** 2
+            * (rates.Gamma31 / rates.gamma31) * (rates.gamma21 / rates.Gamma21),
+            alpha_s=medium.alpha_p * (medium.lambda_s / lp) ** 2
+            * (rates.Gamma43 / rates.gamma43) * (rates.gamma21 / rates.Gamma21))
 
     @property
     def od(self) -> float:
@@ -228,8 +227,8 @@ class MediumConfig:
 @dataclass(frozen=True)
 class SweepOptions:
     mode: str = "fwm"
-    start: float = -10.0
-    stop: float = 15.0
+    start: float = field(default=-10.0, metadata={"key": "from"})
+    stop: float = field(default=15.0, metadata={"key": "to"})
     step: float = 0.1
     linewidth: Optional[float] = None   # Lorentzian FWHM for the convolved columns
 
@@ -265,77 +264,72 @@ class PulseOptions:
 
 
 @dataclass(frozen=True)
-class OptimizeOptions:
-    starts: int = 32
-    seed: int = 0
-    max_evals: int = 2000
-    omega_min: float = 0.0
-    omega_max: float = 30.0
-    delta_min: float = -15.0
-    delta_max: float = 15.0
-
-    def __post_init__(self):
-        _require(isinstance(self.starts, int) and self.starts >= 1,
-                 "optimize.starts", "must be an integer >= 1")
-        _require(isinstance(self.seed, int), "optimize.seed", "must be an integer")
-        _require(isinstance(self.max_evals, int) and self.max_evals >= 1,
-                 "optimize.max_evals", "must be an integer >= 1")
-        for lo, hi, k in ((self.omega_min, self.omega_max, "omega"),
-                          (self.delta_min, self.delta_max, "delta")):
-            _require(math.isfinite(lo) and math.isfinite(hi) and lo <= hi,
-                     f"optimize.{k}_min", f"needs finite {k}_min <= {k}_max")
-
-    def bounds(self):
-        """(5, 2) bound pairs ordered (omega_c, omega_d, delta_c, delta_d, delta_p)."""
-        w = (self.omega_min, self.omega_max)
-        d = (self.delta_min, self.delta_max)
-        return (w, w, d, d, d)
-
-
-@dataclass(frozen=True)
 class ConfigBundle:
     """Everything one run needs; immutable and safe to share across workers."""
 
     rates: RateTable
     medium: MediumConfig
-    drive: Optional[DriveConfig] = None
+    drive: Optional[DriveConfig] = field(default=None, metadata={"key": "fields"})
     sweep: SweepOptions = field(default_factory=SweepOptions)
     pulse: PulseOptions = field(default_factory=PulseOptions)
-    optimize: OptimizeOptions = field(default_factory=OptimizeOptions)
 
 
 SWEEP_MODES = ("fwm", "v_type", "cascade", "two_level")
 PRESET_NAMES = ("fig3", "fig4", "od200")
 
-# document schema: section -> key -> (python type, target dataclass field)
-_SCHEMA = {
-    "rates": {name: float for name in (
-        "Gamma2_total", "Gamma3_total", "Gamma4_total", "Gamma21", "Gamma31",
-        "Gamma42", "Gamma43", "gamma_extra", "gamma21", "gamma23", "gamma31",
-        "gamma41", "gamma43")},
-    "medium": {"alpha_p": float, "od": float, "lambda_p": float, "lambda_c": float,
-               "lambda_d": float, "lambda_s": float, "n_z": int},
-    "fields": {name: float for name in (
-        "omega_c", "omega_d", "delta_p", "delta_c", "delta_d")},
-    "sweep": {"mode": str, "from": float, "to": float, "step": float, "linewidth": float},
-    "pulse": {"shape": str, "duration": float, "window": float, "n_freq": int},
-    "optimize": {"starts": int, "seed": int, "max_evals": int, "omega_min": float,
-                 "omega_max": float, "delta_min": float, "delta_max": float},
-}
+def _key(f) -> str:
+    return f.metadata.get("key", f.name)
 
 
-def _checked_section(doc, section):
+def _schema(cls) -> dict:
+    """Document key -> (field name, value type) of a config dataclass.
+
+    Types come from the field annotations; an Optional[T] field takes a T.
+    """
+    hints = get_type_hints(cls)
+    schema = {}
+    for f in fields(cls):
+        if not f.metadata.get("derived"):
+            want = hints[f.name]
+            want = next((t for t in get_args(want) if t is not type(None)), want)
+            schema[_key(f)] = (f.name, want)
+    return schema
+
+
+_SECTIONS = _schema(ConfigBundle)   # section -> (bundle field, config dataclass)
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that reads exponent floats as YAML 1.2 does.
+
+    YAML 1.1 needs a dot and a signed exponent, so PyYAML alone reads
+    ``1e5`` and ``1.0e4`` as strings.  Quoted scalars stay strings.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
+def _checked_section(doc, section, **aliases):
+    """A section's values keyed by field name, after the type checks.
+
+    ``aliases`` maps input-only keys to their value type.
+    """
     raw = doc.get(section, {})
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigValidationError(section, "section must be a mapping of scalar keys")
-    schema = _SCHEMA[section]
+    schema = _schema(_SECTIONS[section][1])
+    schema.update((key, (key, want)) for key, want in aliases.items())
     out = {}
     for key, value in raw.items():
         if key not in schema:
             raise ConfigValidationError(f"{section}.{key}", "unknown key")
-        want = schema[key]
+        name, want = schema[key]
         if want in (float, int):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigValidationError(f"{section}.{key}",
@@ -343,19 +337,19 @@ def _checked_section(doc, section):
             if want is int and int(value) != value:
                 raise ConfigValidationError(f"{section}.{key}",
                                             f"must be an integer, got {value!r}")
-            out[key] = want(value)
+            out[name] = want(value)
         else:
             if not isinstance(value, str):
                 raise ConfigValidationError(f"{section}.{key}",
                                             f"must be a string, got {value!r}")
-            out[key] = value
+            out[name] = value
     return out
 
 
 def parse_config(text: str) -> ConfigBundle:
     """Parse and validate a YAML config document into a ConfigBundle."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigParseError(f"malformed config document: {exc}") from exc
     if doc is None:
@@ -363,12 +357,12 @@ def parse_config(text: str) -> ConfigBundle:
     if not isinstance(doc, dict):
         raise ConfigParseError("config document must be a mapping of sections")
     for section in doc:
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigValidationError(str(section), "unknown section")
 
     rates = RateTable(**_checked_section(doc, "rates"))
 
-    med = _checked_section(doc, "medium")
+    med = _checked_section(doc, "medium", od=float)
     if "alpha_p" in med and "od" in med:
         raise ConfigValidationError("medium.alpha_p", "specify either alpha_p or od, not both")
     if "alpha_p" not in med and "od" not in med:
@@ -376,19 +370,11 @@ def parse_config(text: str) -> ConfigBundle:
     medium = MediumConfig.derive(rates, **med)
 
     drive = None
-    if "fields" in doc and doc["fields"] is not None:
+    if doc.get("fields") is not None:
         drive = DriveConfig(**_checked_section(doc, "fields"))
-
-    sw = _checked_section(doc, "sweep")
-    sweep = SweepOptions(mode=sw.get("mode", "fwm"),
-                         start=sw.get("from", -10.0),
-                         stop=sw.get("to", 15.0),
-                         step=sw.get("step", 0.1),
-                         linewidth=sw.get("linewidth"))
-    pulse = PulseOptions(**_checked_section(doc, "pulse"))
-    optimize = OptimizeOptions(**_checked_section(doc, "optimize"))
     return ConfigBundle(rates=rates, medium=medium, drive=drive,
-                        sweep=sweep, pulse=pulse, optimize=optimize)
+                        sweep=SweepOptions(**_checked_section(doc, "sweep")),
+                        pulse=PulseOptions(**_checked_section(doc, "pulse")))
 
 
 def load_config(path) -> ConfigBundle:
@@ -397,45 +383,17 @@ def load_config(path) -> ConfigBundle:
     return parse_config(text)
 
 
-def canonical_dict(bundle: ConfigBundle) -> dict:
-    """Fully-resolved plain-dict form; the basis for hashing and round-trips."""
-    doc = {
-        "rates": bundle.rates.as_dict(),
-        "medium": {
-            "alpha_p": bundle.medium.alpha_p,
-            "lambda_p": bundle.medium.lambda_p,
-            "lambda_c": bundle.medium.lambda_c,
-            "lambda_d": bundle.medium.lambda_d,
-            "lambda_s": bundle.medium.lambda_s,
-            "n_z": bundle.medium.n_z,
-        },
-        "sweep": {
-            "mode": bundle.sweep.mode,
-            "from": bundle.sweep.start,
-            "to": bundle.sweep.stop,
-            "step": bundle.sweep.step,
-        },
-        "pulse": {
-            "shape": bundle.pulse.shape,
-            "duration": bundle.pulse.duration,
-            "n_freq": bundle.pulse.n_freq,
-        },
-        "optimize": {
-            "starts": bundle.optimize.starts,
-            "seed": bundle.optimize.seed,
-            "max_evals": bundle.optimize.max_evals,
-            "omega_min": bundle.optimize.omega_min,
-            "omega_max": bundle.optimize.omega_max,
-            "delta_min": bundle.optimize.delta_min,
-            "delta_max": bundle.optimize.delta_max,
-        },
-    }
-    if bundle.sweep.linewidth is not None:
-        doc["sweep"]["linewidth"] = bundle.sweep.linewidth
-    if bundle.pulse.window is not None:
-        doc["pulse"]["window"] = bundle.pulse.window
-    if bundle.drive is not None:
-        doc["fields"] = bundle.drive.as_dict()
+def canonical_dict(config) -> dict:
+    """Fully-resolved plain-dict form; the basis for hashing and round-trips.
+
+    Every field that is set and not derived is written under its document
+    key; a nested config dataclass becomes a section.
+    """
+    doc = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value is not None and not f.metadata.get("derived"):
+            doc[_key(f)] = canonical_dict(value) if is_dataclass(value) else value
     return doc
 
 

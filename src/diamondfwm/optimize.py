@@ -18,7 +18,7 @@ import numpy as np
 from scipy import optimize as spopt
 from scipy.stats import qmc
 
-from .config import ConfigBundle, DriveConfig, MediumConfig, OptimizeOptions, RateTable
+from .config import ConfigBundle, DriveConfig, MediumConfig, RateTable
 from .errors import BoundsError, ObjectiveError, SimulationError
 from .propagation import observables_at
 
@@ -27,10 +27,18 @@ PARAM_NAMES = ("omega_c", "omega_d", "delta_c", "delta_d", "delta_p")
 SPREAD_TOL = 1e-4        # simplex objective spread at convergence
 SIMPLEX_STEP = 0.08      # initial simplex edge as a fraction of the bound range
 
+# defaults of optimize_eta, and of the `optimize` command's flags
+STARTS = 32
+SEED = 0
+MAX_EVALS = 2000
+OMEGA_MAX = 30.0         # Rabi frequencies in [0, OMEGA_MAX]
+DELTA_MAX = 15.0         # detunings in [-DELTA_MAX, DELTA_MAX]
 
-def default_bounds() -> np.ndarray:
-    """Rabi frequencies in [0, 30], detunings in [-15, 15] (Gamma units)."""
-    return np.array(OptimizeOptions().bounds(), dtype=float)
+
+def default_bounds(omega_max: float = OMEGA_MAX, delta_max: float = DELTA_MAX) -> np.ndarray:
+    """(5, 2) bound pairs ordered as PARAM_NAMES, in Gamma units."""
+    w, d = (0.0, omega_max), (-delta_max, delta_max)
+    return np.array((w, w, d, d, d), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -144,15 +152,15 @@ def make_objective(od: float, rates: Optional[RateTable] = None, n_z: int = 2000
     return objective
 
 
-def optimize_eta(od: float, bounds: Optional[Sequence] = None, starts: int = 32,
-                 seed: int = 0, rates: Optional[RateTable] = None, n_z: int = 2000,
-                 max_evals: int = 2000, threads: int = 1) -> OptimizationResult:
+def optimize_eta(od: float, bounds: Optional[Sequence] = None, starts: int = STARTS,
+                 seed: int = SEED, rates: Optional[RateTable] = None, n_z: int = 2000,
+                 max_evals: int = MAX_EVALS, threads: int = 1) -> OptimizationResult:
     """Maximize eta_s over the five drive parameters at fixed optical depth.
 
     ``od`` is the conventional resonant optical depth (the medium is
     built with alpha_p = 2*od).  ``bounds`` is a sequence of five
-    (low, high) pairs ordered as PARAM_NAMES; the defaults are Rabi
-    frequencies in [0, 30] and detunings in [-15, 15].
+    (low, high) pairs ordered as PARAM_NAMES; the default is
+    ``default_bounds()``.
     """
     if od < 0:
         raise BoundsError("optimize.od", "optical depth must be >= 0")

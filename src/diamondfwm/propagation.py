@@ -76,9 +76,6 @@ class CouplingProfile:
         self.zeta.setflags(write=False)
         self.omega_c.setflags(write=False)
 
-    def at_nodes(self) -> np.ndarray:
-        return self.omega_c[::2]
-
 
 @dataclass(frozen=True)
 class Observables:
@@ -285,14 +282,17 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     def run_tile(sl):
         ws = _workspace()
         ws.reset()
-        chi = _chi_arrays(wc, rho11, rho13, rho31, rho33,
-                          delta_p[sl][:, None], omega[sl][:, None],
-                          drive.delta_c, drive.delta_d, drive.omega_d, rates, ws=ws)
-        mats = [np.multiply(k, x, out=x) for k, x in zip(couplings, chi)]   # M = i c chi
-        props = _step_propagators(*mats, h, ws=ws)
-        comps = (1.0, 0.0, 0.0, 1.0) if i1 == i0 else _ordered_product(*props, ws=ws)
-        for dst, src in zip(out, comps):
-            dst[sl] = src
+        # an overflow shows as a non-finite output, which the guard below
+        # reports once; errstate is set here because it is per thread
+        with np.errstate(over="ignore", invalid="ignore"):
+            chi = _chi_arrays(wc, rho11, rho13, rho31, rho33,
+                              delta_p[sl][:, None], omega[sl][:, None],
+                              drive.delta_c, drive.delta_d, drive.omega_d, rates, ws=ws)
+            mats = [np.multiply(k, x, out=x) for k, x in zip(couplings, chi)]   # M = i c chi
+            props = _step_propagators(*mats, h, ws=ws)
+            comps = (1.0, 0.0, 0.0, 1.0) if i1 == i0 else _ordered_product(*props, ws=ws)
+            for dst, src in zip(out, comps):
+                dst[sl] = src
 
     per_tile = max(1, _TILE_ELEMENTS // wc.size)
     slices = [slice(k, min(k + per_tile, delta_p.size))

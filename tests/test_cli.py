@@ -211,6 +211,14 @@ def test_non_finite_config_exit_3(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_optimize_section_in_config_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "optimize.yaml"
+    cfg.write_text("medium:\n  od: 75\noptimize:\n  starts: 4\n")
+    assert run(["spectrum", "--config", cfg, "--out", tmp_path]) == 3
+    assert "optimize: unknown section" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("argv, key", [
     (["spectrum", "--linewidth", "inf"], "sweep.linewidth"),
     (["spectrum", "--to", "inf"], "sweep.from"),

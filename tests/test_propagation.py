@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -219,11 +220,21 @@ def test_passivity_defect_property(fig3_small):
 
 
 def test_optical_depth_too_high_for_grid_raises(fig3):
-    # RK4 on the default n_z 2000 overflows at OD 1e5
+    # RK4 on the default n_z 2000 overflows at OD 1e5; the error is the one signal
     b = replace(fig3, medium=dfm.MediumConfig.derive(RATES, od=1e5))
-    with pytest.warns(RuntimeWarning), \
-            pytest.raises(NumericalError, match=r"OD 100000 with medium.n_z = 2000"):
-        observables_at(b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"OD 100000 with medium.n_z = 2000"):
+            observables_at(b)
+
+
+def test_optical_depth_too_high_for_grid_is_silent_on_threads(fig3):
+    # numpy's error state is per thread, so the pool threads need their own
+    b = replace(fig3, medium=dfm.MediumConfig.derive(RATES, od=1e5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="OD 100000"):
+            spectrum_sweep("fwm", b, start=-1.0, stop=1.0, step=0.01, threads=2)
 
 
 # ---------------------------------------------------------------------------
