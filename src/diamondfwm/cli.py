@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .config import (DEFAULT_LINEWIDTH, GAMMA_HZ, PRESET_NAMES, SWEEP_MODES,
                      TIME_UNIT_NS, ConfigBundle, MediumConfig, RateTable,
-                     load_config, preset)
+                     dump_config, load_config, preset)
 from .errors import (ConfigParseError, ConfigValidationError, NumericalError,
                      SimulationError)
 from .manifest import make_manifest, write_csv, write_json
@@ -38,15 +38,17 @@ EXIT_INVARIANT = 5
 MHZ_PER_GAMMA = GAMMA_HZ / 1e6   # detuning in MHz per Gamma unit
 
 
-def _add_common(p, config: bool = True):
+def _add_common(p, config: bool = True, threads: bool = True, si: bool = True):
     if config:
         src = p.add_mutually_exclusive_group()
         src.add_argument("--config", type=Path, help="YAML config document")
         src.add_argument("--preset", choices=PRESET_NAMES, help="built-in operating point")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
-    p.add_argument("--si", action="store_true",
-                   help="append SI columns (MHz, ns) using Gamma = 2*pi*6 MHz")
+    if threads:
+        p.add_argument("--threads", type=int, default=1, help="worker threads")
+    if si:
+        p.add_argument("--si", action="store_true",
+                       help="append SI columns (MHz, ns) using Gamma = 2*pi*6 MHz")
 
 
 def _load_bundle(args, default_preset=None):
@@ -88,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.set_defaults(func=cmd_pulse)
 
     op = sub.add_parser("optimize", help="find drive parameters maximizing eta_s")
-    _add_common(op, config=False)
+    _add_common(op, config=False, si=False)
     op.add_argument("--od", type=float, required=True,
                     help="resonant optical depth of the probe transition")
     op.add_argument("--starts", type=int, default=STARTS)
@@ -99,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.set_defaults(func=cmd_optimize)
 
     va = sub.add_parser("validate", help="run the model invariant suite")
-    _add_common(va)
+    _add_common(va, threads=False, si=False)
     va.set_defaults(func=cmd_validate)
 
     pr = sub.add_parser("presets", help="list built-in operating points")
@@ -154,17 +156,21 @@ def cmd_pulse(args) -> int:
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
+    if args.threads != 1:
+        raise ConfigValidationError("--threads", "the search evaluates one point at a "
+                                    f"time; only 1 is accepted, got {args.threads}")
     result = optimize_eta(args.od, bounds=default_bounds(args.omega_max, args.delta_max),
-                          starts=args.starts, seed=args.seed, max_evals=args.max_evals,
-                          threads=args.threads)
+                          starts=args.starts, seed=args.seed, max_evals=args.max_evals)
     rates = RateTable()
     bundle = ConfigBundle(rates=rates, medium=MediumConfig.derive(rates, od=args.od),
                           drive=result.drive)
     manifest = make_manifest("optimize", bundle, seed=args.seed, started=started,
                              od=args.od, starts=args.starts, max_evals=args.max_evals)
     path = write_json(args.out / "optimize_result.json", result.as_dict(), manifest)
+    best = args.out / "optimize_best.yaml"   # input for spectrum/pulse --config
+    best.write_text(dump_config(bundle), encoding="utf-8")
     params = ", ".join(f"{k} = {v:+.3f}" for k, v in zip(PARAM_NAMES, result.params))
-    print(f"wrote {path}")
+    print(f"wrote {path} and {best}")
     print(f"best eta_s = {result.eta_s:.4f} at OD {args.od:g} with {params} "
           f"({result.n_evaluations} evaluations)")
     return EXIT_OK

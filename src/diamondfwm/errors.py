@@ -33,7 +33,7 @@ class UnknownPresetError(ConfigValidationError):
 
 
 class BoundsError(ConfigValidationError):
-    """Optimizer bounds are malformed or non-finite."""
+    """An optimizer setting (bounds, od, seed, starts, max_evals) is out of range."""
 
 
 class PulseGridError(ConfigValidationError):

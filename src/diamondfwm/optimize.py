@@ -10,7 +10,6 @@ Results are bit-for-bit reproducible for a fixed seed.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -130,14 +129,15 @@ def _run_start(objective, x0, bounds, max_evals):
     return records
 
 
-def make_objective(od: float, rates: Optional[RateTable] = None, n_z: int = 2000):
+def make_objective(od: float, rates: Optional[RateTable] = None, **grid):
     """eta_s as a function of (omega_c, omega_d, delta_c, delta_d, delta_p).
 
+    ``grid`` sets ``n_z`` and the wavelengths as in ``MediumConfig.derive``.
     Evaluation failures are re-raised with the offending parameter
     vector attached.
     """
     rates = rates if rates is not None else RateTable()
-    medium = MediumConfig.derive(rates, od=od, n_z=n_z)
+    medium = MediumConfig.derive(rates, od=od, **grid)
 
     def objective(x) -> float:
         drive = DriveConfig(omega_c=float(x[0]), omega_d=float(x[1]),
@@ -153,32 +153,29 @@ def make_objective(od: float, rates: Optional[RateTable] = None, n_z: int = 2000
 
 
 def optimize_eta(od: float, bounds: Optional[Sequence] = None, starts: int = STARTS,
-                 seed: int = SEED, rates: Optional[RateTable] = None, n_z: int = 2000,
-                 max_evals: int = MAX_EVALS, threads: int = 1) -> OptimizationResult:
+                 seed: int = SEED, rates: Optional[RateTable] = None,
+                 max_evals: int = MAX_EVALS, **grid) -> OptimizationResult:
     """Maximize eta_s over the five drive parameters at fixed optical depth.
 
     ``od`` is the conventional resonant optical depth (the medium is
     built with alpha_p = 2*od).  ``bounds`` is a sequence of five
     (low, high) pairs ordered as PARAM_NAMES; the default is
-    ``default_bounds()``.
+    ``default_bounds()``.  The starts run one after another in seed
+    order; ``grid`` is passed to ``make_objective``.
     """
-    if od < 0:
-        raise BoundsError("optimize.od", "optical depth must be >= 0")
+    if not (np.isfinite(od) and od >= 0):
+        raise BoundsError("optimize.od", f"optical depth must be finite and >= 0, got {od}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise BoundsError("optimize.seed", f"must be a non-negative integer, got {seed!r}")
     if starts < 1:
         raise BoundsError("optimize.starts", "needs at least one start")
     if max_evals < 1:
         raise BoundsError("optimize.max_evals",
                           f"needs at least one evaluation per start, got {max_evals}")
     b = _check_bounds(bounds if bounds is not None else default_bounds())
-    objective = make_objective(od, rates=rates, n_z=n_z)
+    objective = make_objective(od, rates=rates, **grid)
     x0s = _latin_hypercube(b, starts, seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_records = list(pool.map(
-                lambda x0: _run_start(objective, x0, b, max_evals), x0s))
-    else:
-        all_records = [_run_start(objective, x0, b, max_evals) for x0 in x0s]
+    all_records = [_run_start(objective, x0, b, max_evals) for x0 in x0s]
 
     best_eta = -np.inf
     best_params = tuple(x0s[0])

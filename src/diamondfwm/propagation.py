@@ -334,11 +334,10 @@ def transfer_matrix(omega: float, bundle: ConfigBundle,
 
 
 def observables_at(bundle: ConfigBundle, delta_p: Optional[float] = None,
-                   omega: float = 0.0,
-                   profile: Optional[CouplingProfile] = None) -> Observables:
+                   omega: float = 0.0) -> Observables:
     """Steady-state observables T_p = |a|^2, eta_s = |c|^2, T_s = |d|^2,
     eta_p = |b|^2 at the carrier detuning."""
-    tm = transfer_matrix(omega, bundle, profile=profile, delta_p=delta_p)
+    tm = transfer_matrix(omega, bundle, delta_p=delta_p)
     return Observables(T_p=abs(tm.a) ** 2, eta_s=abs(tm.c) ** 2,
                        T_s=abs(tm.d) ** 2, eta_p=abs(tm.b) ** 2)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ConfigBundle
 from .errors import ConfigValidationError, PulseGridError
-from .propagation import CouplingProfile, _transfer_components, coupling_profile
+from .propagation import _transfer_components, coupling_profile
 
 MIN_SPAN_GAMMA = 40.0   # the frequency grid must reach at least +-40 Gamma
 
@@ -55,9 +55,7 @@ class PulseResult:
 def propagate_pulse(bundle: ConfigBundle, duration: Optional[float] = None,
                     delta_p: Optional[float] = None, shape: Optional[str] = None,
                     window: Optional[float] = None, n_freq: Optional[int] = None,
-                    amplitude: float = 1.0,
-                    profile: Optional[CouplingProfile] = None,
-                    threads: int = 1) -> PulseResult:
+                    amplitude: float = 1.0, threads: int = 1) -> PulseResult:
     """Propagate a square probe pulse through the medium.
 
     The synthesis window defaults to 8x the pulse duration with the
@@ -96,9 +94,7 @@ def propagate_pulse(bundle: ConfigBundle, duration: Optional[float] = None,
     spectrum = np.fft.ifft(envelope)
     omegas = 2.0 * np.pi * np.fft.fftfreq(n_freq, d=dt)
 
-    if profile is None:
-        profile = coupling_profile(bundle)
-    a, _, c, _ = _transfer_components(bundle, profile,
+    a, _, c, _ = _transfer_components(bundle, coupling_profile(bundle),
                                       np.full(n_freq, float(delta_p)), omegas,
                                       threads=threads)
     out_p = np.fft.fft(spectrum * a)

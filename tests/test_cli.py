@@ -1,10 +1,12 @@
 import json
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diamondfwm.cli import main
+from diamondfwm.cli import build_parser, main
 from diamondfwm.manifest import read_csv
 
 
@@ -220,16 +222,18 @@ def test_optimize_section_in_config_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, key", [
-    (["spectrum", "--linewidth", "inf"], "sweep.linewidth"),
-    (["spectrum", "--to", "inf"], "sweep.from"),
-    (["spectrum", "--step", "nan"], "sweep.step"),
-    (["pulse", "--delta-p", "nan"], "fields.delta_p"),
-    (["pulse", "--duration", "inf"], "pulse.duration"),
+    (["spectrum", "--preset", "fig3", "--linewidth", "inf"], "sweep.linewidth"),
+    (["spectrum", "--preset", "fig3", "--to", "inf"], "sweep.from"),
+    (["spectrum", "--preset", "fig3", "--step", "nan"], "sweep.step"),
+    (["pulse", "--preset", "fig3", "--delta-p", "nan"], "fields.delta_p"),
+    (["pulse", "--preset", "fig3", "--duration", "inf"], "pulse.duration"),
+    (["optimize", "--od", "nan"], "optimize.od"),
+    (["optimize", "--od", "50", "--seed", "-1"], "optimize.seed"),
 ])
 def test_non_finite_flags_exit_3(tmp_path, capsys, argv, key):
-    assert run(argv + ["--preset", "fig3", "--out", tmp_path]) == 3
+    assert run(argv + ["--out", tmp_path]) == 3
     assert key in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("threads", [0, -2])
@@ -237,6 +241,56 @@ def test_threads_below_one_exit_3(tmp_path, capsys, threads):
     assert run(["spectrum", "--preset", "fig3", "--threads", threads,
                 "--out", tmp_path]) == 3
     assert "--threads" in capsys.readouterr().err
+
+
+def test_optimize_threads_other_than_one_exit_3(tmp_path, capsys):
+    assert run(["optimize", "--od", 50, "--starts", 1, "--threads", 2,
+                "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert "--threads" in err and "one point at a time" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--od", "50", "--si"],
+    ["validate", "--threads", "2"],
+    ["validate", "--si"],
+])
+def test_unread_flags_exit_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", tmp_path])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_optimize_best_yaml_feeds_spectrum(tmp_path):
+    import yaml
+    from diamondfwm import load_config
+    assert run(["optimize", "--od", 50, "--starts", 1, "--max-evals", 30,
+                "--out", tmp_path]) == 0
+    doc = json.loads((tmp_path / "optimize_result.json").read_text())
+    best = tmp_path / "optimize_best.yaml"
+    assert yaml.safe_load(best.read_text())["fields"] == doc["best"]
+    assert load_config(best).medium.od == 50.0
+    assert run(["spectrum", "--config", best, "--from", -2, "--to", 2, "--step", 0.5,
+                "--out", tmp_path]) == 0
+    manifest, _ = read_csv(tmp_path / "spectrum_fwm.csv")
+    assert manifest["config_hash"] == doc["manifest"]["config_hash"]
+
+
+def test_readme_commands_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    in_block, lines = False, []
+    for ln in readme.read_text(encoding="utf-8").splitlines():
+        if ln.startswith("```"):
+            in_block = not in_block
+        elif in_block and ln.startswith("diamondfwm "):
+            lines.append(ln.split("#")[0])
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
 
 
 @pytest.mark.parametrize("max_evals", [0, -1])
