@@ -133,16 +133,18 @@ class Workspace:
 
 
 def _chi_arrays(omega_c, rho11, rho13, rho31, rho33,
-                delta_p, omega, delta_c, delta_d, omega_d, rates, ws=None):
+                x, delta_c, delta_d, omega_d, rates, ws=None):
     """Susceptibility coefficients on broadcastable arrays.
 
-    Solves, at sideband frequency omega, the steady-state system for the
-    first-order coherences X = (rho_21, rho_23, rho_41, rho_43):
+    Solves the steady-state system for the first-order coherences
+    X = (rho_21, rho_23, rho_41, rho_43) of a weak-field component at
+    sideband frequency omega; the detunings enter only through
+    x = delta_p + omega:
 
-        0 = [i(dp+w) - g21] r21 + (i/2)(-Wc r23 + Wd* r41) + (i/2) Wp rho11
-        0 = [i(dp-dc+w) - g23] r23 + (i/2)(-Wc* r21 + Wd* r43) + (i/2) Wp rho13
-        0 = [i(d+w) - g41] r41 + (i/2)(Wd r21 - Wc r43) + (i/2) Ws rho31
-        0 = [i(d-dc+w) - g43] r43 + (i/2)(Wd r23 - Wc* r41) + (i/2) Ws rho33
+        0 = [i x - g21] r21 + (i/2)(-Wc r23 + Wd* r41) + (i/2) Wp rho11
+        0 = [i(x-dc) - g23] r23 + (i/2)(-Wc* r21 + Wd* r43) + (i/2) Wp rho13
+        0 = [i(x+dd) - g41] r41 + (i/2)(Wd r21 - Wc r43) + (i/2) Ws rho31
+        0 = [i(x+dd-dc) - g43] r43 + (i/2)(Wd r23 - Wc* r41) + (i/2) Ws rho33
 
     The system splits into 2x2 blocks coupled by scalar multiples of the
     identity ((i/2) Wd), so it is eliminated in closed form; this is
@@ -158,17 +160,17 @@ def _chi_arrays(omega_c, rho11, rho13, rho31, rho33,
     split into calls, bit for bit.
     """
     ws = Workspace() if ws is None else ws
-    grid = np.broadcast_shapes(*(np.shape(x) for x in (omega_c, rho11, rho13, rho31, rho33)))
-    full = np.broadcast_shapes(grid, np.shape(delta_p), np.shape(omega))
+    grid = np.broadcast_shapes(*(np.shape(a) for a in (omega_c, rho11, rho13, rho31, rho33)))
+    full = np.broadcast_shapes(grid, np.shape(x))
     mul, add, sub = np.multiply, np.add, np.subtract
     chi_pp, chi_ps, chi_sp, chi_ss = (ws.take(full) for _ in range(4))
 
     # terms that depend on the frequency only are small plain arrays
-    delta = delta_p + delta_d
-    d1 = 1j * (delta_p + omega) - rates.gamma21
-    d2 = 1j * (delta_p - delta_c + omega) - rates.gamma23
-    d3 = 1j * (delta + omega) - rates.gamma41
-    d4 = 1j * (delta - delta_c + omega) - rates.gamma43
+    xd = x + delta_d
+    d1 = 1j * x - rates.gamma21
+    d2 = 1j * (x - delta_c) - rates.gamma23
+    d3 = 1j * xd - rates.gamma41
+    d4 = 1j * (xd - delta_c) - rates.gamma43
     w = 0.5j * np.conj(omega_d)   # couples P=(r21,r23) to Q=(r41,r43)
     v = 0.5j * omega_d
     e = w * v                     # = -|omega_d|^2 / 4
@@ -265,7 +267,7 @@ def linear_response(omega: float, drive: DriveConfig, omega_c_local: complex,
     the zeroth-order state consistent with it."""
     chi = _chi_arrays(np.complex128(omega_c_local),
                       zeroth.rho11, zeroth.rho13, zeroth.rho31, zeroth.rho33,
-                      float(drive.delta_p), float(omega), drive.delta_c,
+                      float(drive.delta_p) + float(omega), drive.delta_c,
                       drive.delta_d, drive.omega_d, rates)
     return ResponseMatrix(*(complex(c) for c in chi))
 

@@ -7,6 +7,11 @@ under sign reversal of all detunings, agreement of the linear response
 with the brute-force master-equation steady state, grid convergence of
 the spatial integrator, resonant two-level absorption against the
 closed form, and compositionality of transfer matrices over sub-ranges.
+
+The sideband frequency shifts every detuning of the response alike, so
+T(delta_p, omega) = T(delta_p + omega, 0): the passivity grid's
+(delta_p, omega) points all lie on one detuning axis.  The grid is kept
+as it is, so the check stays the same gate.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigBundle
-from .propagation import (_transfer_components, coupling_profile, observables_at,
-                          transfer_matrix, with_mode)
+from .propagation import (PASSIVITY_TOL, _transfer_components, coupling_profile,
+                          observables_at, transfer_matrix, with_mode)
 from .response import _two_level_arrays, linear_response, liouvillian_steady_state, \
     two_level_steady_state
 
@@ -34,7 +39,7 @@ class CheckResult:
 
 
 def check_passivity(bundle: ConfigBundle, n_delta: int = 50, n_omega: int = 10,
-                    tol: float = 1e-9) -> CheckResult:
+                    tol: float = PASSIVITY_TOL) -> CheckResult:
     profile = coupling_profile(bundle)
     deltas = np.linspace(bundle.sweep.start, bundle.sweep.stop, n_delta)
     omegas = np.linspace(-5.0, 5.0, n_omega)

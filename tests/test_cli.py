@@ -308,7 +308,19 @@ def test_spectrum_od_too_high_for_grid_exit_4(tmp_path, capsys):
     assert run(["spectrum", "--config", cfg, "--from", -1, "--to", 1, "--step", 0.5,
                 "--out", tmp_path]) == 4
     err = capsys.readouterr().err
-    assert "OD 100000" in err and "medium.n_z = 2000" in err
+    assert "OD 100000" in err and "medium.n_z = 256" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_spectrum_photon_gain_exit_4(tmp_path, capsys):
+    # finite but not passive: OD 1e4 on the default 256 steps near delta_p = -2.8
+    cfg = tmp_path / "dense.yaml"
+    cfg.write_text("medium:\n  od: 10000.0\nfields:\n  omega_c: 11\n  omega_d: 9\n"
+                   "  delta_c: 5\n  delta_d: -4\n")
+    assert run(["spectrum", "--config", cfg, "--from", -3, "--to", -2.6, "--step", 0.2,
+                "--out", tmp_path]) == 4
+    err = capsys.readouterr().err
+    assert "not passive" in err and "OD 10000 with medium.n_z = 256" in err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -220,12 +220,33 @@ def test_passivity_defect_property(fig3_small):
 
 
 def test_optical_depth_too_high_for_grid_raises(fig3):
-    # RK4 on the default n_z 2000 overflows at OD 1e5; the error is the one signal
+    # the default grid is far too coarse at OD 1e5; the error is the one signal
     b = replace(fig3, medium=dfm.MediumConfig.derive(RATES, od=1e5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match=r"OD 100000 with medium.n_z = 2000"):
+        with pytest.raises(NumericalError, match=r"OD 100000 with medium.n_z = 256"):
             observables_at(b)
+
+
+def test_strongly_absorbed_probe_leaves_signal_untouched(fig3):
+    # two-level OD 1e6 on 256 steps: each step attenuates the probe by about
+    # e^-1950, where the cosh form of the step exponential would cancel and
+    # overflow; the e^(t+-q) branch keeps the clear signal channel at 1
+    b = dfm.with_mode(replace(fig3, medium=dfm.MediumConfig.derive(RATES, od=1e6)), "two_level")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dp in (-1.0, 0.0, 3.0):
+            obs = observables_at(b, delta_p=dp)
+            assert obs.T_p == 0.0 and abs(obs.T_s - 1.0) <= 1e-12
+
+
+def test_finite_photon_gain_raises(fig3):
+    # at OD 1e4 on 256 steps the transfer matrix at delta_p = -2.8 is finite
+    # but gains photons (column gain ~7e9): rejected like a non-finite one
+    b = replace(fig3, medium=dfm.MediumConfig.derive(RATES, od=1e4, n_z=256))
+    with pytest.raises(NumericalError, match=r"not passive .* at OD 10000 with medium.n_z = 256"):
+        observables_at(b, delta_p=-2.8)
+    assert observables_at(b, delta_p=0.0).T_p < 1e-30   # passive points still pass
 
 
 def test_optical_depth_too_high_for_grid_is_silent_on_threads(fig3):
@@ -243,21 +264,29 @@ def test_optical_depth_too_high_for_grid_is_silent_on_threads(fig3):
 
 def _reference_components(bundle, profile, delta_p, omega, step_range=None):
     """The transfer-matrix kernel as plain numpy expressions over the whole
-    batch at once, one temporary array per operation.  The tiled kernel
-    performs the same operations in the same order, so it must match this
-    bit for bit."""
+    batch at once, one temporary array per operation: chi at the Gauss
+    nodes, the sixth-order Magnus step with its closed-form exponential,
+    and the pairwise ordered product.  The tiled kernel performs the same
+    operations in the same order, so it must match this bit for bit.  The
+    exponential's branch for Re q > 1 is left out: no step of the grids
+    and optical depth used here reaches it."""
     r, dr = bundle.rates, bundle.drive
-    i0, i1 = step_range or (0, profile.n_steps)
-    wc = profile.omega_c[2 * i0:2 * i1 + 1][:, None]
+    n = profile.n_steps
+    i0, i1 = step_range or (0, n)
+    m = i1 - i0
+    if m == 0:
+        ones, zeros = np.ones(len(delta_p), complex), np.zeros(len(delta_p), complex)
+        return ones, zeros, zeros, ones
+    wc = profile.omega_c[1:].reshape(n, 4)[i0:i1, :3].T.ravel()[None, :]
     rho33, rho31 = _two_level_arrays(wc, dr.delta_c, r.gamma31, r.Gamma3_total)
     rho11, rho13 = 1.0 - rho33, np.conj(rho31)
-    dp, om = np.asarray(delta_p, float)[None, :], np.asarray(omega, float)[None, :]
+    x = (np.asarray(delta_p, float) + np.asarray(omega, float))[:, None]
 
-    delta = dp + dr.delta_d
-    d1 = 1j * (dp + om) - r.gamma21
-    d2 = 1j * (dp - dr.delta_c + om) - r.gamma23
-    d3 = 1j * (delta + om) - r.gamma41
-    d4 = 1j * (delta - dr.delta_c + om) - r.gamma43
+    xd = x + dr.delta_d
+    d1 = 1j * x - r.gamma21
+    d2 = 1j * (x - dr.delta_c) - r.gamma23
+    d3 = 1j * xd - r.gamma41
+    d4 = 1j * (xd - dr.delta_c) - r.gamma43
     oc, occ = -0.5j * wc, -0.5j * np.conj(wc)
     w, v = 0.5j * np.conj(dr.omega_d), 0.5j * dr.omega_d
     g = oc * occ
@@ -279,30 +308,52 @@ def _reference_components(bundle, profile, delta_p, omega, step_range=None):
     med = bundle.medium
     cp, cs = 0.5 * r.gamma21 * med.alpha_p, 0.5 * r.gamma43 * med.alpha_s
     cx = 0.5 * math.sqrt(r.gamma21 * med.alpha_p * r.gamma43 * med.alpha_s)
-    M = (1j * cp * chi_pp, 1j * cx * chi_ps, 1j * cx * chi_sp, 1j * cs * chi_ss)
-    if i1 == i0:
-        ones, zeros = np.ones(dp.size, complex), np.zeros(dp.size, complex)
-        return ones, zeros, zeros, ones
+    Mpp, Mps, Msp, Mss = (1j * cp * chi_pp, 1j * cx * chi_ps, 1j * cx * chi_sp,
+                          1j * cs * chi_ss)
+
+    # Magnus step on traceless parts (x, y, z) = [[x, y], [z, -x]]
+    h = 1.0 / n
+    h_a2, h_a3 = math.sqrt(15.0) * h / 3.0, 10.0 * h / 3.0
+
+    def nodes(a):
+        return a[:, :m], a[:, m:2 * m], a[:, 2 * m:]
+
+    def quadrature(c1, c2, c3):
+        return ((c1 + c3) * (5.0 / 18.0) + c2 * (4.0 / 9.0)) * h
+
+    def comm(a, b, f):
+        return ((a[1] * b[2] - b[1] * a[2]) * f, (a[0] * b[1] - b[0] * a[1]) * (2.0 * f),
+                (a[2] * b[0] - b[2] * a[0]) * (2.0 * f))
+
+    A1, A2, A3 = zip(*(nodes(a) for a in ((Mpp - Mss) * 0.5, Mps, Msp)))
+    t = quadrature(*nodes((Mpp + Mss) * 0.5))
+    b2 = [A3[k] - A1[k] for k in range(3)]
+    b3 = [(A1[k] + A3[k]) - A2[k] * 2.0 for k in range(3)]
+    c = comm(A2, b2, h * h_a2)
+    u = [(c[k] - A2[k] * (20.0 * h)) - b3[k] * h_a3 for k in range(3)]
+    cw = comm(A2, [c[k] + b3[k] * (2.0 * h_a3) for k in range(3)], h / 60.0)
+    v = [b2[k] * h_a2 - cw[k] for k in range(3)]
+    cuv = comm(u, v, 1.0 / 240.0)
+    nx, ny, nz = (quadrature(A1[k], A2[k], A3[k]) + cuv[k] for k in range(3))
+    q2 = nx * nx + ny * nz
+    q = np.sqrt(q2)
+    sh, ch = np.sinh(q * 0.5), np.cosh(q * 0.5)
+    sh2 = (sh * sh) * 2.0
+    with np.errstate(invalid="ignore"):
+        S = np.where(np.abs(q) >= 1e-4, ((sh * ch) * 2.0) / q, q2 * (1.0 / 6.0) + 1.0)
+    D = np.expm1(t) * (sh2 + 1.0) + sh2
+    S = S * np.exp(t)
+    R = [(D + S * nx) + 1.0, S * ny, S * nz, (D - S * nx) + 1.0]
 
     def mat_mul(a, b):
         return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
                 a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
 
-    def plus_eye(k, scale):
-        return 1.0 + scale * k[0], scale * k[1], scale * k[2], 1.0 + scale * k[3]
-
-    h = 1.0 / profile.n_steps
-    A0, Am, A1 = ([m[sl] for m in M] for sl in (slice(0, -2, 2), slice(1, -1, 2), slice(2, None, 2)))
-    k2 = mat_mul(Am, plus_eye(A0, 0.5 * h))
-    k3 = mat_mul(Am, plus_eye(k2, 0.5 * h))
-    k4 = mat_mul(A1, plus_eye(k3, h))
-    R = [h / 6.0 * (a + 2 * b + 2 * c + d) for a, b, c, d in zip(A0, k2, k3, k4)]
-    R[0], R[3] = 1.0 + R[0], 1.0 + R[3]
-    while R[0].shape[0] > 1:
-        m = R[0].shape[0] // 2
-        prod = mat_mul([x[1:2 * m:2] for x in R], [x[0:2 * m:2] for x in R])
-        R = [np.concatenate([p, x[2 * m:]]) for p, x in zip(prod, R)]
-    return tuple(x[0] for x in R)
+    while R[0].shape[1] > 1:
+        k = R[0].shape[1] // 2
+        prod = mat_mul([a[:, 1:2 * k:2] for a in R], [a[:, 0:2 * k:2] for a in R])
+        R = [np.concatenate([p, a[:, 2 * k:]], axis=1) for p, a in zip(prod, R)]
+    return tuple(a[:, 0] for a in R)
 
 
 @pytest.mark.parametrize("n_z", [400, 2000, 8000])
@@ -312,8 +363,8 @@ def test_tiles_threads_and_step_ranges_match_reference_bitwise(monkeypatch, n_z)
     rng = np.random.default_rng(n_z)
     dp, om = rng.uniform(-10, 15, 67), rng.uniform(-40, 40, 67)   # 67 = 22*3 + 1 = 64 + 3
     want = _reference_components(b, prof, dp, om)
-    grid = 2 * n_z + 1
-    # 64 frequencies of n_z 8000 would take ~270 MB of workspace per thread
+    grid = 3 * n_z   # chi samples per frequency
+    # 64 frequencies of n_z 8000 would take ~500 MB of workspace per thread
     for per_tile in (1, 3, 64) if n_z <= 2000 else (1, 3):
         monkeypatch.setattr(propagation, "_TILE_ELEMENTS", per_tile * grid)
         for threads in (1, 2):
@@ -326,6 +377,33 @@ def test_tiles_threads_and_step_ranges_match_reference_bitwise(monkeypatch, n_z)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), step_range
     assert np.array_equal(got[0], np.ones(dp.size)) and not np.any(got[1])
+
+
+def test_magnus_step_is_sixth_order():
+    # halving the step cuts the error by 2^6 = 64 at the OD 200 drive
+    drive = dfm.DriveConfig(omega_c=26.0, omega_d=17.0, delta_p=0.0, delta_c=9.0, delta_d=-7.0)
+    dp = np.linspace(-10.0, 15.0, 126)
+
+    def components(n_z):
+        b = bundle_for(od=200.0, drive=drive, n_z=n_z)
+        return np.array(propagation._transfer_components(b, coupling_profile(b), dp, 0.0))
+
+    ref = components(1024)
+    err64, err128 = (np.max(np.abs(components(n) - ref)) for n in (64, 128))
+    assert 40.0 <= err64 / err128 <= 90.0
+
+
+@pytest.mark.parametrize("n_z", [256, 8000])
+@pytest.mark.parametrize("mode", ["two_level", "cascade"])
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_uncoupled_signal_channel_is_exact(name, mode, n_z):
+    # without the coupling beam the signal sees an empty medium: each step's
+    # exponential must give it exactly 1, with no rounding that accumulates
+    b = dfm.preset(name)
+    b = replace(b, medium=replace(b.medium, n_z=n_z))
+    table = spectrum_sweep(mode, b, start=-10.0, stop=15.0, step=0.25)
+    assert np.all(table.T_s == 1.0)
+    assert np.all(table.eta_p == 0.0)
 
 
 def test_warm_transfer_call_allocates_under_1mb(fig3):

@@ -7,7 +7,7 @@ import diamondfwm as dfm
 from diamondfwm import (DriveConfig, NoUniqueSteadyStateError, RateTable,
                         SingularResponseError, linear_response,
                         liouvillian_steady_state, two_level_steady_state)
-from conftest import rk4_integrate
+from conftest import rk4_integrate_affine
 
 RATES = RateTable()
 
@@ -43,8 +43,8 @@ def test_resonant_saturation_limit():
 def test_steady_state_against_time_integration():
     # drive hard at the bright-MOT coupling point and integrate to t = 200/Gamma
     omega_c, delta_c = 11.0, 5.0
-    y = rk4_integrate(bloch_two_level_rhs(omega_c, delta_c, RATES),
-                      [0.0, 0.0], t_end=200.0, dt=0.002)
+    y = rk4_integrate_affine(bloch_two_level_rhs(omega_c, delta_c, RATES),
+                             [0.0, 0.0], t_end=200.0, dt=0.002)
     z = two_level_steady_state(omega_c, delta_c, RATES)
     assert abs(y[0].real - z.rho33) < 1e-8
     assert abs(y[1] - z.rho31) < 1e-8
@@ -55,8 +55,8 @@ def test_steady_state_against_time_integration():
        extra=st.floats(0.0, 0.4))
 def test_steady_state_time_integration_property(wc, dc, extra):
     rates = RateTable(gamma_extra=extra)
-    y = rk4_integrate(bloch_two_level_rhs(wc, dc, rates), [0.0, 0.0],
-                      t_end=120.0, dt=0.005)
+    y = rk4_integrate_affine(bloch_two_level_rhs(wc, dc, rates), [0.0, 0.0],
+                             t_end=120.0, dt=0.005)
     z = two_level_steady_state(wc, dc, rates)
     assert abs(y[0].real - z.rho33) < 1e-7
     assert abs(y[1] - z.rho31) < 1e-7
