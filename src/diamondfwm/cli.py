@@ -122,7 +122,7 @@ def cmd_spectrum(args) -> int:
     manifest = make_manifest("spectrum", bundle, preset=preset_name, started=started,
                              mode=mode, sweep_from=float(table.delta_p[0]),
                              sweep_to=float(table.delta_p[-1]),
-                             linewidth=args.linewidth)
+                             linewidth=table.linewidth)
     path = write_csv(args.out / f"spectrum_{mode}.csv", columns, manifest)
     i_es = int(np.argmax(table.eta_s))
     print(f"wrote {path} ({table.delta_p.size} points)")
@@ -141,13 +141,14 @@ def cmd_pulse(args) -> int:
     columns = result.columns()
     if args.si:
         columns["time_ns"] = result.time * TIME_UNIT_NS
-    manifest = make_manifest("pulse", bundle, preset=preset_name, started=started,
-                             delta_p=result.delta_p, duration=result.duration)
-    path = write_csv(args.out / "pulse.csv", columns, manifest)
     plateau = result.plateau()
     cw = observables_at(bundle, delta_p=result.delta_p).eta_s
     rel = abs(plateau - cw) / cw if cw > 0 else abs(plateau - cw)
     status = "converged" if rel <= 0.01 else "not converged"
+    manifest = make_manifest("pulse", bundle, preset=preset_name, started=started,
+                             results={"converged": rel <= 0.01, "relative_gap": rel},
+                             delta_p=result.delta_p, duration=result.duration)
+    path = write_csv(args.out / "pulse.csv", columns, manifest)
     print(f"wrote {path} ({result.n_freq} samples over {result.window:.2f}/Gamma)")
     print(f"signal plateau = {plateau:.4f}, cw eta_s = {cw:.4f} -> {status} "
           f"(relative gap {rel:.2%})")

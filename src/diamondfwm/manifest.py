@@ -30,12 +30,14 @@ class RunManifest:
     version: str = __version__
     duration_s: Optional[float] = None
     args: dict = field(default_factory=dict)
+    results: dict = field(default_factory=dict)   # verdicts on the run's output
 
     def as_dict(self) -> dict:
         doc = {"command": self.command, "config_hash": self.config_hash,
                "preset": self.preset, "seed": self.seed, "version": self.version,
                "duration_s": self.duration_s}
         doc.update({f"arg_{k}": v for k, v in sorted(self.args.items())})
+        doc.update(sorted(self.results.items()))
         return doc
 
     def json_line(self) -> str:
@@ -44,10 +46,10 @@ class RunManifest:
 
 def make_manifest(command: str, bundle: ConfigBundle, preset: Optional[str] = None,
                   seed: Optional[int] = None, started: Optional[float] = None,
-                  **args) -> RunManifest:
+                  results: Optional[dict] = None, **args) -> RunManifest:
     duration = None if started is None else time.perf_counter() - started
-    return RunManifest(command=command, config_hash=bundle_hash(bundle),
-                       preset=preset, seed=seed, duration_s=duration, args=args)
+    return RunManifest(command=command, config_hash=bundle_hash(bundle), preset=preset,
+                       seed=seed, duration_s=duration, args=args, results=results or {})
 
 
 def write_csv(path, columns: dict, manifest: RunManifest) -> Path:

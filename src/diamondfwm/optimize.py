@@ -26,6 +26,10 @@ PARAM_NAMES = ("omega_c", "omega_d", "delta_c", "delta_d", "delta_p")
 SPREAD_TOL = 1e-4        # simplex objective spread at convergence
 SIMPLEX_STEP = 0.08      # initial simplex edge as a fraction of the bound range
 
+# why a start stopped, by scipy's Nelder-Mead status: the simplex spread fell
+# below SPREAD_TOL, or the evaluation or iteration budget ran out
+_STOP_REASONS = {0: "spread", 1: "evaluations", 2: "iterations"}
+
 # defaults of optimize_eta, and of the `optimize` command's flags
 STARTS = 32
 SEED = 0
@@ -42,7 +46,7 @@ def default_bounds(omega_max: float = OMEGA_MAX, delta_max: float = DELTA_MAX) -
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best drive point found, with per-start evaluation traces."""
+    """Best drive point found, with per-start evaluation traces and stop reasons."""
 
     od: float
     params: Tuple[float, float, float, float, float]   # ordered as PARAM_NAMES
@@ -52,6 +56,7 @@ class OptimizationResult:
     n_evaluations: int
     traces: Tuple[Tuple[Tuple[int, float], ...], ...]  # per start: (eval index, eta_s)
     bounds: Tuple[Tuple[float, float], ...]
+    stop_reasons: Tuple[str, ...]
 
     @property
     def drive(self) -> DriveConfig:
@@ -69,6 +74,7 @@ class OptimizationResult:
             "n_evaluations": self.n_evaluations,
             "bounds": [list(b) for b in self.bounds],
             "traces": [[[int(i), float(v)] for i, v in tr] for tr in self.traces],
+            "stop_reasons": list(self.stop_reasons),
         }
 
 
@@ -107,7 +113,7 @@ def _initial_simplex(x0: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 def _run_start(objective, x0, bounds, max_evals):
-    """One Nelder-Mead start; returns the evaluation record (k, params, eta)."""
+    """One Nelder-Mead start: its evaluation records (k, params, eta) and stop reason."""
     records = []
 
     def wrapped(x):
@@ -118,15 +124,15 @@ def _run_start(objective, x0, bounds, max_evals):
         return -eta
 
     try:
-        spopt.minimize(
+        res = spopt.minimize(
             wrapped, x0, method="Nelder-Mead",
             bounds=[tuple(b) for b in bounds],
             options={"initial_simplex": _initial_simplex(x0, bounds),
                      "fatol": SPREAD_TOL, "xatol": np.inf,
                      "maxfev": max_evals, "adaptive": False})
-    except _BudgetExhausted:
-        pass   # budget hit mid-iteration: report best-so-far from the records
-    return records
+    except _BudgetExhausted:   # budget hit mid-iteration: best-so-far is in the records
+        return records, "evaluations"
+    return records, _STOP_REASONS[res.status]
 
 
 def make_objective(od: float, rates: Optional[RateTable] = None, **grid):
@@ -175,7 +181,7 @@ def optimize_eta(od: float, bounds: Optional[Sequence] = None, starts: int = STA
     b = _check_bounds(bounds if bounds is not None else default_bounds())
     objective = make_objective(od, rates=rates, **grid)
     x0s = _latin_hypercube(b, starts, seed)
-    all_records = [_run_start(objective, x0, b, max_evals) for x0 in x0s]
+    all_records, stop_reasons = zip(*(_run_start(objective, x0, b, max_evals) for x0 in x0s))
 
     best_eta = -np.inf
     best_params = tuple(x0s[0])
@@ -193,4 +199,5 @@ def optimize_eta(od: float, bounds: Optional[Sequence] = None, starts: int = STA
     return OptimizationResult(od=float(od), params=best_params, eta_s=float(best_eta),
                               seed=seed, starts=starts, n_evaluations=n_evals,
                               traces=tuple(traces),
-                              bounds=tuple((float(lo), float(hi)) for lo, hi in b))
+                              bounds=tuple((float(lo), float(hi)) for lo, hi in b),
+                              stop_reasons=stop_reasons)

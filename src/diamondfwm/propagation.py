@@ -27,21 +27,22 @@ above OD ~300 the grid must grow with the optical depth (README,
 
 The transfer-matrix kernel (chi assembly, step propagators and their
 ordered product) runs over tiles of the detuning batch.  A tile holds
-max(1, _TILE_ELEMENTS // (3 n_z)) frequencies, laid out as
-(Gauss node, frequency, step) so that each numpy operation runs along
-the steps and each node is one contiguous block, and every operation writes through ``out=`` into the calling thread's
-Workspace, a stack in one buffer from which each stage frees its
-scratch for the next.  The buffer grows only when a larger tile arrives
-and is reused across tiles and calls, so the kernel allocates nothing
-per tile.  Freshly allocated megabyte-sized temporaries are mapped from and
-returned to the kernel on every operation: without the workspace, one
-pass of ``bench/run.py --workload spectra`` took about 2.4 million minor
-page faults and one single-point evaluation about 330.  The tile budget
-was measured on a 2-core x86_64 host over a serial sweep plus a
-two-thread pulse: smaller tiles sit better in cache, but make each
-numpy call so short that two threads stop scaling.  The operations and
-their operand order are those of the plain expressions, so the results
-do not depend on the tile size or the thread count, bit for bit.
+max(1, _TILE_ELEMENTS // (3 n_z)) frequencies, laid out as (entry,
+Gauss node, frequency, step): the four entries of each 2x2 matrix, or
+the three of a traceless part, are one block, so that one numpy call
+covers them and runs along the steps.  Every operation writes through
+``out=`` into the calling thread's Workspace, a stack in one buffer
+from which each stage frees its scratch for the next; it grows only
+when a larger tile arrives, so the kernel allocates nothing per tile.
+Plain expressions map and unmap their temporaries on every operation:
+on a 2-core x86_64 host at 16,384 elements per tile, a 1,001-row fig3
+sweep took 473 ms against 303 ms (59 k minor page faults against 5)
+and a one-thread 4,096-frequency pulse 2.2 s against 1.2 s (258 k
+faults); at 4,096 elements the sweep's faults vanish, but the
+two-thread pulse takes 2.8 s against 0.95 s, as such short numpy calls
+stop two threads from scaling.  The operations and their operand order
+are those of the plain expressions, so the results do not depend on
+the tile size or the thread count, bit for bit.
 """
 
 from __future__ import annotations
@@ -175,39 +176,39 @@ def coupling_profile(bundle: ConfigBundle, omega_c0: Optional[complex] = None) -
 
 
 def _mat_mul(a, b, out, tmp):
-    """out = a @ b for 2x2 matrices held as (11, 12, 21, 22) arrays.
+    """out = a @ b for 2x2 matrices held as (2, 2, ...) arrays:
+    out[i, j] = a[i, 0] b[0, j] + a[i, 1] b[1, j].
 
     ``out`` must not share memory with ``a`` or ``b``; ``tmp`` has the
-    shape of each entry.
+    shape of ``out``.
     """
-    for i in (0, 2):
-        for j in (0, 1):
-            np.multiply(a[i], b[j], out=out[i + j])
-            np.add(out[i + j], np.multiply(a[i + 1], b[j + 2], out=tmp), out=out[i + j])
+    np.multiply(a[:, :1], b[:1], out=out)
+    np.add(out, np.multiply(a[:, 1:], b[1:], out=tmp), out=out)
 
 
 def _comm(a, b, scale, out, tmp):
     """out = scale [a, b] for traceless 2x2 matrices held as (x, y, z),
-    the matrix [[x, y], [z, -x]]:
+    the matrix [[x, y], [z, -x]], stacked on the first axis:
 
         [a, b] = (a_y b_z - b_y a_z, 2 (a_x b_y - b_x a_y), 2 (a_z b_x - b_z a_x))
 
-    ``out`` must not share memory with ``a`` or ``b``.
+    ``out`` must not share memory with ``a`` or ``b``; ``tmp`` has the
+    shape of one component.
     """
-    terms = ((a[1], b[2], b[1], a[2], scale), (a[0], b[1], b[0], a[1], 2.0 * scale),
-             (a[2], b[0], b[2], a[0], 2.0 * scale))
-    for dst, (p, q, r, s, f) in zip(out, terms):
+    terms = ((a[1], b[2], b[1], a[2]), (a[0], b[1], b[0], a[1]), (a[2], b[0], b[2], a[0]))
+    for dst, (p, q, r, s) in zip(out, terms):
         np.multiply(p, q, out=dst)
         np.subtract(dst, np.multiply(r, s, out=tmp), out=dst)
-        np.multiply(dst, f, out=dst)
+    f = np.array((scale, 2.0 * scale, 2.0 * scale)).reshape((3,) + (1,) * (out.ndim - 1))
+    np.multiply(out, f, out=out)
 
 
-def _step_propagators(Mpp, Mps, Msp, Mss, h, ws: Workspace):
+def _step_propagators(M, h, ws: Workspace):
     """Per-step propagators R_i = exp(Omega_i) for dU/dzeta = M U.
 
-    The first axis of M runs over the three Gauss nodes of a step and the
-    last over the steps.  With A_k = M at node k of a step, the
-    sixth-order Magnus term is
+    ``M`` is one (4, node, freq, step) block holding the entries
+    (11, 12, 21, 22) of M at the three Gauss nodes of each step.  With
+    A_k = M at node k of a step, the sixth-order Magnus term is
 
         a1 = h A_2,  a2 = (sqrt(15) h / 3)(A_3 - A_1),
         a3 = (10 h / 3)(A_3 - 2 A_2 + A_1),
@@ -226,51 +227,47 @@ def _step_propagators(Mpp, Mps, Msp, Mss, h, ws: Workspace):
     with Re q large (a strongly absorbed channel next to a clear one)
     expm1(t) cosh q and 2 sinh^2(q/2) nearly cancel, and cosh q
     overflows beyond Re q ~ 710.  Where Re q > 1, D and S come from
-    e^(t+q) and e^(t-q) instead.  The step axis is the last axis of R;
-    the propagators are taken from ``ws`` and stay taken.
+    e^(t+q) and e^(t-q) instead.  ``M[0]`` is overwritten.  The
+    propagators come back as one (4, freq, step) block taken from
+    ``ws``, which stays taken.
     """
-    full, shape = Mpp.shape, Mpp.shape[1:]
+    shape, comps = M.shape[2:], (3,) + M.shape[2:]
     h_a2, h_a3 = math.sqrt(15.0) * h / 3.0, 10.0 * h / 3.0
     mul, add, sub = np.multiply, np.add, np.subtract
-    R = tuple(ws.take(shape) for _ in range(4))
+    R = ws.take((4,) + shape)
     with ws.frame():
-        def take3():
-            return tuple(ws.take(shape) for _ in range(3))
+        tmp, tmp2 = ws.take(comps), ws.take(comps)
+        # half trace at each node; then M[0] becomes the traceless x, so
+        # that M[:3, k] is the traceless part (x, y, z) of M at node k
+        tau = mul(add(M[0], M[3], out=ws.take(M.shape[1:])), 0.5, out=ws.take(M.shape[1:]))
+        mul(sub(M[0], M[3], out=M[0]), 0.5, out=M[0])
+        A1, A2, A3 = (M[:3, k] for k in range(3))
+        t, omega, b2, b3 = ws.take(shape), ws.take(comps), ws.take(comps), ws.take(comps)
 
-        tmp, tmp2 = ws.take(shape), ws.take(shape)
-        # half trace, and traceless part (x, y, z) of M at each node
-        tau = mul(add(Mpp, Mss, out=ws.take(full)), 0.5, out=ws.take(full))
-        dif = mul(sub(Mpp, Mss, out=ws.take(full)), 0.5, out=ws.take(full))
-        A1, A2, A3 = zip(dif, Mps, Msp)
-        t, omega, b2, b3 = ws.take(shape), take3(), take3(), take3()
-
-        def quadrature(c1, c2, c3, out, s13):   # out = h (5/18 s13 + 4/9 c2), s13 = c1 + c3
+        def quadrature(c1, c2, c3, out, s13, scratch):   # out = h (5/18 s13 + 4/9 c2), s13 = c1 + c3
             add(c1, c3, out=s13)
             mul(s13, _W_OUTER, out=out)
-            add(out, mul(c2, _W_MID, out=tmp2), out=out)
+            add(out, mul(c2, _W_MID, out=scratch), out=out)
             mul(out, h, out=out)
 
-        quadrature(*tau, t, tmp)
-        for k in range(3):
-            quadrature(A1[k], A2[k], A3[k], omega[k], b3[k])
-            sub(A3[k], A1[k], out=b2[k])                          # a2 / h_a2
-            sub(b3[k], mul(A2[k], 2.0, out=tmp), out=b3[k])       # a3 / h_a3
-        c, u, w = take3(), take3(), take3()
-        _comm(A2, b2, h * h_a2, c, tmp)                           # [a1, a2]
-        for k in range(3):
-            sub(c[k], mul(A2[k], 20.0 * h, out=u[k]), out=u[k])   # u = -20 a1 + [a1, a2]
-            sub(u[k], mul(b3[k], h_a3, out=tmp), out=u[k])        #     - a3
-            add(c[k], mul(b3[k], 2.0 * h_a3, out=w[k]), out=w[k])  # w = 2 a3 + [a1, a2]
-        _comm(A2, w, h / 60.0, c, tmp)
-        for k in range(3):                                        # v = a2 - [a1, w] / 60
-            sub(mul(b2[k], h_a2, out=b2[k]), c[k], out=b2[k])
-        _comm(u, b2, 1.0 / 240.0, c, tmp)
-        nx, ny, nz = (add(omega[k], c[k], out=omega[k]) for k in range(3))
+        quadrature(*tau, t, tmp[0], tmp2[0])
+        quadrature(A1, A2, A3, omega, b3, tmp2)
+        sub(A3, A1, out=b2)                              # a2 / h_a2
+        sub(b3, mul(A2, 2.0, out=tmp), out=b3)           # a3 / h_a3
+        c, u, w = ws.take(comps), ws.take(comps), ws.take(comps)
+        _comm(A2, b2, h * h_a2, c, tmp[0])               # [a1, a2]
+        sub(c, mul(A2, 20.0 * h, out=u), out=u)          # u = -20 a1 + [a1, a2]
+        sub(u, mul(b3, h_a3, out=tmp), out=u)            #     - a3
+        add(c, mul(b3, 2.0 * h_a3, out=w), out=w)        # w = 2 a3 + [a1, a2]
+        _comm(A2, w, h / 60.0, c, tmp[0])
+        sub(mul(b2, h_a2, out=b2), c, out=b2)            # v = a2 - [a1, w] / 60
+        _comm(u, b2, 1.0 / 240.0, c, tmp[0])
+        nx, ny, nz = add(omega, c, out=omega)
         D, S = R[1], R[2]   # overwritten last, below
         _exp_terms(t, nx, ny, nz, D, S, ws)
-        mul(S, nx, out=tmp)
-        add(add(D, tmp, out=R[0]), 1.0, out=R[0])
-        add(sub(D, tmp, out=R[3]), 1.0, out=R[3])
+        mul(S, nx, out=tmp[0])
+        add(add(D, tmp[0], out=R[0]), 1.0, out=R[0])
+        add(sub(D, tmp[0], out=R[3]), 1.0, out=R[3])
         mul(S, ny, out=R[1])
         mul(S, nz, out=R[2])
     return R
@@ -304,30 +301,28 @@ def _exp_terms(t, nx, ny, nz, D, S, ws: Workspace):
             S[mask] = (up - down) * 0.5 / qw
 
 
-def _ordered_product(r11, r12, r21, r22, ws: Workspace):
+def _ordered_product(R, ws: Workspace):
     """Product R_{n-1} @ ... @ R_0 by pairwise reduction along the last axis.
 
-    Each level writes into the other of two buffer sets taken from
-    ``ws``: an ``out=`` that overlaps its inputs would make numpy copy
-    them.  The inputs are not modified.
+    ``R`` is one (4, ..., step) block of entries (11, 12, 21, 22); the
+    result is one (4, ...) block.  Each level writes into the other of
+    two buffers taken from ``ws``: an ``out=`` that overlaps its inputs
+    would make numpy copy them.  ``R`` is not modified.
     """
-    cur = (r11, r12, r21, r22)
-    n = r11.shape[-1]
-    shape = r11.shape[:-1] + ((n + 1) // 2,)
-    sets = [tuple(ws.take(shape) for _ in range(4)) for _ in range(2)]
+    n = R.shape[-1]
+    shape = (2, 2) + R.shape[1:-1] + ((n + 1) // 2,)
+    bufs = [ws.take(shape), ws.take(shape)]
     tmp = ws.take(shape[:-1] + (n // 2,))
+    cur = R.reshape(shape[:-1] + (n,))
     while n > 1:
         m = n // 2
-        dst = tuple(x[..., :m + n % 2] for x in sets[0])
-        head = tuple(x[..., 1:2 * m:2] for x in cur)
-        tail = tuple(x[..., 0:2 * m:2] for x in cur)
-        _mat_mul(head, tail, tuple(x[..., :m] for x in dst), tmp[..., :m])
+        dst = bufs[0][..., :m + n % 2]
+        _mat_mul(cur[..., 1:2 * m:2], cur[..., 0:2 * m:2], dst[..., :m], tmp[..., :m])
         if n % 2:
-            for x, src in zip(dst, cur):
-                x[..., m] = src[..., n - 1]
+            dst[..., m] = cur[..., n - 1]
         cur, n = dst, m + n % 2
-        sets.reverse()
-    return tuple(x[..., 0] for x in cur)
+        bufs.reverse()
+    return cur[..., 0].reshape(R.shape[:-1])
 
 
 def _workspace() -> Workspace:
@@ -340,15 +335,15 @@ def _workspace() -> Workspace:
 
 def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
                          delta_p, omega, step_range=None, threads: int = 1):
-    """Transfer-matrix entries (a, b, c, d) for arrays of detuning pairs.
+    """Transfer-matrix entries for arrays of detuning pairs, as one
+    (4, batch) array whose rows are a, b, c and d.
 
-    ``delta_p`` and ``omega`` are broadcast to a common 1-D batch; the
-    result arrays have that batch shape.  The sideband frequency shifts
-    every detuning of the response alike, so the kernel sees only
-    delta_p + omega.  ``step_range`` selects a slice [i0, i1) of the
-    n_z steps (used for compositionality checks).  Raises NumericalError
-    if any entry is not finite or any column gains photons,
-    |a|^2 + |c|^2 or |b|^2 + |d|^2 above 1 + PASSIVITY_TOL.
+    ``delta_p`` and ``omega`` are broadcast to a common 1-D batch.  The
+    sideband frequency shifts every detuning of the response alike, so
+    the kernel sees only delta_p + omega.  ``step_range`` selects a
+    slice [i0, i1) of the n_z steps (used for compositionality checks).
+    Raises NumericalError if any entry is not finite or any column gains
+    photons, |a|^2 + |c|^2 or |b|^2 + |d|^2 above 1 + PASSIVITY_TOL.
     """
     if bundle.drive is None:
         raise ConfigValidationError("fields", "this config has no drive fields")
@@ -361,21 +356,21 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
         raise ValueError(f"step range {(i0, i1)} outside [0, {n}]")
     h = 1.0 / n
     if i0 == i1:   # no steps: the identity
-        one, zero = np.ones(x.shape, complex), np.zeros(x.shape, complex)
-        return one, zero, zero.copy(), one.copy()
+        out = np.zeros((4,) + x.shape, complex)
+        out[[0, 3]] = 1.0
+        return out
 
     # the Gauss nodes of steps i0..i1-1 as (node, 1, step); see _step_propagators
     wc = np.ascontiguousarray(profile.omega_c[1:].reshape(n, 4)[i0:i1, :3].T[:, None, :])
     rho33, rho31 = _two_level_arrays(wc, drive.delta_c, rates.gamma31, rates.Gamma3_total)
-    rho11 = 1.0 - rho33
-    rho13 = np.conj(rho31)
+    rho11, rho13 = 1.0 - rho33, np.conj(rho31)
 
     cp = 0.5 * rates.gamma21 * medium.alpha_p
     cs = 0.5 * rates.gamma43 * medium.alpha_s
     cx = 0.5 * math.sqrt(rates.gamma21 * medium.alpha_p * rates.gamma43 * medium.alpha_s)
-    couplings = (1j * cp, 1j * cx, 1j * cx, 1j * cs)
+    couplings = np.array((1j * cp, 1j * cx, 1j * cx, 1j * cs)).reshape(4, 1, 1, 1)
 
-    out = [np.empty(x.shape, dtype=np.complex128) for _ in range(4)]
+    out = np.empty((4,) + x.shape, dtype=np.complex128)
 
     def run_tile(sl):
         ws = _workspace()
@@ -383,12 +378,10 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
         # an overflow shows as a non-finite or non-passive output, which
         # the guard below reports once; errstate is per thread, so it is set here
         with np.errstate(over="ignore", invalid="ignore"):
-            chi = _chi_arrays(wc, rho11, rho13, rho31, rho33, x[sl][:, None],
-                              drive.delta_c, drive.delta_d, drive.omega_d, rates, ws=ws)
-            mats = [np.multiply(k, v, out=v) for k, v in zip(couplings, chi)]   # M = i c chi
-            props = _step_propagators(*mats, h, ws=ws)
-            for dst, src in zip(out, _ordered_product(*props, ws=ws)):
-                dst[sl] = src
+            M = _chi_arrays(wc, rho11, rho13, rho31, rho33, x[sl][:, None],
+                            drive.delta_c, drive.delta_d, drive.omega_d, rates, ws=ws)
+            np.multiply(couplings, M, out=M)   # M = i c chi
+            out[:, sl] = _ordered_product(_step_propagators(M, h, ws=ws), ws=ws)
 
     per_tile = max(1, _TILE_ELEMENTS // wc.size)
     slices = [slice(k, min(k + per_tile, x.size)) for k in range(0, x.size, per_tile)]
@@ -398,19 +391,17 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     else:
         for sl in slices:
             run_tile(sl)
-    a, b, c, d = out
-    finite = all(np.isfinite(v).all() for v in out)
-    if finite:
-        with np.errstate(over="ignore"):
-            gain = max(np.max(np.abs(a) ** 2 + np.abs(c) ** 2, initial=1.0),
-                       np.max(np.abs(b) ** 2 + np.abs(d) ** 2, initial=1.0)) - 1.0
+    finite = np.isfinite(out).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.abs(out.reshape(2, 2, -1)) ** 2   # (|a|^2, |b|^2), (|c|^2, |d|^2)
+        gain = np.max(rows[0] + rows[1], initial=1.0) - 1.0
     if not finite or gain > PASSIVITY_TOL:
         what = f"not passive (column photon gain {gain:.3g})" if finite else "not finite"
         raise NumericalError(
             f"transfer matrix is {what} at OD {medium.od:g} with medium.n_z = "
             f"{medium.n_z}; the steps are too coarse for this optical depth "
             "(raise medium.n_z)")
-    return a, b, c, d
+    return out
 
 
 def transfer_matrix(omega: float, bundle: ConfigBundle,
@@ -429,10 +420,8 @@ def transfer_matrix(omega: float, bundle: ConfigBundle,
     n = profile.n_steps
     i0 = round(zeta_span[0] * n)
     i1 = round(zeta_span[1] * n)
-    a, b, c, d = _transfer_components(bundle, profile, [delta_p], [omega],
-                                      step_range=(i0, i1))
-    return TransferMatrix(omega=float(omega), a=complex(a[0]), b=complex(b[0]),
-                          c=complex(c[0]), d=complex(d[0]))
+    out = _transfer_components(bundle, profile, [delta_p], [omega], step_range=(i0, i1))
+    return TransferMatrix(float(omega), *(complex(v) for v in out[:, 0]))
 
 
 def observables_at(bundle: ConfigBundle, delta_p: Optional[float] = None,
@@ -538,11 +527,10 @@ def spectrum_sweep(mode: str, bundle: ConfigBundle, start: Optional[float] = Non
 
     run = with_mode(bundle, mode)
     profile = coupling_profile(run)
-    a, b, c, d = _transfer_components(run, profile, delta_ps,
-                                      np.zeros_like(delta_ps), threads=threads)
-    table = SpectrumTable(mode=mode, delta_p=delta_ps,
-                          T_p=np.abs(a) ** 2, eta_s=np.abs(c) ** 2,
-                          T_s=np.abs(d) ** 2, eta_p=np.abs(b) ** 2)
+    T_p, eta_p, eta_s, T_s = np.abs(_transfer_components(run, profile, delta_ps, 0.0,
+                                                         threads=threads)) ** 2
+    table = SpectrumTable(mode=mode, delta_p=delta_ps, T_p=T_p, eta_s=eta_s, T_s=T_s,
+                          eta_p=eta_p)
     if sweep.linewidth is not None:
         table = replace(table, linewidth=sweep.linewidth,
                         T_p_conv=lorentzian_convolve(delta_ps, table.T_p, sweep.linewidth),

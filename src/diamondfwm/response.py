@@ -153,17 +153,18 @@ def _chi_arrays(omega_c, rho11, rho13, rho31, rho33,
 
     Every array of the grid shape (``omega_c`` and the populations and
     coherences) or of the full shape is taken from ``ws`` (a fresh
-    Workspace when None).  The four returned arrays stay taken; the
-    scratch is free again on return.  Each step is the numpy operation
-    of the formula in the comments, on the same operands in the same
-    order, so the result does not depend on how the frequencies are
-    split into calls, bit for bit.
+    Workspace when None).  The result, one (4,) + full block of chi_pp,
+    chi_ps, chi_sp and chi_ss, stays taken; the scratch is free again on
+    return.  Each step is the numpy operation of the formula in the
+    comments, on the same operands in the same order, so the result does
+    not depend on how the frequencies are split into calls, bit for bit.
     """
     ws = Workspace() if ws is None else ws
     grid = np.broadcast_shapes(*(np.shape(a) for a in (omega_c, rho11, rho13, rho31, rho33)))
     full = np.broadcast_shapes(grid, np.shape(x))
     mul, add, sub = np.multiply, np.add, np.subtract
-    chi_pp, chi_ps, chi_sp, chi_ss = (ws.take(full) for _ in range(4))
+    chi = ws.take((4,) + full)
+    chi_pp, chi_ps, chi_sp, chi_ss = (chi[k, ...] for k in range(4))   # arrays even if full is ()
 
     # terms that depend on the frequency only are small plain arrays
     xd = x + delta_d
@@ -257,7 +258,7 @@ def _chi_arrays(omega_c, rho11, rho13, rho31, rho33,
             sub(bq1, mul(v, chi_ps, out=tmp), out=tmp)
             sub(chi_ss, mul(occ, tmp, out=tmp), out=chi_ss)
             mul(chi_ss, inv_q, out=chi_ss)
-    return chi_pp, chi_ps, chi_sp, chi_ss
+    return chi
 
 
 def linear_response(omega: float, drive: DriveConfig, omega_c_local: complex,

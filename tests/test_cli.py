@@ -53,12 +53,24 @@ def test_spectrum_v_type_fig4_peak(tmp_path, capsys):
 
 
 def test_spectrum_linewidth_and_si_columns(tmp_path):
+    import diamondfwm as dfm
     rc = run(["spectrum", "--preset", "fig3", "--mode", "fwm", "--from", -3,
               "--to", 3, "--step", 0.5, "--linewidth", "--si", "--out", tmp_path])
     assert rc == 0
-    _, cols = read_csv(tmp_path / "spectrum_fwm.csv")
+    manifest, cols = read_csv(tmp_path / "spectrum_fwm.csv")
     assert "T_p_conv" in cols and "eta_s_conv" in cols
+    assert manifest["arg_linewidth"] == dfm.config.DEFAULT_LINEWIDTH
     assert np.allclose(cols["delta_p_mhz"], cols["delta_p_over_gamma"] * 6.0)
+    # a linewidth set in the config, not on the command line
+    b = dfm.preset("fig3")
+    cfg = tmp_path / "linewidth.yaml"
+    cfg.write_text(dfm.dump_config(replace(b, sweep=replace(b.sweep, linewidth=0.8))))
+    rc = run(["spectrum", "--config", cfg, "--mode", "fwm", "--from", -3, "--to", 3,
+              "--step", 0.5, "--out", tmp_path])
+    assert rc == 0
+    manifest, cols = read_csv(tmp_path / "spectrum_fwm.csv")
+    assert "T_p_conv" in cols and "eta_s_conv" in cols
+    assert manifest["arg_linewidth"] == 0.8
 
 
 def test_csv_roundtrip_precision(tmp_path):
@@ -76,11 +88,15 @@ def test_pulse_fig3(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "converged" in out
-    _, cols = read_csv(tmp_path / "pulse.csv")
+    manifest, cols = read_csv(tmp_path / "pulse.csv")
     assert set(cols) == {"time_over_gamma_inv", "input_probe", "output_probe",
                          "output_signal"}
     plateau = float(out.split("signal plateau =")[1].split(",")[0])
     assert abs(plateau - 0.66) <= 0.09
+    assert manifest["converged"] is True and "-> converged" in out
+    assert 0.0 <= manifest["relative_gap"] <= 0.01
+    assert f"(relative gap {manifest['relative_gap']:.2%})" in out
+    assert manifest["arg_delta_p"] == -1.0
 
 
 def test_pulse_fig4_plateau(tmp_path, capsys):
@@ -105,6 +121,8 @@ def test_pulse_short_duration_flags_not_converged(tmp_path, capsys):
               "--n-freq", 1024, "--out", tmp_path])
     assert rc == 0
     assert "not converged" in capsys.readouterr().out
+    manifest, _ = read_csv(tmp_path / "pulse.csv")
+    assert manifest["converged"] is False and manifest["relative_gap"] > 0.01
 
 
 def test_optimize_od75_reaches_reported_efficiency(tmp_path):

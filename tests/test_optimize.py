@@ -29,6 +29,7 @@ def test_no_medium_means_no_conversion():
     result = optimize_eta(0.0, starts=2, seed=1, max_evals=40, n_z=50)
     assert result.eta_s == 0.0
     assert result.n_evaluations <= 80
+    assert result.stop_reasons == ("spread", "spread")   # a flat landscape
 
 
 def test_bad_bounds_rejected():
@@ -68,6 +69,8 @@ def test_budget_cap_reports_best_so_far():
     assert all(len(trace) <= 25 for trace in r.traces)
     assert r.n_evaluations <= 50
     assert np.isfinite(r.eta_s) and r.eta_s > 0.0
+    assert r.stop_reasons == ("evaluations", "evaluations")
+    assert r.as_dict()["stop_reasons"] == ["evaluations", "evaluations"]
 
 
 def test_result_respects_bounds():
