@@ -158,8 +158,8 @@ def cmd_pulse(args) -> int:
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
     if args.threads != 1:
-        raise ConfigValidationError("--threads", "the search evaluates one point at a "
-                                    f"time; only 1 is accepted, got {args.threads}")
+        raise ConfigValidationError("--threads", "the search solves each lockstep round "
+                                    f"on one thread; only 1 is accepted, got {args.threads}")
     result = optimize_eta(args.od, bounds=default_bounds(args.omega_max, args.delta_max),
                           starts=args.starts, seed=args.seed, max_evals=args.max_evals)
     rates = RateTable()

@@ -5,7 +5,13 @@ The objective surface develops oscillatory fine structure at high OD,
 so each Latin-hypercube start runs a bounded Nelder-Mead simplex
 (reflection 1, expansion 2, contraction 0.5, shrink 0.5) and the best
 point over all starts wins; ties break toward the lowest start index.
-Results are bit-for-bit reproducible for a fixed seed.
+The starts advance in lockstep: each round gathers the points every
+live start asks for next (its initial simplex, a reflection, an
+expansion or contraction, or a shrink) and solves them in one batched
+transfer-matrix call.  Each start takes the same steps as scipy 1.17's
+``minimize(method="Nelder-Mead")`` with the same options would, and a
+point's value does not depend on the batch it is solved in, so results
+are bit-for-bit reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -14,21 +20,20 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize as spopt
-from scipy.stats import qmc
 
+from . import propagation
 from .config import ConfigBundle, DriveConfig, MediumConfig, RateTable
 from .errors import BoundsError, ObjectiveError, SimulationError
-from .propagation import observables_at
+from .propagation import DriveBatch, observables_at
 
 PARAM_NAMES = ("omega_c", "omega_d", "delta_c", "delta_d", "delta_p")
 
 SPREAD_TOL = 1e-4        # simplex objective spread at convergence
 SIMPLEX_STEP = 0.08      # initial simplex edge as a fraction of the bound range
 
-# why a start stopped, by scipy's Nelder-Mead status: the simplex spread fell
-# below SPREAD_TOL, or the evaluation or iteration budget ran out
-_STOP_REASONS = {0: "spread", 1: "evaluations", 2: "iterations"}
+# Nelder-Mead reflection, expansion, contraction and shrink coefficients,
+# with scipy's types: the step expressions then round as scipy's do
+RHO, CHI, PSI, SIGMA = 1, 2, 0.5, 0.5
 
 # defaults of optimize_eta, and of the `optimize` command's flags
 STARTS = 32
@@ -78,10 +83,6 @@ class OptimizationResult:
         }
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def _check_bounds(bounds) -> np.ndarray:
     b = np.asarray(bounds, dtype=float)
     if b.shape != (5, 2):
@@ -95,8 +96,15 @@ def _check_bounds(bounds) -> np.ndarray:
 
 
 def _latin_hypercube(bounds: np.ndarray, starts: int, seed: int) -> np.ndarray:
-    sampler = qmc.LatinHypercube(d=bounds.shape[0], seed=seed)
-    unit = sampler.random(starts)
+    """One start per stratum along every axis; the samples of
+    ``scipy.stats.qmc.LatinHypercube(d, seed=seed).random(starts)``."""
+    rng = np.random.default_rng(seed)
+    d = bounds.shape[0]
+    jitter = rng.uniform(size=(starts, d))
+    perms = np.tile(np.arange(1, starts + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    unit = (perms.T - jitter) / starts
     return bounds[:, 0] + unit * (bounds[:, 1] - bounds[:, 0])
 
 
@@ -112,48 +120,134 @@ def _initial_simplex(x0: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return simplex
 
 
-def _run_start(objective, x0, bounds, max_evals):
-    """One Nelder-Mead start: its evaluation records (k, params, eta) and stop reason."""
-    records = []
+def _nelder_mead(sim: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_evals: int):
+    """One bounded Nelder-Mead start from the initial simplex ``sim``, as
+    a generator: it yields the points it needs next as an (m, N) array,
+    is sent their objective values (to be minimized) as an (m,) array,
+    and returns why it stopped, "spread" or "evaluations".
 
-    def wrapped(x):
-        if len(records) >= max_evals:
-            raise _BudgetExhausted
-        eta = objective(x)
-        records.append((len(records), tuple(float(v) for v in x), eta))
-        return -eta
+    Step for step this is scipy 1.17's ``_minimize_neldermead`` with
+    ``bounds=(lo, hi)``, ``initial_simplex=sim``, ``fatol=SPREAD_TOL``,
+    ``xatol=inf``, ``maxfev=max_evals`` and ``adaptive=False``: the same
+    clipping, argsort orderings and expressions.  Where scipy runs out
+    of evaluations inside a step, this stops there too.
+    """
+    n = sim.shape[1]
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.full((n + 1,), np.inf, dtype=float)
+    evals = min(n + 1, max_evals)
+    fsim[:evals] = yield sim[:evals]
+    for _ in range(2):   # scipy sorts twice after the initial simplex
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
-    try:
-        res = spopt.minimize(
-            wrapped, x0, method="Nelder-Mead",
-            bounds=[tuple(b) for b in bounds],
-            options={"initial_simplex": _initial_simplex(x0, bounds),
-                     "fatol": SPREAD_TOL, "xatol": np.inf,
-                     "maxfev": max_evals, "adaptive": False})
-    except _BudgetExhausted:   # budget hit mid-iteration: best-so-far is in the records
-        return records, "evaluations"
-    return records, _STOP_REASONS[res.status]
+    while evals < max_evals:
+        if np.max(np.abs(fsim[0] - fsim[1:])) <= SPREAD_TOL:
+            return "spread"
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = np.clip((1 + RHO) * xbar - RHO * sim[-1], lo, hi)
+        fxr = (yield xr[None])[0]
+        evals += 1
+        if fxr < fsim[0]:
+            if evals == max_evals:
+                return "evaluations"
+            xe = np.clip((1 + RHO * CHI) * xbar - RHO * CHI * sim[-1], lo, hi)
+            fxe = (yield xe[None])[0]
+            evals += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if evals == max_evals:
+                return "evaluations"
+            if fxr < fsim[-1]:   # contraction outside the simplex
+                xc = np.clip((1 + PSI * RHO) * xbar - PSI * RHO * sim[-1], lo, hi)
+                fxc = (yield xc[None])[0]
+                shrink = not fxc <= fxr
+            else:                # inside
+                xc = np.clip((1 - PSI) * xbar + PSI * sim[-1], lo, hi)
+                fxc = (yield xc[None])[0]
+                shrink = not fxc < fsim[-1]
+            evals += 1
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            elif evals == max_evals:
+                return "evaluations"
+            else:
+                m = min(n, max_evals - evals)
+                sim[1:m + 1] = np.clip(sim[0] + SIGMA * (sim[1:m + 1] - sim[0]), lo, hi)
+                fsim[1:m + 1] = yield sim[1:m + 1]
+                evals += m
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return "evaluations"
+
+
+def _lockstep(objective, x0s: np.ndarray, bounds: np.ndarray, max_evals: int):
+    """Run one ``_nelder_mead`` per start in x0s, maximizing ``objective``.
+
+    Each round makes one ``objective`` call on the points of every live
+    start, stacked in start order.  Returns per start its evaluations
+    as (params, eta) in order, and its stop reason.
+    """
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    runs = [_nelder_mead(_initial_simplex(x0, bounds), lo, hi, max_evals) for x0 in x0s]
+    records = [[] for _ in runs]
+    reasons = [None] * len(runs)
+    asks = {i: next(run) for i, run in enumerate(runs)}
+    while asks:
+        etas = objective(np.concatenate(list(asks.values())))
+        at = 0
+        for i, points in list(asks.items()):
+            values = etas[at:at + len(points)]
+            at += len(points)
+            records[i] += [(tuple(p), float(eta)) for p, eta in zip(points.tolist(), values)]
+            try:
+                asks[i] = runs[i].send(-values)
+            except StopIteration as stop:
+                reasons[i] = stop.value
+                del asks[i]
+    return records, tuple(reasons)
 
 
 def make_objective(od: float, rates: Optional[RateTable] = None, **grid):
     """eta_s as a function of (omega_c, omega_d, delta_c, delta_d, delta_p).
 
-    ``grid`` sets ``n_z`` and the wavelengths as in ``MediumConfig.derive``.
-    Evaluation failures are re-raised with the offending parameter
-    vector attached.
+    A (5,) point gives a float.  A (K, 5) array gives the K values from
+    one batched transfer-matrix call, each equal bit for bit to the
+    value of its row alone.  ``grid`` sets ``n_z`` and the wavelengths
+    as in ``MediumConfig.derive``.  Evaluation failures are re-raised
+    with the offending parameter vector attached; in a batch, that of
+    the first row that fails alone.
     """
     rates = rates if rates is not None else RateTable()
     medium = MediumConfig.derive(rates, od=od, **grid)
 
-    def objective(x) -> float:
-        drive = DriveConfig(omega_c=float(x[0]), omega_d=float(x[1]),
-                            delta_p=float(x[4]), delta_c=float(x[2]),
-                            delta_d=float(x[3]))
-        bundle = ConfigBundle(rates=rates, medium=medium, drive=drive)
+    def drive(x) -> DriveConfig:
+        return DriveConfig(omega_c=float(x[0]), omega_d=float(x[1]),
+                           delta_p=float(x[4]), delta_c=float(x[2]),
+                           delta_d=float(x[3]))
+
+    def one(x) -> float:
+        bundle = ConfigBundle(rates=rates, medium=medium, drive=drive(x))
         try:
             return observables_at(bundle).eta_s
         except SimulationError as exc:
             raise ObjectiveError(f"objective evaluation failed: {exc}", x) from exc
+
+    def objective(x):
+        if np.ndim(x) < 2:
+            return one(x)
+        batch = DriveBatch.stack([drive(row) for row in x])
+        bundle = ConfigBundle(rates=rates, medium=medium, drive=batch)
+        try:   # through the module, where bench/layers.py wraps these layers
+            profile = propagation.coupling_profile(bundle)
+            c = propagation._transfer_components(bundle, profile, batch.delta_p, 0.0)[2]
+        except SimulationError:
+            for row in x:   # raises for the first row that fails alone
+                one(row)
+            raise
+        return np.array([abs(complex(v)) ** 2 for v in c])   # as observables_at takes |c|^2
 
     return objective
 
@@ -166,8 +260,8 @@ def optimize_eta(od: float, bounds: Optional[Sequence] = None, starts: int = STA
     ``od`` is the conventional resonant optical depth (the medium is
     built with alpha_p = 2*od).  ``bounds`` is a sequence of five
     (low, high) pairs ordered as PARAM_NAMES; the default is
-    ``default_bounds()``.  The starts run one after another in seed
-    order; ``grid`` is passed to ``make_objective``.
+    ``default_bounds()``.  The starts run in lockstep, one batched
+    objective call per round; ``grid`` is passed to ``make_objective``.
     """
     if not (np.isfinite(od) and od >= 0):
         raise BoundsError("optimize.od", f"optical depth must be finite and >= 0, got {od}")
@@ -181,7 +275,7 @@ def optimize_eta(od: float, bounds: Optional[Sequence] = None, starts: int = STA
     b = _check_bounds(bounds if bounds is not None else default_bounds())
     objective = make_objective(od, rates=rates, **grid)
     x0s = _latin_hypercube(b, starts, seed)
-    all_records, stop_reasons = zip(*(_run_start(objective, x0, b, max_evals) for x0 in x0s))
+    all_records, stop_reasons = _lockstep(objective, x0s, b, max_evals)
 
     best_eta = -np.inf
     best_params = tuple(x0s[0])
@@ -189,8 +283,8 @@ def optimize_eta(od: float, bounds: Optional[Sequence] = None, starts: int = STA
     traces = []
     for records in all_records:
         n_evals += len(records)
-        traces.append(tuple((k, eta) for k, _, eta in records))
-        for _, params, eta in records:
+        traces.append(tuple((k, eta) for k, (_, eta) in enumerate(records)))
+        for params, eta in records:
             if eta > best_eta:   # strict: ties keep the earlier start
                 best_eta = eta
                 best_params = params

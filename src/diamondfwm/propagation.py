@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -84,7 +84,8 @@ class CouplingProfile:
     zeta: index 4i is the left boundary of step i (zeta = i/n_steps), and
     4i+1, 4i+2, 4i+3 are its three Gauss-Legendre nodes, the middle one
     at the step's midpoint.  The last entry is zeta = 1, and the middle
-    one zeta = 1/2.
+    one zeta = 1/2.  For a DriveBatch, ``omega_c`` holds one such row per
+    drive point.
     """
 
     zeta: np.ndarray
@@ -94,6 +95,27 @@ class CouplingProfile:
     def __post_init__(self):
         self.zeta.setflags(write=False)
         self.omega_c.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class DriveBatch:
+    """K drive points solved side by side, one probe detuning each.
+
+    Each field is a (K,) array whose entry k is that field of point k.
+    A bundle with a DriveBatch as its drive gets one coupling-profile row
+    per point, and ``_transfer_components`` pairs point k with detuning k.
+    """
+
+    omega_c: np.ndarray
+    omega_d: np.ndarray
+    delta_p: np.ndarray
+    delta_c: np.ndarray
+    delta_d: np.ndarray
+
+    @classmethod
+    def stack(cls, drives) -> "DriveBatch":
+        return cls(*(np.array([getattr(d, f.name) for d in drives], float)
+                     for f in fields(cls)))
 
 
 @dataclass(frozen=True)
@@ -143,6 +165,11 @@ def coupling_profile(bundle: ConfigBundle, omega_c0: Optional[complex] = None) -
     r = 2 Re(num) zeta/den0, x = gamma31 s/den0 solves x + ln x = z with
     z = ln a + a + r, so x is the Wright omega function of z (Corless &
     Jeffrey 2002), and w = w0 exp(num/(2 Re num) * ln(s/s0)).
+
+    With a DriveBatch as the drive, ``omega_c`` has one row per point.
+    The scalars of each drive (den0, num, ln a, a) are Python float
+    arithmetic, so that a row equals the profile of its drive alone, bit
+    for bit (numpy's d ** 2 is not C's pow(d, 2) in the last bit).
     """
     if omega_c0 is None:
         if bundle.drive is None:
@@ -152,26 +179,38 @@ def coupling_profile(bundle: ConfigBundle, omega_c0: Optional[complex] = None) -
     n = medium.n_z
     fractions = np.array((0.0,) + _NODES)
     zeta = np.append(((np.arange(n)[:, None] + fractions) / n).ravel(), 1.0)
-    w0 = complex(omega_c0)
     g31, G3 = rates.gamma31, rates.Gamma3_total
-    dc = bundle.drive.delta_c if bundle.drive is not None else 0.0
-    # rhs(w) = (i g31 ac / 2) * (i/2) w (1 - 2 rho33) / (g31 - i dc)
-    #        = num * w / (den0 + g31 |w|^2),  den0 = G3 (g31^2 + dc^2),
-    # num = -(g31 ac / 4) den0 / (g31 - i dc); it vanishes with alpha_c,
-    # gamma31 or den0, and then the beam is not absorbed at all
-    den0 = G3 * (g31 ** 2 + dc ** 2)
-    num = -0.25 * g31 * medium.alpha_c * G3 * (g31 + 1j * dc)
-    if w0 == 0.0 or num == 0.0:
-        return CouplingProfile(zeta=zeta, omega_c=np.full(zeta.size, w0), n_steps=n)
-    ln_a = 2.0 * math.log(abs(w0)) + math.log(g31 / den0)
-    a = g31 * abs(w0) ** 2 / den0
-    r = (2.0 * num.real / den0) * zeta
-    x = wrightomega(ln_a + a + r)
-    # x < 1: ln x = z - x, so ln(s/s0) = (a - x) + r, safe even if x underflows;
-    # x >= 1: log(x) keeps the digits that a - x would cancel when saturated
-    with np.errstate(divide="ignore"):
-        log_ratio = np.where(x < 1.0, (a - x) + r, np.log(x) - ln_a)
-    omega_c = w0 * np.exp((num / (2.0 * num.real)) * log_ratio)
+    w0s = np.atleast_1d(omega_c0).tolist()
+    dcs = np.broadcast_to(bundle.drive.delta_c if bundle.drive is not None else 0.0,
+                          len(w0s)).tolist()
+    omega_c = np.empty((len(w0s), zeta.size), complex)
+    rows = []   # (row, w0, ln a, ln a + a, a, r / zeta, num / (2 Re num)) of absorbed beams
+    for k, (w0, dc) in enumerate(zip(w0s, dcs)):
+        w0 = complex(w0)
+        # rhs(w) = (i g31 ac / 2) * (i/2) w (1 - 2 rho33) / (g31 - i dc)
+        #        = num * w / (den0 + g31 |w|^2),  den0 = G3 (g31^2 + dc^2),
+        # num = -(g31 ac / 4) den0 / (g31 - i dc); it vanishes with alpha_c,
+        # gamma31 or den0, and then the beam is not absorbed at all
+        den0 = G3 * (g31 ** 2 + dc ** 2)
+        num = -0.25 * g31 * medium.alpha_c * G3 * (g31 + 1j * dc)
+        if w0 == 0.0 or num == 0.0:
+            omega_c[k] = w0
+            continue
+        ln_a = 2.0 * math.log(abs(w0)) + math.log(g31 / den0)
+        a = g31 * abs(w0) ** 2 / den0
+        rows.append((k, w0, ln_a, ln_a + a, a, 2.0 * num.real / den0, num / (2.0 * num.real)))
+    if rows:
+        k, *cols = zip(*rows)
+        w0, ln_a, z0, a, slope, e = (np.array(col)[:, None] for col in cols)
+        r = slope * zeta
+        x = wrightomega(z0 + r)
+        # x < 1: ln x = z - x, so ln(s/s0) = (a - x) + r, safe even if x underflows;
+        # x >= 1: log(x) keeps the digits that a - x would cancel when saturated
+        with np.errstate(divide="ignore"):
+            log_ratio = np.where(x < 1.0, (a - x) + r, np.log(x) - ln_a)
+        omega_c[list(k)] = w0 * np.exp(e * log_ratio)
+    if np.ndim(omega_c0) == 0:
+        omega_c = omega_c[0]
     return CouplingProfile(zeta=zeta, omega_c=omega_c, n_steps=n)
 
 
@@ -340,10 +379,13 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
 
     ``delta_p`` and ``omega`` are broadcast to a common 1-D batch.  The
     sideband frequency shifts every detuning of the response alike, so
-    the kernel sees only delta_p + omega.  ``step_range`` selects a
-    slice [i0, i1) of the n_z steps (used for compositionality checks).
-    Raises NumericalError if any entry is not finite or any column gains
-    photons, |a|^2 + |c|^2 or |b|^2 + |d|^2 above 1 + PASSIVITY_TOL.
+    the kernel sees only delta_p + omega.  If the bundle's drive is a
+    DriveBatch (with ``profile`` its coupling profile), entry k of the
+    batch is solved at drive point k; otherwise every entry shares the
+    drive.  ``step_range`` selects a slice [i0, i1) of the n_z steps
+    (used for compositionality checks).  Raises NumericalError if any
+    entry is not finite or any column gains photons, |a|^2 + |c|^2 or
+    |b|^2 + |d|^2 above 1 + PASSIVITY_TOL.
     """
     if bundle.drive is None:
         raise ConfigValidationError("fields", "this config has no drive fields")
@@ -360,37 +402,50 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
         out[[0, 3]] = 1.0
         return out
 
-    # the Gauss nodes of steps i0..i1-1 as (node, 1, step); see _step_propagators
-    wc = np.ascontiguousarray(profile.omega_c[1:].reshape(n, 4)[i0:i1, :3].T[:, None, :])
-    rho33, rho31 = _two_level_arrays(wc, drive.delta_c, rates.gamma31, rates.Gamma3_total)
-    rho11, rho13 = 1.0 - rho33, np.conj(rho31)
+    # the Gauss nodes of steps i0..i1-1 as (node, point, step), with one
+    # point row per drive of a DriveBatch, or one row that all detunings
+    # share; see _step_propagators
+    wc = profile.omega_c[..., 1:].reshape(profile.omega_c.shape[:-1] + (n, 4))[..., i0:i1, :3]
+    wc = np.ascontiguousarray(np.moveaxis(wc, -1, 0).reshape(3, -1, i1 - i0))
+    batched = isinstance(drive, DriveBatch)
+    if batched and not wc.shape[1] == drive.delta_c.size == x.size:
+        raise ValueError(f"{drive.delta_c.size} drive points, {wc.shape[1]} profile rows "
+                         f"and {x.size} detunings do not pair up")
 
     cp = 0.5 * rates.gamma21 * medium.alpha_p
     cs = 0.5 * rates.gamma43 * medium.alpha_s
     cx = 0.5 * math.sqrt(rates.gamma21 * medium.alpha_p * rates.gamma43 * medium.alpha_s)
     couplings = np.array((1j * cp, 1j * cx, 1j * cx, 1j * cs)).reshape(4, 1, 1, 1)
 
+    def chi_inputs(wc, delta_c, delta_d, omega_d):   # the arguments of _chi_arrays but x
+        rho33, rho31 = _two_level_arrays(wc, delta_c, rates.gamma31, rates.Gamma3_total)
+        return wc, 1.0 - rho33, np.conj(rho31), rho31, rho33, delta_c, delta_d, omega_d
+
+    per_tile = max(1, _TILE_ELEMENTS // (3 * (i1 - i0)))
+    slices = [slice(k, min(k + per_tile, x.size)) for k in range(0, x.size, per_tile)]
+    if batched:   # each tile holds its own points' grid and drive, (point, 1) for the latter
+        inputs = [chi_inputs(np.ascontiguousarray(wc[:, sl]), drive.delta_c[sl, None],
+                             drive.delta_d[sl, None], drive.omega_d[sl, None]) for sl in slices]
+    else:
+        inputs = [chi_inputs(wc, drive.delta_c, drive.delta_d, drive.omega_d)] * len(slices)
     out = np.empty((4,) + x.shape, dtype=np.complex128)
 
-    def run_tile(sl):
+    def run_tile(sl, args):
         ws = _workspace()
         ws.reset()
         # an overflow shows as a non-finite or non-passive output, which
         # the guard below reports once; errstate is per thread, so it is set here
         with np.errstate(over="ignore", invalid="ignore"):
-            M = _chi_arrays(wc, rho11, rho13, rho31, rho33, x[sl][:, None],
-                            drive.delta_c, drive.delta_d, drive.omega_d, rates, ws=ws)
+            M = _chi_arrays(*args[:5], x[sl][:, None], *args[5:], rates, ws=ws)
             np.multiply(couplings, M, out=M)   # M = i c chi
             out[:, sl] = _ordered_product(_step_propagators(M, h, ws=ws), ws=ws)
 
-    per_tile = max(1, _TILE_ELEMENTS // wc.size)
-    slices = [slice(k, min(k + per_tile, x.size)) for k in range(0, x.size, per_tile)]
     if threads > 1 and len(slices) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_tile, slices))
+            list(pool.map(run_tile, slices, inputs))
     else:
-        for sl in slices:
-            run_tile(sl)
+        for sl, args in zip(slices, inputs):
+            run_tile(sl, args)
     finite = np.isfinite(out).all()
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.abs(out.reshape(2, 2, -1)) ** 2   # (|a|^2, |b|^2), (|c|^2, |d|^2)

@@ -72,11 +72,15 @@ def _two_level_arrays(omega_c, delta_c, gamma31, Gamma3):
         rho31 = (i/2) omega_c (1 - 2 rho33) / (gamma31 - i delta_c)
 
     with s = |omega_c|^2.  The form above stays finite for Gamma3 -> 0
-    (full saturation, rho33 -> 1/2).
+    (full saturation, rho33 -> 1/2).  ``delta_c`` may be an array of
+    per-drive detunings that broadcasts against ``omega_c``; the
+    drive-only term Gamma3*(gamma31^2 + delta_c^2) is Python float
+    arithmetic per drive, the same bits as for a scalar delta_c.
     """
     omega_c = np.asarray(omega_c, dtype=np.complex128)
     s = omega_c.real ** 2 + omega_c.imag ** 2
-    den = Gamma3 * (gamma31 ** 2 + delta_c ** 2) + s * gamma31
+    den0 = [Gamma3 * (gamma31 ** 2 + d ** 2) for d in np.ravel(delta_c).tolist()]
+    den = np.reshape(den0, np.shape(delta_c)) + s * gamma31
     with np.errstate(invalid="ignore", divide="ignore"):
         rho33 = np.where(den > 0.0, 0.5 * s * gamma31 / np.where(den > 0.0, den, 1.0), 0.0)
         rho31 = 0.5j * omega_c * (1.0 - 2.0 * rho33) / (gamma31 - 1j * delta_c)
@@ -151,6 +155,8 @@ def _chi_arrays(omega_c, rho11, rho13, rho31, rho33,
     exact dense elimination specialized to the block structure and
     vectorizes over position and frequency.
 
+    ``delta_c``, ``delta_d`` and ``omega_d`` are scalars, or per-drive
+    arrays that broadcast like ``x`` (one drive point per detuning).
     Every array of the grid shape (``omega_c`` and the populations and
     coherences) or of the full shape is taken from ``ws`` (a fresh
     Workspace when None).  The result, one (4,) + full block of chi_pp,

@@ -1,11 +1,15 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diamondfwm
 from diamondfwm.cli import build_parser, main
 from diamondfwm.manifest import read_csv
 
@@ -265,7 +269,7 @@ def test_optimize_threads_other_than_one_exit_3(tmp_path, capsys):
     assert run(["optimize", "--od", 50, "--starts", 1, "--threads", 2,
                 "--out", tmp_path]) == 3
     err = capsys.readouterr().err
-    assert "--threads" in err and "one point at a time" in err
+    assert "--threads" in err and "lockstep round" in err
     assert not list(tmp_path.iterdir())
 
 
@@ -309,6 +313,19 @@ def test_readme_commands_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.func), line
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_stats():
+    # the two subpackages took most of a fresh interpreter's set-up time
+    src = str(Path(diamondfwm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = ("import sys, diamondfwm.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', "
+            "'scipy.stats'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("max_evals", [0, -1])

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import diamondfwm as dfm
 from diamondfwm import BoundsError, ObjectiveError, optimize_eta
-from diamondfwm.optimize import PARAM_NAMES, _latin_hypercube, default_bounds
+from diamondfwm.optimize import (PARAM_NAMES, SPREAD_TOL, _initial_simplex, _latin_hypercube,
+                                 _lockstep, default_bounds)
 
 
 def test_default_bounds_shape():
@@ -112,3 +115,104 @@ def test_result_dict_roundtrips_to_json():
     doc = json.loads(json.dumps(r.as_dict()))
     assert doc["eta_s"] == r.eta_s
     assert doc["best"]["omega_c"] == r.params[0]
+
+
+def test_latin_hypercube_matches_scipy():
+    from scipy.stats import qmc
+    unit = np.array([(0.0, 1.0)] * 5)
+    for seed in [*range(50), 2 ** 31, 2 ** 32 - 1]:
+        for n in (1, 10, 32):
+            want = qmc.LatinHypercube(d=5, seed=seed).random(n)
+            assert np.array_equal(_latin_hypercube(unit, n, seed), want), (seed, n)
+
+
+# a cheap rippled bowl whose optimum lies on the omega_c bound (36 > 30);
+# the ripples make the simplex contract and, from the first start below,
+# shrink, so every kind of step is taken
+_BOWL_CENTER = (36.0, 11.0, -3.0, 4.0, 1.5)
+_BOWL_WEIGHTS = (1.0, 0.5, 2.0, 1.0, 0.25)
+
+
+def _bowl(X, step=0.0):
+    """eta for each row of X, one row at a time in Python floats; a
+    ``step`` > 0 rounds it down to terraces, whose ties test the orderings."""
+    etas = [-sum(w * (v - c) ** 2 + 40.0 * math.cos(v)
+                 for v, c, w in zip(row, _BOWL_CENTER, _BOWL_WEIGHTS))
+            for row in np.asarray(X).tolist()]
+    return np.array([step * math.floor(eta / step) if step else eta for eta in etas])
+
+
+def _scipy_start(x0, bounds, max_evals, step):
+    """scipy's Nelder-Mead on -_bowl: the points it evaluated, their eta
+    and the stop reason."""
+    from scipy.optimize import minimize
+    seen = []
+
+    def fun(x):
+        seen.append((tuple(x.tolist()), float(_bowl(x[None], step)[0])))
+        return -seen[-1][1]
+
+    res = minimize(fun, x0, method="Nelder-Mead", bounds=[tuple(b) for b in bounds],
+                   options={"initial_simplex": _initial_simplex(x0, bounds),
+                            "fatol": SPREAD_TOL, "xatol": np.inf, "maxfev": max_evals,
+                            "adaptive": False})
+    return seen, {0: "spread", 1: "evaluations"}[res.status]
+
+
+@pytest.mark.parametrize("step", [0.0, 20.0])
+def test_lockstep_nelder_mead_matches_scipy(step):
+    b = default_bounds()
+    x0s = _latin_hypercube(b, 3, seed=0)
+    sizes = []
+
+    def bowl(X):
+        sizes.append(len(X))
+        return _bowl(X, step)
+
+    def check(x0s, max_evals):
+        records, reasons = _lockstep(bowl, x0s, b, max_evals)
+        for x0, recs, why in zip(x0s, records, reasons):
+            seen, want = _scipy_start(x0, b, max_evals, step)
+            assert recs == seen, max_evals
+            assert why == want, max_evals
+        return reasons
+
+    # the three starts in lockstep until each stops on the spread
+    assert check(x0s, 10 ** 6) == ("spread",) * 3
+    # every budget up to the first start's spread stop: the runs end inside
+    # the initial simplex (budget < 6), after reflections, expansions and
+    # contractions, and part-way through a shrink
+    full, _ = _scipy_start(x0s[0], b, 10 ** 6, step)
+    for max_evals in range(1, len(full) + 1):
+        assert check(x0s[:1], max_evals) == ("evaluations",)
+    sizes.clear()
+    assert check(x0s[:1], len(full) + 1) == ("spread",)
+    assert 5 in sizes[1:]   # a round of 5 points from one start is a shrink
+
+
+@pytest.fixture(scope="module")
+def od200_objective():
+    return dfm.make_objective(200.0)
+
+
+@pytest.mark.parametrize("k", [1, 7, 32])
+def test_batched_objective_matches_single_points_bitwise(od200_objective, k):
+    b = default_bounds()
+    rng = np.random.default_rng(k)
+    X = b[:, 0] + rng.uniform(size=(k, 5)) * (b[:, 1] - b[:, 0])
+    X[0, 2] = -13.952544085020115   # numpy's d ** 2 and C's pow(d, 2) differ here
+    X[1:2, 0] = 0.0                 # no coupling beam: a constant profile row
+    got = od200_objective(X)
+    assert got.shape == (k,)
+    for row, eta in zip(X, got):
+        assert eta == od200_objective(row)
+
+
+def test_batched_objective_error_carries_failing_row():
+    # the middle row is singular as in test_objective_error_carries_parameters
+    objective = dfm.make_objective(5.0, rates=dfm.RateTable(gamma41=0.0), n_z=50)
+    X = np.array([(10.0, 5.0, 3.0, -2.0, 1.0), (0.0,) * 5, (12.0, 4.0, -1.0, 2.0, 0.5)])
+    objective(X[[0, 2]])   # the other rows alone are fine
+    with pytest.raises(ObjectiveError) as err:
+        objective(X)
+    assert err.value.params == (0.0, 0.0, 0.0, 0.0, 0.0)
