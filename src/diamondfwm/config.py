@@ -54,6 +54,26 @@ def _require(cond, key, message):
         raise ConfigValidationError(key, message)
 
 
+def _require_number(value, key):
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool), key,
+             f"must be a number, got {value!r}")
+
+
+def _float_fields(config, section: str, finite: bool = True) -> None:
+    """Store each float field of a config (an Optional one when set) as a
+    float, after checking that it holds a number, and a finite one if
+    ``finite``; an error names the field's document key.  Under
+    ``from __future__ import annotations`` a field's type is the
+    annotation as written."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" or (f.type == "Optional[float]" and value is not None):
+            key = f"{section}.{_key(f)}"
+            _require_number(value, key)
+            _require(not finite or math.isfinite(value), key, f"must be finite, got {value}")
+            object.__setattr__(config, f.name, float(value))
+
+
 @dataclass(frozen=True)
 class RateTable:
     """Decay and decoherence rates of the four-level scheme, in Gamma units.
@@ -84,6 +104,7 @@ class RateTable:
 
     def __post_init__(self):
         s = object.__setattr__
+        _float_fields(self, "rates")   # before the defaults are computed from them
         if self.Gamma21 is None:
             s(self, "Gamma21", self.Gamma2_total)
         if self.Gamma31 is None:
@@ -104,11 +125,8 @@ class RateTable:
                 s(self, name, default + self.gamma_extra)
         for f in fields(self):
             value = getattr(self, f.name)
-            _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                     f"rates.{f.name}", "must be a number")
             _require(math.isfinite(value) and value >= 0.0, f"rates.{f.name}",
                      f"must be finite and >= 0, got {value}")
-            s(self, f.name, float(value))
         _require(self.Gamma21 <= self.Gamma2_total + _EPS, "rates.Gamma21",
                  f"partial rate {self.Gamma21} exceeds rates.Gamma2_total = {self.Gamma2_total}")
         _require(self.Gamma31 <= self.Gamma3_total + _EPS, "rates.Gamma31",
@@ -132,12 +150,7 @@ class DriveConfig:
     delta_d: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                     f"fields.{f.name}", "must be a number")
-            _require(math.isfinite(value), f"fields.{f.name}", f"must be finite, got {value}")
-            object.__setattr__(self, f.name, float(value))
+        _float_fields(self, "fields")
         _require(self.omega_c >= 0.0, "fields.omega_c", "Rabi frequency must be >= 0")
         _require(self.omega_d >= 0.0, "fields.omega_d", "Rabi frequency must be >= 0")
 
@@ -174,10 +187,7 @@ class MediumConfig:
     n_z: int = 256
 
     def __post_init__(self):
-        for name in ("alpha_p", "alpha_c", "alpha_s", "lambda_p", "lambda_c",
-                     "lambda_d", "lambda_s"):
-            _require(math.isfinite(getattr(self, name)), f"medium.{name}",
-                     f"must be finite, got {getattr(self, name)}")
+        _float_fields(self, "medium")
         _require(self.alpha_p >= 0.0, "medium.alpha_p", "optical depth must be >= 0")
         _require(isinstance(self.n_z, int) and not isinstance(self.n_z, bool),
                  "medium.n_z", "must be an integer")
@@ -204,10 +214,11 @@ class MediumConfig:
         _require((alpha_p is None) != (od is None), "medium.alpha_p",
                  "specify exactly one of alpha_p or od")
         if alpha_p is None:
+            _require_number(od, "medium.od")
             _require(math.isfinite(od) and od >= 0.0, "medium.od",
                      f"optical depth must be finite and >= 0, got {od}")
-            alpha_p = 2.0 * float(od)
-        medium = cls(alpha_p=float(alpha_p), alpha_c=0.0, alpha_s=0.0, **grid)
+            alpha_p = 2.0 * od
+        medium = cls(alpha_p=alpha_p, alpha_c=0.0, alpha_s=0.0, **grid)
         if medium.alpha_p == 0.0:
             return medium
         for key, value in (("rates.Gamma21", rates.Gamma21),
@@ -239,6 +250,7 @@ class SweepOptions:
     def __post_init__(self):
         _require(self.mode in SWEEP_MODES, "sweep.mode",
                  f"must be one of {SWEEP_MODES}, got {self.mode!r}")
+        _float_fields(self, "sweep", finite=False)   # below: both ends of the range are sweep.from
         _require(math.isfinite(self.step) and self.step > 0.0, "sweep.step",
                  "must be finite and > 0")
         _require(math.isfinite(self.start) and math.isfinite(self.stop),
@@ -258,13 +270,12 @@ class PulseOptions:
     def __post_init__(self):
         _require(self.shape == "square", "pulse.shape",
                  f"only 'square' is implemented, got {self.shape!r}")
-        _require(math.isfinite(self.duration) and self.duration > 0.0, "pulse.duration",
-                 "must be finite and > 0")
+        _float_fields(self, "pulse")
+        _require(self.duration > 0.0, "pulse.duration", "must be > 0")
         _require(isinstance(self.n_freq, int) and self.n_freq >= 16,
                  "pulse.n_freq", "must be an integer >= 16")
         if self.window is not None:
-            _require(math.isfinite(self.window) and self.window > 0.0, "pulse.window",
-                     "must be finite and > 0")
+            _require(self.window > 0.0, "pulse.window", "must be > 0")
 
 
 @dataclass(frozen=True)
@@ -318,7 +329,8 @@ _Loader.add_implicit_resolver(
 
 
 def _checked_section(doc, section, **aliases):
-    """A section's values keyed by field name, after the type checks.
+    """A section's values keyed by field name, for its config class (or
+    ``MediumConfig.derive``) to check.
 
     ``aliases`` maps input-only keys to their value type.
     """
@@ -334,19 +346,10 @@ def _checked_section(doc, section, **aliases):
         if key not in schema:
             raise ConfigValidationError(f"{section}.{key}", "unknown key")
         name, want = schema[key]
-        if want in (float, int):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigValidationError(f"{section}.{key}",
-                                            f"must be a number, got {value!r}")
-            if want is int and int(value) != value:
-                raise ConfigValidationError(f"{section}.{key}",
-                                            f"must be an integer, got {value!r}")
-            out[name] = want(value)
-        else:
-            if not isinstance(value, str):
-                raise ConfigValidationError(f"{section}.{key}",
-                                            f"must be a string, got {value!r}")
-            out[name] = value
+        _require(value is not None, f"{section}.{key}", "must be set, got null")
+        if want is int and isinstance(value, float) and value.is_integer():
+            value = int(value)   # YAML reads 4e3 as a float
+        out[name] = value
     return out
 
 

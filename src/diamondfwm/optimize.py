@@ -21,7 +21,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import propagation
 from .config import ConfigBundle, DriveConfig, MediumConfig, RateTable
 from .errors import BoundsError, ObjectiveError, SimulationError
 from .propagation import DriveBatch, observables_at
@@ -65,9 +64,7 @@ class OptimizationResult:
 
     @property
     def drive(self) -> DriveConfig:
-        w_c, w_d, d_c, d_d, d_p = self.params
-        return DriveConfig(omega_c=w_c, omega_d=w_d, delta_p=d_p,
-                           delta_c=d_c, delta_d=d_d)
+        return DriveConfig(**dict(zip(PARAM_NAMES, self.params)))
 
     def as_dict(self) -> dict:
         return {
@@ -213,41 +210,31 @@ def _lockstep(objective, x0s: np.ndarray, bounds: np.ndarray, max_evals: int):
 def make_objective(od: float, rates: Optional[RateTable] = None, **grid):
     """eta_s as a function of (omega_c, omega_d, delta_c, delta_d, delta_p).
 
-    A (5,) point gives a float.  A (K, 5) array gives the K values from
-    one batched transfer-matrix call, each equal bit for bit to the
-    value of its row alone.  ``grid`` sets ``n_z`` and the wavelengths
-    as in ``MediumConfig.derive``.  Evaluation failures are re-raised
-    with the offending parameter vector attached; in a batch, that of
-    the first row that fails alone.
+    A (5,) point gives a float through ``observables_at``.  A (K, 5)
+    array gives K values from one ``observables_at`` call on a
+    DriveBatch, each equal bit for bit to the value of its row alone.
+    ``grid`` sets ``n_z`` and the wavelengths as in
+    ``MediumConfig.derive``.  Evaluation failures are re-raised with the
+    offending parameter vector attached; in a batch, that of the first
+    row that fails alone.
     """
     rates = rates if rates is not None else RateTable()
     medium = MediumConfig.derive(rates, od=od, **grid)
 
     def drive(x) -> DriveConfig:
-        return DriveConfig(omega_c=float(x[0]), omega_d=float(x[1]),
-                           delta_p=float(x[4]), delta_c=float(x[2]),
-                           delta_d=float(x[3]))
-
-    def one(x) -> float:
-        bundle = ConfigBundle(rates=rates, medium=medium, drive=drive(x))
-        try:
-            return observables_at(bundle).eta_s
-        except SimulationError as exc:
-            raise ObjectiveError(f"objective evaluation failed: {exc}", x) from exc
+        return DriveConfig(**dict(zip(PARAM_NAMES, map(float, x))))
 
     def objective(x):
-        if np.ndim(x) < 2:
-            return one(x)
-        batch = DriveBatch.stack([drive(row) for row in x])
-        bundle = ConfigBundle(rates=rates, medium=medium, drive=batch)
-        try:   # through the module, where bench/layers.py wraps these layers
-            profile = propagation.coupling_profile(bundle)
-            c = propagation._transfer_components(bundle, profile, batch.delta_p, 0.0)[2]
-        except SimulationError:
-            for row in x:   # raises for the first row that fails alone
-                one(row)
-            raise
-        return np.array([abs(complex(v)) ** 2 for v in c])   # as observables_at takes |c|^2
+        batched = np.ndim(x) == 2
+        points = DriveBatch.stack([drive(row) for row in x]) if batched else drive(x)
+        try:
+            return observables_at(ConfigBundle(rates=rates, medium=medium, drive=points)).eta_s
+        except SimulationError as exc:
+            if batched:
+                for row in x:   # raises for the first row that fails alone
+                    objective(row)
+                raise
+            raise ObjectiveError(f"objective evaluation failed: {exc}", x) from exc
 
     return objective
 

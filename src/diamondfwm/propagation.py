@@ -54,7 +54,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
-from scipy import fft as sfft
 from scipy.special import wrightomega
 
 from .config import ConfigBundle, with_mode
@@ -120,7 +119,7 @@ class DriveBatch:
 
 @dataclass(frozen=True)
 class Observables:
-    """Steady-state transmissions and conversion efficiencies."""
+    """Steady-state transmissions and conversion efficiencies; arrays for a batch."""
 
     T_p: float
     eta_s: float
@@ -154,7 +153,7 @@ class TransferMatrix:
         return np.array([[self.a, self.b], [self.c, self.d]])
 
 
-def coupling_profile(bundle: ConfigBundle, omega_c0: Optional[complex] = None) -> CouplingProfile:
+def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
     """Coupling-field envelope across the medium, in closed form.
 
     The envelope obeys d omega_c/d zeta = (i gamma31 alpha_c / 2) rho_31
@@ -171,18 +170,15 @@ def coupling_profile(bundle: ConfigBundle, omega_c0: Optional[complex] = None) -
     arithmetic, so that a row equals the profile of its drive alone, bit
     for bit (numpy's d ** 2 is not C's pow(d, 2) in the last bit).
     """
-    if omega_c0 is None:
-        if bundle.drive is None:
-            raise ConfigValidationError("fields", "this config has no drive fields")
-        omega_c0 = bundle.drive.omega_c
-    rates, medium = bundle.rates, bundle.medium
+    if bundle.drive is None:
+        raise ConfigValidationError("fields", "this config has no drive fields")
+    rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
     n = medium.n_z
     fractions = np.array((0.0,) + _NODES)
     zeta = np.append(((np.arange(n)[:, None] + fractions) / n).ravel(), 1.0)
     g31, G3 = rates.gamma31, rates.Gamma3_total
-    w0s = np.atleast_1d(omega_c0).tolist()
-    dcs = np.broadcast_to(bundle.drive.delta_c if bundle.drive is not None else 0.0,
-                          len(w0s)).tolist()
+    w0s = np.atleast_1d(drive.omega_c).tolist()
+    dcs = np.atleast_1d(drive.delta_c).tolist()
     omega_c = np.empty((len(w0s), zeta.size), complex)
     rows = []   # (row, w0, ln a, ln a + a, a, r / zeta, num / (2 Re num)) of absorbed beams
     for k, (w0, dc) in enumerate(zip(w0s, dcs)):
@@ -209,7 +205,7 @@ def coupling_profile(bundle: ConfigBundle, omega_c0: Optional[complex] = None) -
         with np.errstate(divide="ignore"):
             log_ratio = np.where(x < 1.0, (a - x) + r, np.log(x) - ln_a)
         omega_c[list(k)] = w0 * np.exp(e * log_ratio)
-    if np.ndim(omega_c0) == 0:
+    if not isinstance(drive, DriveBatch):
         omega_c = omega_c[0]
     return CouplingProfile(zeta=zeta, omega_c=omega_c, n_steps=n)
 
@@ -479,13 +475,27 @@ def transfer_matrix(omega: float, bundle: ConfigBundle,
     return TransferMatrix(float(omega), *(complex(v) for v in out[:, 0]))
 
 
-def observables_at(bundle: ConfigBundle, delta_p: Optional[float] = None,
-                   omega: float = 0.0) -> Observables:
+def _abs2(entries: np.ndarray) -> np.ndarray:
+    """Python's abs(z) ** 2 of each entry, the convention of every
+    observable (np.abs and np.hypot differ from it in the last bit)."""
+    return np.array([abs(z) ** 2 for z in entries.ravel().tolist()]).reshape(entries.shape)
+
+
+def observables_at(bundle: ConfigBundle, delta_p=None, omega=0.0) -> Observables:
     """Steady-state observables T_p = |a|^2, eta_s = |c|^2, T_s = |d|^2,
-    eta_p = |b|^2 at the carrier detuning."""
-    tm = transfer_matrix(omega, bundle, delta_p=delta_p)
-    return Observables(T_p=abs(tm.a) ** 2, eta_s=abs(tm.c) ** 2,
-                       T_s=abs(tm.d) ** 2, eta_p=abs(tm.b) ** 2)
+    eta_p = |b|^2, from one ``_transfer_components`` call.
+
+    ``delta_p`` (default: the drive's, one per point of a DriveBatch)
+    and ``omega`` are scalars, giving floats, or 1-D arrays, giving one
+    entry per broadcast pair.
+    """
+    profile = coupling_profile(bundle)
+    if delta_p is None:
+        delta_p = bundle.drive.delta_p
+    T_p, eta_p, eta_s, T_s = _abs2(_transfer_components(bundle, profile, delta_p, omega))
+    if np.ndim(delta_p) == np.ndim(omega) == 0:
+        T_p, eta_p, eta_s, T_s = (float(v[0]) for v in (T_p, eta_p, eta_s, T_s))
+    return Observables(T_p=T_p, eta_s=eta_s, T_s=T_s, eta_p=eta_p)
 
 
 @dataclass(frozen=True)
@@ -550,11 +560,11 @@ def lorentzian_convolve(x: np.ndarray, y: np.ndarray, fwhm: float) -> np.ndarray
     half = 0.5 * fwhm
     offsets = step * np.arange(1 - n, n)
     kernel = half / (offsets ** 2 + half ** 2)   # 1/pi absorbed by normalization
-    size = sfft.next_fast_len(3 * n - 2, real=True)
-    kernel_f = sfft.rfft(kernel, size)
+    size = 1 << (2 * n - 2).bit_length()   # >= 2n - 1: no wrap-around in the n sums kept
+    kernel_f = np.fft.rfft(kernel, size)
 
     def weighted_sum(v):   # sum_j kernel(x_i - x_j) v_j
-        return sfft.irfft(sfft.rfft(v, size) * kernel_f, size)[n - 1:2 * n - 1]
+        return np.fft.irfft(np.fft.rfft(v, size) * kernel_f, size)[n - 1:2 * n - 1]
 
     return weighted_sum(np.asarray(y, dtype=float)) / weighted_sum(np.ones(n))
 
@@ -572,8 +582,7 @@ def spectrum_sweep(mode: str, bundle: ConfigBundle, start: Optional[float] = Non
     """
     given = (("start", start), ("stop", stop), ("step", step), ("linewidth", linewidth))
     # replace() re-runs SweepOptions validation on the mode and overrides
-    sweep = replace(bundle.sweep, mode=mode,
-                    **{k: float(v) for k, v in given if v is not None})
+    sweep = replace(bundle.sweep, mode=mode, **{k: v for k, v in given if v is not None})
     n_pts = int(math.floor((sweep.stop - sweep.start) / sweep.step + 1e-9)) + 1
     if n_pts < 1:
         raise ConfigValidationError("sweep.from",
@@ -582,8 +591,8 @@ def spectrum_sweep(mode: str, bundle: ConfigBundle, start: Optional[float] = Non
 
     run = with_mode(bundle, mode)
     profile = coupling_profile(run)
-    T_p, eta_p, eta_s, T_s = np.abs(_transfer_components(run, profile, delta_ps, 0.0,
-                                                         threads=threads)) ** 2
+    T_p, eta_p, eta_s, T_s = _abs2(_transfer_components(run, profile, delta_ps, 0.0,
+                                                        threads=threads))
     table = SpectrumTable(mode=mode, delta_p=delta_ps, T_p=T_p, eta_s=eta_s, T_s=T_s,
                           eta_p=eta_p)
     if sweep.linewidth is not None:

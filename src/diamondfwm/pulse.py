@@ -62,10 +62,9 @@ def propagate_pulse(bundle: ConfigBundle, duration: Optional[float] = None,
     pulse switched on at window/8, leaving most of the window for the
     causal medium response to ring down before it wraps around.
     """
-    given = (("duration", float, duration), ("shape", str, shape),
-             ("window", float, window), ("n_freq", int, n_freq))
+    given = {"duration": duration, "shape": shape, "window": window, "n_freq": n_freq}
     # replace() re-runs PulseOptions validation on the overrides
-    opts = replace(bundle.pulse, **{k: cast(v) for k, cast, v in given if v is not None})
+    opts = replace(bundle.pulse, **{k: v for k, v in given.items() if v is not None})
     duration, n_freq = opts.duration, opts.n_freq
     window = 8.0 * duration if opts.window is None else opts.window
     if bundle.drive is None:

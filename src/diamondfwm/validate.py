@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigBundle
-from .propagation import (PASSIVITY_TOL, _transfer_components, coupling_profile,
-                          observables_at, transfer_matrix, with_mode)
+from .propagation import (PASSIVITY_TOL, coupling_profile, observables_at, transfer_matrix,
+                          with_mode)
 from .response import _two_level_arrays, linear_response, liouvillian_steady_state, \
     two_level_steady_state
 
@@ -40,12 +40,12 @@ class CheckResult:
 
 def check_passivity(bundle: ConfigBundle, n_delta: int = 50, n_omega: int = 10,
                     tol: float = PASSIVITY_TOL) -> CheckResult:
-    profile = coupling_profile(bundle)
     deltas = np.linspace(bundle.sweep.start, bundle.sweep.stop, n_delta)
     omegas = np.linspace(-5.0, 5.0, n_omega)
     dp, om = [x.ravel() for x in np.meshgrid(deltas, omegas)]
-    rows = np.abs(_transfer_components(bundle, profile, dp, om).reshape(2, 2, -1)) ** 2
-    defect = float(np.max(rows[0] + rows[1]) - 1.0)   # largest column photon gain
+    obs = observables_at(bundle, dp, om)
+    # largest column photon gain, |a|^2 + |c|^2 or |b|^2 + |d|^2
+    defect = float(max(np.max(obs.T_p + obs.eta_s), np.max(obs.eta_p + obs.T_s)) - 1.0)
     return CheckResult("passivity", bool(defect <= tol),
                        f"max photon gain {defect:.3e} over {dp.size} "
                        f"(delta_p, omega) points (tol {tol:g})")

@@ -316,13 +316,14 @@ def test_readme_commands_parse():
 
 
 def test_cli_import_leaves_out_scipy_optimize_and_stats():
-    # the two subpackages took most of a fresh interpreter's set-up time
+    # scipy.optimize and scipy.stats took most of a fresh interpreter's
+    # set-up time; scipy.fft duplicated numpy.fft
     src = str(Path(diamondfwm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     code = ("import sys, diamondfwm.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', "
-            "'scipy.stats'))))")
+            "'scipy.stats', 'scipy.fft'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"

@@ -224,13 +224,35 @@ def test_config_is_rejected_or_gives_finite_observables(drawn):
 @pytest.mark.parametrize("key, value", [
     ("fields.delta_c", ".inf"), ("fields.omega_c", ".nan"), ("rates.Gamma2_total", ".inf"),
     ("pulse.duration", ".inf"), ("pulse.window", ".inf"), ("sweep.linewidth", ".inf"),
-    ("medium.od", ".inf"), ("medium.alpha_p", "-.inf")])
+    ("medium.od", ".inf"), ("medium.alpha_p", "-.inf"), ("pulse.n_freq", ".inf")])
 def test_non_finite_value_names_its_key(key, value):
     section, name = key.split(".")
     doc = f"{section}:\n  {name}: {value}\n"
     with pytest.raises(ConfigValidationError) as err:
         parse_config(doc if section == "medium" else MINIMAL + doc)
     assert key in str(err.value)
+
+
+@pytest.mark.parametrize("make, key", [
+    pytest.param(lambda: dfm.MediumConfig.derive(RateTable(), od=True), "medium.od", id="od-bool"),
+    pytest.param(lambda: dfm.MediumConfig.derive(RateTable(), od="75"), "medium.od", id="od-str"),
+    pytest.param(lambda: dfm.MediumConfig.derive(RateTable(), alpha_p="150"), "medium.alpha_p",
+                 id="alpha_p-str"),
+    pytest.param(lambda: dfm.MediumConfig.derive(RateTable(), od=75.0, lambda_p="795"),
+                 "medium.lambda_p", id="lambda_p-str"),
+    pytest.param(lambda: dfm.SweepOptions(start=True), "sweep.from", id="start-bool"),
+    pytest.param(lambda: dfm.SweepOptions(linewidth=True), "sweep.linewidth",
+                 id="linewidth-bool"),
+    pytest.param(lambda: dfm.SweepOptions(step="0.1"), "sweep.step", id="step-str"),
+    pytest.param(lambda: dfm.PulseOptions(window=True), "pulse.window", id="window-bool"),
+    pytest.param(lambda: dfm.PulseOptions(duration="7"), "pulse.duration", id="duration-str"),
+    pytest.param(lambda: RateTable(Gamma4_total="x"), "rates.Gamma4_total",
+                 id="Gamma4_total-str")])
+def test_python_api_rejects_wrong_types_by_key(make, key):
+    # the YAML reader checks these types itself; a Python caller reaches
+    # the config classes directly
+    with pytest.raises(ConfigValidationError, match=f"^{re.escape(key)}: must be a number"):
+        make()
 
 
 @pytest.mark.parametrize("doc, section, name, want", [

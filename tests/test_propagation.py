@@ -538,6 +538,49 @@ def test_sweep_threads_match_serial(fig3_small):
     assert np.array_equal(serial.eta_s, threaded.eta_s)
 
 
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_sweep_rows_equal_observables_at_bitwise(name):
+    for mode in dfm.config.SWEEP_MODES:
+        b = dfm.with_mode(dfm.preset(name), mode)
+        table = spectrum_sweep(mode, b, start=-10.0, stop=15.0, step=0.25)
+        for k, dp in enumerate(table.delta_p):
+            obs = observables_at(b, delta_p=float(dp))
+            assert (obs.T_p, obs.eta_s, obs.T_s, obs.eta_p) == \
+                (table.T_p[k], table.eta_s[k], table.T_s[k], table.eta_p[k]), (mode, dp)
+
+
+def test_array_observables_equal_scalar_calls(fig3_small):
+    dp, om = np.linspace(-10.0, 15.0, 23), np.linspace(-5.0, 5.0, 23)
+    got = observables_at(fig3_small, delta_p=dp, omega=om)
+    assert got.eta_s.shape == (23,)
+    for k in range(dp.size):
+        assert observables_at(fig3_small, delta_p=float(dp[k]), omega=float(om[k])) == \
+            dfm.Observables(*(float(v[k]) for v in (got.T_p, got.eta_s, got.T_s, got.eta_p)))
+    # a DriveBatch drive gives each point its own delta_p
+    drives = [replace(fig3_small.drive, omega_c=w, delta_p=d)
+              for w, d in ((0.0, 1.0), (11.0, -1.0), (25.0, 3.5))]
+    batch = observables_at(replace(fig3_small, drive=propagation.DriveBatch.stack(drives)))
+    for k, drive in enumerate(drives):
+        assert observables_at(replace(fig3_small, drive=drive)).eta_s == batch.eta_s[k]
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_passivity_check_is_unchanged(name):
+    # reference: the column photon gain from np.abs over the raw transfer
+    # entries of the same grid; the verdict and its 3-digit detail must not
+    # depend on which abs convention squares them
+    from diamondfwm.validate import check_passivity
+    b = dfm.preset(name)
+    dp, om = [x.ravel() for x in np.meshgrid(np.linspace(b.sweep.start, b.sweep.stop, 50),
+                                             np.linspace(-5.0, 5.0, 10))]
+    rows = np.abs(propagation._transfer_components(b, coupling_profile(b), dp, om)
+                  .reshape(2, 2, -1)) ** 2
+    defect = float(np.max(rows[0] + rows[1]) - 1.0)
+    got = check_passivity(b)
+    assert got.passed == (defect <= 1e-9)
+    assert got.detail == f"max photon gain {defect:.3e} over 500 (delta_p, omega) points (tol 1e-09)"
+
+
 def test_drive_required(fig3_small):
     with pytest.raises(ConfigValidationError):
         observables_at(replace(fig3_small, drive=None))
