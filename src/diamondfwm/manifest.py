@@ -10,6 +10,8 @@ they round-trip exactly.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,6 +21,13 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigBundle, bundle_hash
+
+
+def environment() -> dict:
+    """What a run's wall time depends on: Python and numpy versions and
+    the core count (``os.cpu_count()``)."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "nproc": os.cpu_count()}
 
 
 @dataclass(frozen=True)
@@ -31,11 +40,12 @@ class RunManifest:
     duration_s: Optional[float] = None
     args: dict = field(default_factory=dict)
     results: dict = field(default_factory=dict)   # verdicts on the run's output
+    env: dict = field(default_factory=environment)
 
     def as_dict(self) -> dict:
         doc = {"command": self.command, "config_hash": self.config_hash,
                "preset": self.preset, "seed": self.seed, "version": self.version,
-               "duration_s": self.duration_s}
+               "duration_s": self.duration_s, "env": self.env}
         doc.update({f"arg_{k}": v for k, v in sorted(self.args.items())})
         doc.update(sorted(self.results.items()))
         return doc

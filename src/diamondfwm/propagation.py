@@ -15,8 +15,11 @@ equations along zeta in [0, 1] are
 
 with M assembled from the local linear response at the attenuated
 coupling field omega_c(zeta).  The coupling profile is evaluated in
-closed form (Wright omega function) at the boundaries of the n_z steps
-and at the three Gauss-Legendre nodes of each step.  Each step's
+closed form at the boundaries of the n_z steps and at the three
+Gauss-Legendre nodes of each step, through the real Wright omega
+function, computed here by the Fritsch-Shafer-Crowley iteration
+(Fritsch, Shafer & Crowley, CACM 16 (1973) 123; Lawrence, Corless &
+Jeffrey, ACM TOMS 38 (2012) 20, Algorithm 917).  Each step's
 propagator is exp(Omega) with Omega the sixth-order Magnus expansion
 built from M at those three nodes (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470 (2009), section 4), and the 2x2 exponential is taken in
@@ -54,7 +57,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import wrightomega
 
 from .config import ConfigBundle, with_mode
 from .errors import ConfigValidationError, NumericalError
@@ -153,6 +155,30 @@ class TransferMatrix:
         return np.array([[self.a, self.b], [self.c, self.d]])
 
 
+def _wright_omega(z: np.ndarray) -> np.ndarray:
+    """Real Wright omega function: the w solving w + ln w = z, elementwise.
+
+    Algorithm 917 (Lawrence, Corless & Jeffrey 2012) on the real line:
+    the initial guess e^z below z = -2, e^(2(z - 1)/3) on [-2, 1) and
+    z - ln z + ln z / z above, then two Fritsch-Shafer-Crowley steps
+    (Fritsch, Shafer & Crowley 1973), each of fourth order.  Below
+    z = -50, w = e^z to double precision (it may underflow to 0); above
+    z = 1e20, w = z.  The iteration runs on z clipped to [-50, 1e20], so
+    that no lane under- or overflows into a warning.
+    """
+    zc = np.clip(z, -50.0, 1e20)
+    zl, zh = np.minimum(zc, 1.0), np.maximum(zc, 1.0)   # each guess's lanes, kept in its range
+    ln = np.log(zh)
+    w = np.where(zc < 1.0, np.exp(np.where(zc < -2.0, zc, 2.0 * (zl - 1.0) / 3.0)),
+                 zh - ln + ln / zh)
+    for _ in range(2):
+        r = zc - w - np.log(w)
+        wp1 = w + 1.0
+        t = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)
+        w = w * (1.0 + r / wp1 * (t - r) / (t - 2.0 * r))
+    return np.where(z < -50.0, np.exp(np.minimum(z, -50.0)), np.where(z > 1e20, z, w))
+
+
 def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
     """Coupling-field envelope across the medium, in closed form.
 
@@ -163,7 +189,8 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
     separable: with s = |w|^2, a = gamma31 s0/den0 and
     r = 2 Re(num) zeta/den0, x = gamma31 s/den0 solves x + ln x = z with
     z = ln a + a + r, so x is the Wright omega function of z (Corless &
-    Jeffrey 2002), and w = w0 exp(num/(2 Re num) * ln(s/s0)).
+    Jeffrey 2002), evaluated by ``_wright_omega`` (Fritsch-Shafer-Crowley
+    iteration, Algorithm 917), and w = w0 exp(num/(2 Re num) * ln(s/s0)).
 
     With a DriveBatch as the drive, ``omega_c`` has one row per point.
     The scalars of each drive (den0, num, ln a, a) are Python float
@@ -199,7 +226,7 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
         k, *cols = zip(*rows)
         w0, ln_a, z0, a, slope, e = (np.array(col)[:, None] for col in cols)
         r = slope * zeta
-        x = wrightomega(z0 + r)
+        x = _wright_omega(z0 + r)
         # x < 1: ln x = z - x, so ln(s/s0) = (a - x) + r, safe even if x underflows;
         # x >= 1: log(x) keeps the digits that a - x would cancel when saturated
         with np.errstate(divide="ignore"):
@@ -373,7 +400,8 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     """Transfer-matrix entries for arrays of detuning pairs, as one
     (4, batch) array whose rows are a, b, c and d.
 
-    ``delta_p`` and ``omega`` are broadcast to a common 1-D batch.  The
+    ``delta_p`` and ``omega`` (scalars or 1-D arrays; ValueError names
+    one of higher rank) are broadcast to a common 1-D batch.  The
     sideband frequency shifts every detuning of the response alike, so
     the kernel sees only delta_p + omega.  If the bundle's drive is a
     DriveBatch (with ``profile`` its coupling profile), entry k of the
@@ -386,8 +414,11 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     if bundle.drive is None:
         raise ConfigValidationError("fields", "this config has no drive fields")
     rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
-    x = np.add(*np.broadcast_arrays(np.atleast_1d(np.asarray(delta_p, float)),
-                                    np.atleast_1d(np.asarray(omega, float))))
+    detunings = {"delta_p": np.asarray(delta_p, float), "omega": np.asarray(omega, float)}
+    for name, v in detunings.items():
+        if v.ndim > 1:
+            raise ValueError(f"{name} must be a scalar or a 1-D array, got shape {v.shape}")
+    x = np.add(*np.broadcast_arrays(*map(np.atleast_1d, detunings.values())))
     n = profile.n_steps
     i0, i1 = step_range if step_range is not None else (0, n)
     if not (0 <= i0 <= i1 <= n):

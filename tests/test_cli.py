@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import shlex
 import subprocess
 import sys
@@ -327,6 +328,27 @@ def test_cli_import_leaves_out_scipy_optimize_and_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_and_first_observables_load_no_scipy():
+    # scipy is a test dependency only; the real Wright omega is in-package
+    src = str(Path(diamondfwm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = ("import sys, diamondfwm.cli\n"
+            "from diamondfwm import observables_at, preset\n"
+            "observables_at(preset('fig3'))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_spectrum_manifest_records_environment(tmp_path):
+    assert run(["spectrum", "--preset", "fig3", "--from", 0, "--to", 1, "--out", tmp_path]) == 0
+    manifest, _ = read_csv(tmp_path / "spectrum_fwm.csv")
+    assert manifest["env"] == {"python": platform.python_version(), "numpy": np.__version__,
+                               "nproc": os.cpu_count()}
 
 
 @pytest.mark.parametrize("max_evals", [0, -1])

@@ -143,6 +143,37 @@ def test_fig3_profile_regression(fig3):
     assert ratio == pytest.approx(0.8925153225689889, rel=1e-9)
 
 
+def test_wright_omega_matches_scipy():
+    from scipy.special import wrightomega
+    # dense over each region of the initial guess, its edges from both
+    # sides, an argument whose omega underflows to 0 and one above 1e20
+    edges = np.array([-50.0, -2.0, 1.0, 1e20])
+    z = np.concatenate([np.linspace(-60.0, 30.0, 90_001), np.geomspace(1.0, 1e22, 2_001),
+                        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                        [-1e4, 1e21]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = propagation._wright_omega(z)
+    want = wrightomega(z)
+    normal = want >= np.finfo(float).tiny
+    assert np.all(np.abs(got[normal] - want[normal]) <= 1e-14 * want[normal])
+    assert np.array_equal(got[~normal], want[~normal])
+    assert got[z == -1e4] == 0.0 and got[z == 1e21] == 1e21
+
+
+def test_batch_profile_rows_equal_single_drive_profiles():
+    # no beam, a beam that saturates the medium, and the delta_c whose
+    # square numpy rounds differently from C's pow
+    drives = [dfm.DriveConfig(omega_c=wc, omega_d=0.0, delta_p=0.0, delta_c=dc, delta_d=0.0)
+              for wc, dc in ((0.0, 5.0), (11.0, -13.952544085020115), (1e4, 5.0),
+                             (26.0, 9.0), (0.5, 0.0))]
+    batch = coupling_profile(bundle_for(od=200.0, drive=propagation.DriveBatch.stack(drives)))
+    assert batch.omega_c.shape == (len(drives), batch.zeta.size)
+    for row, drive in zip(batch.omega_c, drives):
+        single = coupling_profile(bundle_for(od=200.0, drive=drive)).omega_c
+        assert row.tobytes() == single.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # transfer matrix
 
@@ -579,6 +610,14 @@ def test_passivity_check_is_unchanged(name):
     got = check_passivity(b)
     assert got.passed == (defect <= 1e-9)
     assert got.detail == f"max photon gain {defect:.3e} over 500 (delta_p, omega) points (tol 1e-09)"
+
+
+def test_two_dimensional_detunings_rejected_by_name(fig3_small):
+    with pytest.raises(ValueError, match=r"delta_p must be a scalar or a 1-D array, "
+                                         r"got shape \(3, 1\)"):
+        observables_at(dfm.preset("fig3"), delta_p=np.array([[-1.0], [0.0], [1.0]]))
+    with pytest.raises(ValueError, match=r"omega .* got shape \(1, 2\)"):
+        observables_at(fig3_small, omega=np.zeros((1, 2)))
 
 
 def test_drive_required(fig3_small):
