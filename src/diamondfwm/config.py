@@ -369,12 +369,7 @@ def parse_config(text: str) -> ConfigBundle:
 
     rates = RateTable(**_checked_section(doc, "rates"))
 
-    med = _checked_section(doc, "medium", od=float)
-    if "alpha_p" in med and "od" in med:
-        raise ConfigValidationError("medium.alpha_p", "specify either alpha_p or od, not both")
-    if "alpha_p" not in med and "od" not in med:
-        raise ConfigValidationError("medium.alpha_p", "config must set medium.alpha_p or medium.od")
-    medium = MediumConfig.derive(rates, **med)
+    medium = MediumConfig.derive(rates, **_checked_section(doc, "medium", od=float))
 
     drive = None
     if doc.get("fields") is not None:

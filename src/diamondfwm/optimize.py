@@ -89,6 +89,8 @@ def _check_bounds(bounds) -> np.ndarray:
         raise BoundsError("optimize.bounds", "bounds must be finite")
     if np.any(b[:, 0] > b[:, 1]):
         raise BoundsError("optimize.bounds", "lower bounds exceed upper bounds")
+    if np.any(b[:2, 0] < 0.0):
+        raise BoundsError("optimize.bounds", "Rabi frequency bounds must be >= 0")
     return b
 
 
@@ -210,31 +212,33 @@ def _lockstep(objective, x0s: np.ndarray, bounds: np.ndarray, max_evals: int):
 def make_objective(od: float, rates: Optional[RateTable] = None, **grid):
     """eta_s as a function of (omega_c, omega_d, delta_c, delta_d, delta_p).
 
-    A (5,) point gives a float through ``observables_at``.  A (K, 5)
-    array gives K values from one ``observables_at`` call on a
-    DriveBatch, each equal bit for bit to the value of its row alone.
-    ``grid`` sets ``n_z`` and the wavelengths as in
-    ``MediumConfig.derive``.  Evaluation failures are re-raised with the
-    offending parameter vector attached; in a batch, that of the first
-    row that fails alone.
+    A (K, 5) array gives K values from one ``observables_at`` call on a
+    DriveBatch of its rows, each equal bit for bit to the value of its
+    row alone; a (5,) point is a batch of one and gives a float.  A row
+    with an entry that is not finite or a negative Rabi frequency raises
+    the keyed error of ``DriveConfig``.  ``grid`` sets ``n_z`` and the
+    wavelengths as in ``MediumConfig.derive``.  Evaluation failures are
+    re-raised with the offending parameter vector attached; in a batch,
+    that of the first row that fails alone.
     """
     rates = rates if rates is not None else RateTable()
     medium = MediumConfig.derive(rates, od=od, **grid)
 
-    def drive(x) -> DriveConfig:
-        return DriveConfig(**dict(zip(PARAM_NAMES, map(float, x))))
-
     def objective(x):
-        batched = np.ndim(x) == 2
-        points = DriveBatch.stack([drive(row) for row in x]) if batched else drive(x)
+        X = np.atleast_2d(np.asarray(x, float))
+        bad = ~(np.isfinite(X).all(axis=1) & (X[:, :2] >= 0.0).all(axis=1))
+        if bad.any():   # DriveConfig raises the keyed error for the first bad row
+            DriveConfig(**dict(zip(PARAM_NAMES, X[bad.argmax()].tolist())))
+        points = DriveBatch(**dict(zip(PARAM_NAMES, X.T)))
         try:
-            return observables_at(ConfigBundle(rates=rates, medium=medium, drive=points)).eta_s
+            eta = observables_at(ConfigBundle(rates=rates, medium=medium, drive=points)).eta_s
         except SimulationError as exc:
-            if batched:
-                for row in x:   # raises for the first row that fails alone
+            if len(X) > 1:
+                for row in X:   # raises for the first row that fails alone
                     objective(row)
                 raise
-            raise ObjectiveError(f"objective evaluation failed: {exc}", x) from exc
+            raise ObjectiveError(f"objective evaluation failed: {exc}", X[0]) from exc
+        return eta if np.ndim(x) == 2 else float(eta[0])
 
     return objective
 

@@ -28,15 +28,17 @@ accuracy that fixed-step RK4 needed 2000 steps for at the presets;
 above OD ~300 the grid must grow with the optical depth (README,
 "Spatial grid").
 
-The transfer-matrix kernel (chi assembly, step propagators and their
-ordered product) runs over tiles of the detuning batch.  A tile holds
+The transfer-matrix kernel (two-level state, chi assembly, step
+propagators and their ordered product) runs over tiles of the detuning
+batch; one drive is a batch of one that all detunings share.  A tile holds
 max(1, _TILE_ELEMENTS // (3 n_z)) frequencies, laid out as (entry,
 Gauss node, frequency, step): the four entries of each 2x2 matrix, or
 the three of a traceless part, are one block, so that one numpy call
 covers them and runs along the steps.  Every operation writes through
 ``out=`` into the calling thread's Workspace, a stack in one buffer
 from which each stage frees its scratch for the next; it grows only
-when a larger tile arrives, so the kernel allocates nothing per tile.
+when a larger tile arrives, so no array of a tile's full size is
+allocated per tile.
 Plain expressions map and unmap their temporaries on every operation:
 on a 2-core x86_64 host at 16,384 elements per tile, a 1,001-row fig3
 sweep took 473 ms against 303 ms (59 k minor page faults against 5)
@@ -403,16 +405,15 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     ``delta_p`` and ``omega`` (scalars or 1-D arrays; ValueError names
     one of higher rank) are broadcast to a common 1-D batch.  The
     sideband frequency shifts every detuning of the response alike, so
-    the kernel sees only delta_p + omega.  If the bundle's drive is a
-    DriveBatch (with ``profile`` its coupling profile), entry k of the
-    batch is solved at drive point k; otherwise every entry shares the
-    drive.  ``step_range`` selects a slice [i0, i1) of the n_z steps
-    (used for compositionality checks).  Raises NumericalError if any
-    entry is not finite or any column gains photons, |a|^2 + |c|^2 or
-    |b|^2 + |d|^2 above 1 + PASSIVITY_TOL.
+    the kernel sees only delta_p + omega.  The bundle's drive, which its
+    callers check is set, and ``profile``, its coupling profile, have one
+    row per point of a DriveBatch or one for a DriveConfig; entry k of
+    the batch is solved at row k, or at the only row (ValueError if
+    neither fits).  ``step_range`` selects a slice [i0, i1) of the n_z
+    steps (used for compositionality checks).  Raises NumericalError if
+    any entry is not finite or any column gains photons, |a|^2 + |c|^2
+    or |b|^2 + |d|^2 above 1 + PASSIVITY_TOL.
     """
-    if bundle.drive is None:
-        raise ConfigValidationError("fields", "this config has no drive fields")
     rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
     detunings = {"delta_p": np.asarray(delta_p, float), "omega": np.asarray(omega, float)}
     for name, v in detunings.items():
@@ -429,14 +430,16 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
         out[[0, 3]] = 1.0
         return out
 
-    # the Gauss nodes of steps i0..i1-1 as (node, point, step), with one
-    # point row per drive of a DriveBatch, or one row that all detunings
-    # share; see _step_propagators
+    # the Gauss nodes of steps i0..i1-1 as (node, row, step), and the
+    # drive as (row, 1) columns: one row per point of a DriveBatch, or one
+    # row that all detunings share; see _step_propagators
     wc = profile.omega_c[..., 1:].reshape(profile.omega_c.shape[:-1] + (n, 4))[..., i0:i1, :3]
-    wc = np.ascontiguousarray(np.moveaxis(wc, -1, 0).reshape(3, -1, i1 - i0))
-    batched = isinstance(drive, DriveBatch)
-    if batched and not wc.shape[1] == drive.delta_c.size == x.size:
-        raise ValueError(f"{drive.delta_c.size} drive points, {wc.shape[1]} profile rows "
+    wc = np.moveaxis(wc, -1, 0).reshape(3, -1, i1 - i0)
+    delta_c, delta_d, omega_d = (np.reshape(v, (-1, 1))
+                                 for v in (drive.delta_c, drive.delta_d, drive.omega_d))
+    points = delta_c.shape[0]
+    if wc.shape[1] != points or points not in (1, x.size):
+        raise ValueError(f"{points} drive points, {wc.shape[1]} profile rows "
                          f"and {x.size} detunings do not pair up")
 
     cp = 0.5 * rates.gamma21 * medium.alpha_p
@@ -444,35 +447,30 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     cx = 0.5 * math.sqrt(rates.gamma21 * medium.alpha_p * rates.gamma43 * medium.alpha_s)
     couplings = np.array((1j * cp, 1j * cx, 1j * cx, 1j * cs)).reshape(4, 1, 1, 1)
 
-    def chi_inputs(wc, delta_c, delta_d, omega_d):   # the arguments of _chi_arrays but x
-        rho33, rho31 = _two_level_arrays(wc, delta_c, rates.gamma31, rates.Gamma3_total)
-        return wc, 1.0 - rho33, np.conj(rho31), rho31, rho33, delta_c, delta_d, omega_d
-
     per_tile = max(1, _TILE_ELEMENTS // (3 * (i1 - i0)))
     slices = [slice(k, min(k + per_tile, x.size)) for k in range(0, x.size, per_tile)]
-    if batched:   # each tile holds its own points' grid and drive, (point, 1) for the latter
-        inputs = [chi_inputs(np.ascontiguousarray(wc[:, sl]), drive.delta_c[sl, None],
-                             drive.delta_d[sl, None], drive.omega_d[sl, None]) for sl in slices]
-    else:
-        inputs = [chi_inputs(wc, drive.delta_c, drive.delta_d, drive.omega_d)] * len(slices)
     out = np.empty((4,) + x.shape, dtype=np.complex128)
 
-    def run_tile(sl, args):
+    def run_tile(sl):
         ws = _workspace()
         ws.reset()
+        r = slice(None) if points == 1 else sl   # the tile's drive rows
         # an overflow shows as a non-finite or non-passive output, which
         # the guard below reports once; errstate is per thread, so it is set here
         with np.errstate(over="ignore", invalid="ignore"):
-            M = _chi_arrays(*args[:5], x[sl][:, None], *args[5:], rates, ws=ws)
+            rho33, rho31 = _two_level_arrays(wc[:, r], delta_c[r], rates.gamma31,
+                                             rates.Gamma3_total)
+            M = _chi_arrays(wc[:, r], rho33, rho31, x[sl][:, None], delta_c[r], delta_d[r],
+                            omega_d[r], rates, ws=ws)
             np.multiply(couplings, M, out=M)   # M = i c chi
             out[:, sl] = _ordered_product(_step_propagators(M, h, ws=ws), ws=ws)
 
     if threads > 1 and len(slices) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_tile, slices, inputs))
+            list(pool.map(run_tile, slices))
     else:
-        for sl, args in zip(slices, inputs):
-            run_tile(sl, args)
+        for sl in slices:
+            run_tile(sl)
     finite = np.isfinite(out).all()
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.abs(out.reshape(2, 2, -1)) ** 2   # (|a|^2, |b|^2), (|c|^2, |d|^2)
@@ -495,10 +493,10 @@ def transfer_matrix(omega: float, bundle: ConfigBundle,
     ``zeta_span`` is snapped to the nearest step boundaries; the
     default covers the whole medium.
     """
-    if profile is None:
-        profile = coupling_profile(bundle)
+    if profile is None or bundle.drive is None:
+        profile = coupling_profile(bundle)   # raises for a drive-less bundle
     if delta_p is None:
-        delta_p = bundle.drive.delta_p if bundle.drive is not None else 0.0
+        delta_p = bundle.drive.delta_p
     n = profile.n_steps
     i0 = round(zeta_span[0] * n)
     i1 = round(zeta_span[1] * n)

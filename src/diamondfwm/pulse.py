@@ -67,8 +67,7 @@ def propagate_pulse(bundle: ConfigBundle, duration: Optional[float] = None,
     opts = replace(bundle.pulse, **{k: v for k, v in given.items() if v is not None})
     duration, n_freq = opts.duration, opts.n_freq
     window = 8.0 * duration if opts.window is None else opts.window
-    if bundle.drive is None:
-        raise ConfigValidationError("fields", "this config has no drive fields")
+    profile = coupling_profile(bundle)   # raises for a drive-less bundle
     delta_p = bundle.drive.delta_p if delta_p is None else float(delta_p)
     if not math.isfinite(delta_p):
         raise ConfigValidationError("fields.delta_p", f"must be finite, got {delta_p}")
@@ -93,9 +92,8 @@ def propagate_pulse(bundle: ConfigBundle, duration: Optional[float] = None,
     spectrum = np.fft.ifft(envelope)
     omegas = 2.0 * np.pi * np.fft.fftfreq(n_freq, d=dt)
 
-    a, _, c, _ = _transfer_components(bundle, coupling_profile(bundle),
-                                      np.full(n_freq, float(delta_p)), omegas,
-                                      threads=threads)
+    a, _, c, _ = _transfer_components(bundle, profile, np.full(n_freq, float(delta_p)),
+                                      omegas, threads=threads)
     out_p = np.fft.fft(spectrum * a)
     out_s = np.fft.fft(spectrum * c)
     return PulseResult(time=t,

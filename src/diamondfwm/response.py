@@ -136,8 +136,7 @@ class Workspace:
         self._top = 0
 
 
-def _chi_arrays(omega_c, rho11, rho13, rho31, rho33,
-                x, delta_c, delta_d, omega_d, rates, ws=None):
+def _chi_arrays(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, ws=None):
     """Susceptibility coefficients on broadcastable arrays.
 
     Solves the steady-state system for the first-order coherences
@@ -155,10 +154,11 @@ def _chi_arrays(omega_c, rho11, rho13, rho31, rho33,
     exact dense elimination specialized to the block structure and
     vectorizes over position and frequency.
 
-    ``delta_c``, ``delta_d`` and ``omega_d`` are scalars, or per-drive
-    arrays that broadcast like ``x`` (one drive point per detuning).
-    Every array of the grid shape (``omega_c`` and the populations and
-    coherences) or of the full shape is taken from ``ws`` (a fresh
+    ``rho33`` and ``rho31`` are the two-level state; rho11 = 1 - rho33
+    and rho13 = conj(rho31) are formed here.  ``delta_c``, ``delta_d``
+    and ``omega_d`` are scalars, or per-drive arrays that broadcast like
+    ``x``.  Every array of the grid shape (``omega_c`` and the populations
+    and coherences) or of the full shape is taken from ``ws`` (a fresh
     Workspace when None).  The result, one (4,) + full block of chi_pp,
     chi_ps, chi_sp and chi_ss, stays taken; the scratch is free again on
     return.  Each step is the numpy operation of the formula in the
@@ -166,7 +166,7 @@ def _chi_arrays(omega_c, rho11, rho13, rho31, rho33,
     not depend on how the frequencies are split into calls, bit for bit.
     """
     ws = Workspace() if ws is None else ws
-    grid = np.broadcast_shapes(*(np.shape(a) for a in (omega_c, rho11, rho13, rho31, rho33)))
+    grid = np.broadcast_shapes(*(np.shape(a) for a in (omega_c, rho31, rho33)))
     full = np.broadcast_shapes(grid, np.shape(x))
     mul, add, sub = np.multiply, np.add, np.subtract
     chi = ws.take((4,) + full)
@@ -236,8 +236,9 @@ def _chi_arrays(omega_c, rho11, rho13, rho31, rho33,
 
         # probe source: bp = -(i/2)(rho11, rho13), bq = 0
         with ws.frame():
-            bp1 = mul(-0.5j, rho11, out=ws.take(grid))
-            bp2 = mul(-0.5j, rho13, out=ws.take(grid))
+            bp1, bp2 = ws.take(grid), ws.take(grid)
+            mul(-0.5j, sub(1.0, rho33, out=bp1), out=bp1)
+            mul(-0.5j, np.conj(rho31, out=bp2), out=bp2)
             solve_p(bp1, bp2, chi_pp, p2)
         # chi_sp = -v (d3 p2 - occ chi_pp) inv_q
         mul(d3, p2, out=chi_sp)
@@ -272,8 +273,7 @@ def linear_response(omega: float, drive: DriveConfig, omega_c_local: complex,
     """First-order response of the four weak-field coherences at sideband
     frequency ``omega``, for the given local coupling Rabi frequency and
     the zeroth-order state consistent with it."""
-    chi = _chi_arrays(np.complex128(omega_c_local),
-                      zeroth.rho11, zeroth.rho13, zeroth.rho31, zeroth.rho33,
+    chi = _chi_arrays(np.complex128(omega_c_local), zeroth.rho33, zeroth.rho31,
                       float(drive.delta_p) + float(omega), drive.delta_c,
                       drive.delta_d, drive.omega_d, rates)
     return ResponseMatrix(*(complex(c) for c in chi))

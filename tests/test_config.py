@@ -52,10 +52,12 @@ def test_malformed_document_is_a_parse_error():
 
 
 def test_missing_alpha_rejected():
-    with pytest.raises(ConfigValidationError):
+    with pytest.raises(ConfigValidationError) as err:
         parse_config("rates:\n  gamma_extra: 0.1\n")
-    with pytest.raises(ConfigValidationError):
+    assert err.value.key == "medium.alpha_p"
+    with pytest.raises(ConfigValidationError) as err:
         parse_config("medium:\n  alpha_p: 10\n  od: 5\n")
+    assert err.value.key == "medium.alpha_p"
 
 
 def test_wavelength_energy_conservation_enforced():

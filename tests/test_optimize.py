@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import diamondfwm as dfm
-from diamondfwm import BoundsError, ObjectiveError, optimize_eta
+from diamondfwm import BoundsError, ConfigValidationError, ObjectiveError, optimize_eta
 from diamondfwm.optimize import (PARAM_NAMES, SPREAD_TOL, _initial_simplex, _latin_hypercube,
                                  _lockstep, default_bounds)
 
@@ -48,6 +48,8 @@ def test_bad_bounds_rejected():
         optimize_eta(np.nan)
     with pytest.raises(BoundsError, match="optimize.seed"):
         optimize_eta(10.0, seed=1.5)
+    with pytest.raises(BoundsError, match="optimize.bounds"):   # a negative Rabi frequency
+        optimize_eta(10.0, bounds=[(-5.0, 5.0), *default_bounds()[1:]], starts=1)
 
 
 def test_deterministic_for_fixed_seed():
@@ -204,8 +206,23 @@ def test_batched_objective_matches_single_points_bitwise(od200_objective, k):
     X[1:2, 0] = 0.0                 # no coupling beam: a constant profile row
     got = od200_objective(X)
     assert got.shape == (k,)
+    rates = dfm.RateTable()
+    medium = dfm.MediumConfig.derive(rates, od=200.0)
     for row, eta in zip(X, got):
         assert eta == od200_objective(row)
+        drive = dfm.DriveConfig(**dict(zip(PARAM_NAMES, row.tolist())))
+        assert eta == dfm.observables_at(dfm.ConfigBundle(rates=rates, medium=medium,
+                                                          drive=drive)).eta_s
+
+
+@pytest.mark.parametrize("omega_c", [np.nan, -1.0])
+def test_bad_point_raises_keyed_error(od200_objective, omega_c):
+    point = np.array((omega_c, 5.0, 3.0, -2.0, 1.0))
+    X = np.array([(10.0, 5.0, 3.0, -2.0, 1.0), point, (12.0, 4.0, -1.0, 2.0, 0.5)])
+    for x in (point, X):
+        with pytest.raises(ConfigValidationError) as err:
+            od200_objective(x)
+        assert err.value.key == "fields.omega_c"
 
 
 def test_batched_objective_error_carries_failing_row():

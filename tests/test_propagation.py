@@ -410,6 +410,22 @@ def test_tiles_threads_and_step_ranges_match_reference_bitwise(monkeypatch, n_z)
     assert np.array_equal(got[0], np.ones(dp.size)) and not np.any(got[1])
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("per_tile", [1, 3])
+def test_drive_batch_of_one_drive_matches_shared_drive_bitwise(monkeypatch, per_tile, threads):
+    b = dfm.preset("fig3")
+    batch = replace(b, drive=propagation.DriveBatch.stack([b.drive] * 67))
+    rng = np.random.default_rng(67)
+    dp, om = rng.uniform(-10, 15, 67), rng.uniform(-40, 40, 67)
+    monkeypatch.setattr(propagation, "_TILE_ELEMENTS", per_tile * 3 * b.medium.n_z)
+    want = propagation._transfer_components(b, coupling_profile(b), dp, om, threads=threads)
+    prof = coupling_profile(batch)
+    got = propagation._transfer_components(batch, prof, dp, om, threads=threads)
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="do not pair up"):
+        propagation._transfer_components(batch, prof, dp[:5], om[:5])
+
+
 def test_magnus_step_is_sixth_order():
     # halving the step cuts the error by 2^6 = 64 at the OD 200 drive
     drive = dfm.DriveConfig(omega_c=26.0, omega_d=17.0, delta_p=0.0, delta_c=9.0, delta_d=-7.0)
@@ -623,3 +639,5 @@ def test_two_dimensional_detunings_rejected_by_name(fig3_small):
 def test_drive_required(fig3_small):
     with pytest.raises(ConfigValidationError):
         observables_at(replace(fig3_small, drive=None))
+    with pytest.raises(ConfigValidationError):
+        transfer_matrix(0.0, replace(fig3_small, drive=None), profile=coupling_profile(fig3_small))
