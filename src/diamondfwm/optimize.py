@@ -256,13 +256,10 @@ def optimize_eta(od: float, bounds: Optional[Sequence] = None, starts: int = STA
     """
     if not (np.isfinite(od) and od >= 0):
         raise BoundsError("optimize.od", f"optical depth must be finite and >= 0, got {od}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise BoundsError("optimize.seed", f"must be a non-negative integer, got {seed!r}")
-    if starts < 1:
-        raise BoundsError("optimize.starts", "needs at least one start")
-    if max_evals < 1:
-        raise BoundsError("optimize.max_evals",
-                          f"needs at least one evaluation per start, got {max_evals}")
+    counts = {"seed": (seed, 0), "starts": (starts, 1), "max_evals": (max_evals, 1)}
+    for key, (value, least) in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise BoundsError(f"optimize.{key}", f"must be an integer >= {least}, got {value!r}")
     b = _check_bounds(bounds if bounds is not None else default_bounds())
     objective = make_objective(od, rates=rates, **grid)
     x0s = _latin_hypercube(b, starts, seed)

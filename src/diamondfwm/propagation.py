@@ -14,10 +14,10 @@ equations along zeta in [0, 1] are
     d/dzeta (u_p, u_s) = M(zeta, omega) (u_p, u_s)
 
 with M assembled from the local linear response at the attenuated
-coupling field omega_c(zeta).  The coupling profile is evaluated in
-closed form at the boundaries of the n_z steps and at the three
-Gauss-Legendre nodes of each step, through the real Wright omega
-function, computed here by the Fritsch-Shafer-Crowley iteration
+coupling field omega_c(zeta).  The coupling profile, with the
+two-level state it drives, is evaluated once in closed form at the three
+Gauss-Legendre nodes of each of the n_z steps, through the real Wright
+omega function, computed here by the Fritsch-Shafer-Crowley iteration
 (Fritsch, Shafer & Crowley, CACM 16 (1973) 123; Lawrence, Corless &
 Jeffrey, ACM TOMS 38 (2012) 20, Algorithm 917).  Each step's
 propagator is exp(Omega) with Omega the sixth-order Magnus expansion
@@ -28,9 +28,9 @@ accuracy that fixed-step RK4 needed 2000 steps for at the presets;
 above OD ~300 the grid must grow with the optical depth (README,
 "Spatial grid").
 
-The transfer-matrix kernel (two-level state, chi assembly, step
-propagators and their ordered product) runs over tiles of the detuning
-batch; one drive is a batch of one that all detunings share.  A tile holds
+The transfer-matrix kernel (chi assembly, step propagators and their
+ordered product) runs over tiles of the detuning batch; one drive is a
+batch of one that all detunings share.  A tile holds
 max(1, _TILE_ELEMENTS // (3 n_z)) frequencies, laid out as (entry,
 Gauss node, frequency, step): the four entries of each 2x2 matrix, or
 the three of a traceless part, are one block, so that one numpy call
@@ -81,23 +81,23 @@ _thread = threading.local()   # holds each thread's Workspace
 
 @dataclass(frozen=True)
 class CouplingProfile:
-    """Coupling Rabi frequency at the step boundaries and Gauss nodes.
+    """The kernel's zeroth-order input: the coupling Rabi frequency and
+    the two-level state it drives, at the Gauss-Legendre nodes.
 
-    ``zeta`` and ``omega_c`` have 4*n_steps + 1 entries in increasing
-    zeta: index 4i is the left boundary of step i (zeta = i/n_steps), and
-    4i+1, 4i+2, 4i+3 are its three Gauss-Legendre nodes, the middle one
-    at the step's midpoint.  The last entry is zeta = 1, and the middle
-    one zeta = 1/2.  For a DriveBatch, ``omega_c`` holds one such row per
-    drive point.
+    ``omega_c``, ``rho33`` and ``rho31`` are (node, row, step) arrays,
+    one row for a DriveConfig and one per point of a DriveBatch; ``zeta``
+    is (node, 1, step).  Node 1 is the midpoint of each of the n_steps.
     """
 
     zeta: np.ndarray
     omega_c: np.ndarray
+    rho33: np.ndarray
+    rho31: np.ndarray
     n_steps: int
 
     def __post_init__(self):
-        self.zeta.setflags(write=False)
-        self.omega_c.setflags(write=False)
+        for v in (self.zeta, self.omega_c, self.rho33, self.rho31):
+            v.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -194,21 +194,21 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
     Jeffrey 2002), evaluated by ``_wright_omega`` (Fritsch-Shafer-Crowley
     iteration, Algorithm 917), and w = w0 exp(num/(2 Re num) * ln(s/s0)).
 
-    With a DriveBatch as the drive, ``omega_c`` has one row per point.
     The scalars of each drive (den0, num, ln a, a) are Python float
-    arithmetic, so that a row equals the profile of its drive alone, bit
-    for bit (numpy's d ** 2 is not C's pow(d, 2) in the last bit).
+    arithmetic, so that a profile row equals the profile of its drive
+    alone, bit for bit (numpy's d ** 2 is not C's pow(d, 2) in the last
+    bit).  One ``_two_level_arrays`` call gives the state at all nodes.
+    NumericalError names fields.omega_c (or delta_c) if its square overflows.
     """
     if bundle.drive is None:
         raise ConfigValidationError("fields", "this config has no drive fields")
     rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
     n = medium.n_z
-    fractions = np.array((0.0,) + _NODES)
-    zeta = np.append(((np.arange(n)[:, None] + fractions) / n).ravel(), 1.0)
+    zeta = ((np.arange(n) + np.array(_NODES)[:, None]) / n)[:, None]   # (node, 1, step)
     g31, G3 = rates.gamma31, rates.Gamma3_total
     w0s = np.atleast_1d(drive.omega_c).tolist()
     dcs = np.atleast_1d(drive.delta_c).tolist()
-    omega_c = np.empty((len(w0s), zeta.size), complex)
+    omega_c = np.empty((3, len(w0s), n), complex)
     rows = []   # (row, w0, ln a, ln a + a, a, r / zeta, num / (2 Re num)) of absorbed beams
     for k, (w0, dc) in enumerate(zip(w0s, dcs)):
         w0 = complex(w0)
@@ -216,13 +216,17 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
         #        = num * w / (den0 + g31 |w|^2),  den0 = G3 (g31^2 + dc^2),
         # num = -(g31 ac / 4) den0 / (g31 - i dc); it vanishes with alpha_c,
         # gamma31 or den0, and then the beam is not absorbed at all
-        den0 = G3 * (g31 ** 2 + dc ** 2)
+        try:
+            den0, s0 = G3 * (g31 ** 2 + dc ** 2), abs(w0) ** 2
+        except OverflowError:
+            key, v = ("fields.omega_c", abs(w0)) if abs(w0) >= abs(dc) else ("fields.delta_c", dc)
+            raise NumericalError(f"{key} = {v:g} is too large: its square overflows") from None
         num = -0.25 * g31 * medium.alpha_c * G3 * (g31 + 1j * dc)
         if w0 == 0.0 or num == 0.0:
-            omega_c[k] = w0
+            omega_c[:, k] = w0
             continue
         ln_a = 2.0 * math.log(abs(w0)) + math.log(g31 / den0)
-        a = g31 * abs(w0) ** 2 / den0
+        a = g31 * s0 / den0
         rows.append((k, w0, ln_a, ln_a + a, a, 2.0 * num.real / den0, num / (2.0 * num.real)))
     if rows:
         k, *cols = zip(*rows)
@@ -233,10 +237,10 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
         # x >= 1: log(x) keeps the digits that a - x would cancel when saturated
         with np.errstate(divide="ignore"):
             log_ratio = np.where(x < 1.0, (a - x) + r, np.log(x) - ln_a)
-        omega_c[list(k)] = w0 * np.exp(e * log_ratio)
-    if not isinstance(drive, DriveBatch):
-        omega_c = omega_c[0]
-    return CouplingProfile(zeta=zeta, omega_c=omega_c, n_steps=n)
+        omega_c[:, list(k)] = w0 * np.exp(e * log_ratio)
+    with np.errstate(over="ignore", invalid="ignore"):   # reported by the kernel's guard
+        rho33, rho31 = _two_level_arrays(omega_c, np.reshape(drive.delta_c, (-1, 1)), g31, G3)
+    return CouplingProfile(zeta=zeta, omega_c=omega_c, rho33=rho33, rho31=rho31, n_steps=n)
 
 
 def _mat_mul(a, b, out, tmp):
@@ -406,13 +410,13 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     one of higher rank) are broadcast to a common 1-D batch.  The
     sideband frequency shifts every detuning of the response alike, so
     the kernel sees only delta_p + omega.  The bundle's drive, which its
-    callers check is set, and ``profile``, its coupling profile, have one
-    row per point of a DriveBatch or one for a DriveConfig; entry k of
-    the batch is solved at row k, or at the only row (ValueError if
-    neither fits).  ``step_range`` selects a slice [i0, i1) of the n_z
-    steps (used for compositionality checks).  Raises NumericalError if
-    any entry is not finite or any column gains photons, |a|^2 + |c|^2
-    or |b|^2 + |d|^2 above 1 + PASSIVITY_TOL.
+    callers check is set, and ``profile``, its coupling profile with the
+    two-level state, have one row per point of a DriveBatch or one for a
+    DriveConfig; entry k of the batch is solved at row k, or at the only
+    row (ValueError if neither fits).  ``step_range`` selects a slice
+    [i0, i1) of the n_z steps (used for compositionality checks).  Raises
+    NumericalError if any entry is not finite or any column gains
+    photons, |a|^2 + |c|^2 or |b|^2 + |d|^2 above 1 + PASSIVITY_TOL.
     """
     rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
     detunings = {"delta_p": np.asarray(delta_p, float), "omega": np.asarray(omega, float)}
@@ -430,11 +434,10 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
         out[[0, 3]] = 1.0
         return out
 
-    # the Gauss nodes of steps i0..i1-1 as (node, row, step), and the
-    # drive as (row, 1) columns: one row per point of a DriveBatch, or one
-    # row that all detunings share; see _step_propagators
-    wc = profile.omega_c[..., 1:].reshape(profile.omega_c.shape[:-1] + (n, 4))[..., i0:i1, :3]
-    wc = np.moveaxis(wc, -1, 0).reshape(3, -1, i1 - i0)
+    # the profile of steps i0..i1-1, as (node, row, step), and the drive
+    # as (row, 1) columns: one row per point of a DriveBatch, or one row
+    # that all detunings share; see _step_propagators
+    wc, rho33, rho31 = (v[..., i0:i1] for v in (profile.omega_c, profile.rho33, profile.rho31))
     delta_c, delta_d, omega_d = (np.reshape(v, (-1, 1))
                                  for v in (drive.delta_c, drive.delta_d, drive.omega_d))
     points = delta_c.shape[0]
@@ -458,10 +461,8 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
         # an overflow shows as a non-finite or non-passive output, which
         # the guard below reports once; errstate is per thread, so it is set here
         with np.errstate(over="ignore", invalid="ignore"):
-            rho33, rho31 = _two_level_arrays(wc[:, r], delta_c[r], rates.gamma31,
-                                             rates.Gamma3_total)
-            M = _chi_arrays(wc[:, r], rho33, rho31, x[sl][:, None], delta_c[r], delta_d[r],
-                            omega_d[r], rates, ws=ws)
+            M = _chi_arrays(wc[:, r], rho33[:, r], rho31[:, r], x[sl][:, None], delta_c[r],
+                            delta_d[r], omega_d[r], rates, ws=ws)
             np.multiply(couplings, M, out=M)   # M = i c chi
             out[:, sl] = _ordered_product(_step_propagators(M, h, ws=ws), ws=ws)
 
@@ -497,10 +498,8 @@ def transfer_matrix(omega: float, bundle: ConfigBundle,
         profile = coupling_profile(bundle)   # raises for a drive-less bundle
     if delta_p is None:
         delta_p = bundle.drive.delta_p
-    n = profile.n_steps
-    i0 = round(zeta_span[0] * n)
-    i1 = round(zeta_span[1] * n)
-    out = _transfer_components(bundle, profile, [delta_p], [omega], step_range=(i0, i1))
+    steps = tuple(round(z * profile.n_steps) for z in zeta_span)
+    out = _transfer_components(bundle, profile, [delta_p], [omega], step_range=steps)
     return TransferMatrix(float(omega), *(complex(v) for v in out[:, 0]))
 
 

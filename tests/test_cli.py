@@ -382,6 +382,27 @@ def test_spectrum_photon_gain_exit_4(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("key", ["omega_c", "delta_c"])
+def test_spectrum_field_whose_square_overflows_exit_4(tmp_path, capsys, key):
+    # finite, but |omega_c|^2 or delta_c^2 is beyond the float range
+    fields = {"omega_c": 11, "omega_d": 6, "delta_c": 5, "delta_d": -4, key: "1.0e200"}
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text("medium:\n  od: 75.0\nfields:\n"
+                   + "".join(f"  {k}: {v}\n" for k, v in fields.items()))
+    assert run(["spectrum", "--config", cfg, "--from", -1, "--to", 1, "--step", 0.5,
+                "--out", tmp_path]) == 4
+    assert f"fields.{key} = 1e+200 is too large" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_optimize_rabi_bound_whose_square_overflows_exit_4(tmp_path, capsys):
+    assert run(["optimize", "--od", 75, "--omega-max", 1e200, "--starts", 1,
+                "--max-evals", 10, "--out", tmp_path]) == 4
+    err = capsys.readouterr().err
+    assert "objective evaluation failed: fields.omega_c" in err and "at parameters" in err
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_unwritable_out_exit_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")

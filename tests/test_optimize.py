@@ -48,6 +48,10 @@ def test_bad_bounds_rejected():
         optimize_eta(np.nan)
     with pytest.raises(BoundsError, match="optimize.seed"):
         optimize_eta(10.0, seed=1.5)
+    for key, value in (("starts", 2.5), ("starts", True), ("max_evals", 2.5),
+                       ("max_evals", True), ("seed", True)):
+        with pytest.raises(BoundsError, match=f"optimize.{key}"):
+            optimize_eta(10.0, **{key: value})
     with pytest.raises(BoundsError, match="optimize.bounds"):   # a negative Rabi frequency
         optimize_eta(10.0, bounds=[(-5.0, 5.0), *default_bounds()[1:]], starts=1)
 

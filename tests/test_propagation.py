@@ -30,6 +30,17 @@ def bundle_for(alpha_p=None, od=None, drive=None, n_z=400, rates=RATES):
 # coupling profile
 
 
+def _along_zeta(prof):
+    """zeta and omega_c of the first profile row at every node, in increasing zeta."""
+    return prof.zeta[:, 0].T.ravel(), prof.omega_c[:, 0].T.ravel()
+
+
+def _half_and_last_nodes(prof):
+    """(node, step) of the middle node of the middle step, near zeta = 1/2,
+    and of the last node, near zeta = 1."""
+    return (1, prof.n_steps // 2), (2, prof.n_steps - 1)
+
+
 def test_no_medium_keeps_coupling_constant():
     b = bundle_for(alpha_p=0.0)
     prof = coupling_profile(b)
@@ -47,14 +58,16 @@ def test_weak_resonant_coupling_decays_at_quarter_alpha():
     assert med.alpha_c == pytest.approx(4.0)
     b = dfm.ConfigBundle(rates=rates, medium=med, drive=drive)
     prof = coupling_profile(b)
-    ratio = abs(prof.omega_c[-1]) / abs(prof.omega_c[0])
-    assert ratio == pytest.approx(math.exp(-1.0), abs=1e-4)
+    ratio = abs(prof.omega_c[-1, 0, -1]) / drive.omega_c   # at the last node
+    assert ratio == pytest.approx(math.exp(-med.alpha_c * prof.zeta[-1, 0, -1] / 4.0), abs=1e-4)
 
 
 def test_profile_magnitude_never_increases():
     for od in (10.0, 75.0, 110.0):
         b = bundle_for(od=od)
-        mags = np.abs(coupling_profile(b).omega_c)
+        zeta, wc = _along_zeta(coupling_profile(b))
+        assert np.all(np.diff(zeta) > 0.0)
+        mags = np.abs(np.concatenate([[b.drive.omega_c], wc]))   # from the input at zeta = 0
         assert np.all(np.diff(mags) <= 1e-12)
         assert mags[0] == 11.0
 
@@ -75,14 +88,14 @@ def test_profile_satisfies_separable_invariant(wc, dc, od):
     g31, G3 = RATES.gamma31, RATES.Gamma3_total
     den0 = G3 * (g31 ** 2 + dc ** 2)
     prof = coupling_profile(b)
-    s0 = abs(prof.omega_c[0]) ** 2
-    for idx in (len(prof.omega_c) // 2, -1):
-        zeta = prof.zeta[idx]
-        s = abs(prof.omega_c[idx]) ** 2
+    s0 = wc ** 2
+    for j, i in _half_and_last_nodes(prof):
+        zeta, w = prof.zeta[j, 0, i], prof.omega_c[j, 0, i]
+        s = abs(w) ** 2
         lhs = den0 * math.log(s / s0) + g31 * (s - s0)
         rhs = -0.5 * g31 ** 2 * b.medium.alpha_c * G3 * zeta
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
-        phase = np.angle(prof.omega_c[idx] / prof.omega_c[0])
+        phase = np.angle(w / wc)
         want = (dc / (2.0 * g31)) * math.log(s / s0)
         assert math.remainder(phase - want, 2 * math.pi) == pytest.approx(0.0, abs=1e-11)
 
@@ -111,17 +124,16 @@ def test_profile_matches_fine_rk4(name, wc, dc):
         drive = dfm.DriveConfig(omega_c=wc, omega_d=0.0, delta_p=0.0, delta_c=dc, delta_d=0.0)
         b = replace(b, drive=drive)
     prof = coupling_profile(b)
-    mid = len(prof.zeta) // 2
-    for idx, zeta_end in ((mid, 0.5), (-1, 1.0)):
-        want = _fine_rk4_profile(b, zeta_end)
-        assert abs(prof.omega_c[idx] - want) <= 1e-10 * abs(prof.omega_c[0])
+    for j, i in _half_and_last_nodes(prof):
+        want = _fine_rk4_profile(b, prof.zeta[j, 0, i])   # integrated to the node's own zeta
+        assert abs(prof.omega_c[j, 0, i] - want) <= 1e-10 * abs(b.drive.omega_c)
 
 
 @pytest.mark.parametrize("od, wc", [(1e5, 11.0), (1e7, 11.0), (75.0, 1e4), (1e5, 1e4)])
 def test_profile_stays_finite_and_monotone_at_extremes(od, wc):
     drive = dfm.DriveConfig(omega_c=wc, omega_d=0.0, delta_p=0.0, delta_c=5.0, delta_d=0.0)
     prof = coupling_profile(bundle_for(od=od, drive=drive, n_z=400))
-    mags = np.abs(prof.omega_c)
+    mags = np.abs(np.concatenate([[wc], _along_zeta(prof)[1]]))   # from the input at zeta = 0
     assert np.all(np.isfinite(prof.omega_c))
     assert np.all(np.diff(mags) <= 0.0)
     assert mags[0] == wc and mags[-1] < wc
@@ -138,9 +150,9 @@ def test_profile_constant_without_coupling_decay():
 
 def test_fig3_profile_regression(fig3):
     prof = coupling_profile(fig3)
-    ratio = abs(prof.omega_c[-1]) / abs(prof.omega_c[0])
+    ratio = abs(prof.omega_c[-1, 0, -1]) / fig3.drive.omega_c   # at the last node
     assert ratio > 0.8                    # far-detuned saturated absorption is weak
-    assert ratio == pytest.approx(0.8925153225689889, rel=1e-9)
+    assert ratio == pytest.approx(0.8925636035821114, rel=1e-9)
 
 
 def test_wright_omega_matches_scipy():
@@ -168,10 +180,12 @@ def test_batch_profile_rows_equal_single_drive_profiles():
               for wc, dc in ((0.0, 5.0), (11.0, -13.952544085020115), (1e4, 5.0),
                              (26.0, 9.0), (0.5, 0.0))]
     batch = coupling_profile(bundle_for(od=200.0, drive=propagation.DriveBatch.stack(drives)))
-    assert batch.omega_c.shape == (len(drives), batch.zeta.size)
-    for row, drive in zip(batch.omega_c, drives):
-        single = coupling_profile(bundle_for(od=200.0, drive=drive)).omega_c
-        assert row.tobytes() == single.tobytes()
+    assert batch.omega_c.shape == (3, len(drives), batch.n_steps)
+    for k, drive in enumerate(drives):
+        single = coupling_profile(bundle_for(od=200.0, drive=drive))
+        for name in ("omega_c", "rho33", "rho31"):
+            got, want = getattr(batch, name)[:, k], getattr(single, name)[:, 0]
+            assert got.tobytes() == want.tobytes(), (name, k)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +322,7 @@ def _reference_components(bundle, profile, delta_p, omega, step_range=None):
     if m == 0:
         ones, zeros = np.ones(len(delta_p), complex), np.zeros(len(delta_p), complex)
         return ones, zeros, zeros, ones
-    wc = profile.omega_c[1:].reshape(n, 4)[i0:i1, :3].T.ravel()[None, :]
+    wc = profile.omega_c[:, 0, i0:i1].ravel()[None, :]   # node-major, as the kernel's columns
     rho33, rho31 = _two_level_arrays(wc, dr.delta_c, r.gamma31, r.Gamma3_total)
     rho11, rho13 = 1.0 - rho33, np.conj(rho31)
     x = (np.asarray(delta_p, float) + np.asarray(omega, float))[:, None]
@@ -422,8 +436,33 @@ def test_drive_batch_of_one_drive_matches_shared_drive_bitwise(monkeypatch, per_
     prof = coupling_profile(batch)
     got = propagation._transfer_components(batch, prof, dp, om, threads=threads)
     assert got.tobytes() == want.tobytes()
+    steps = (b.medium.n_z // 3, b.medium.n_z - b.medium.n_z // 5)
+    want = propagation._transfer_components(b, coupling_profile(b), dp, om, step_range=steps,
+                                            threads=threads)
+    got = propagation._transfer_components(batch, prof, dp, om, step_range=steps,
+                                           threads=threads)
+    assert got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="do not pair up"):
         propagation._transfer_components(batch, prof, dp[:5], om[:5])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tiles_read_the_two_level_state_from_the_profile(monkeypatch, fig3, threads):
+    # the profile holds the two-level state: many tiles on one profile compute none
+    prof = coupling_profile(fig3)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _two_level_arrays(*args)
+
+    monkeypatch.setattr(propagation, "_two_level_arrays", counted)
+    monkeypatch.setattr(propagation, "_TILE_ELEMENTS", 3 * fig3.medium.n_z)   # 1 per tile
+    got = propagation._transfer_components(fig3, prof, np.linspace(-10.0, 15.0, 7), 0.0,
+                                           threads=threads)
+    assert np.all(np.isfinite(got)) and not calls
+    coupling_profile(fig3)
+    assert len(calls) == 1   # one call per profile
 
 
 def test_magnus_step_is_sixth_order():
