@@ -145,14 +145,6 @@ class TransferMatrix:
     c: complex
     d: complex
 
-    @property
-    def passivity_defect(self) -> float:
-        """max(column photon gain, 0); should stay <= ~1e-9 for an
-        absorptive medium."""
-        col_p = abs(self.a) ** 2 + abs(self.c) ** 2
-        col_s = abs(self.b) ** 2 + abs(self.d) ** 2
-        return max(col_p - 1.0, col_s - 1.0, 0.0)
-
     def as_array(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]])
 
@@ -194,11 +186,12 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
     Jeffrey 2002), evaluated by ``_wright_omega`` (Fritsch-Shafer-Crowley
     iteration, Algorithm 917), and w = w0 exp(num/(2 Re num) * ln(s/s0)).
 
-    The scalars of each drive (den0, num, ln a, a) are Python float
-    arithmetic, so that a profile row equals the profile of its drive
-    alone, bit for bit (numpy's d ** 2 is not C's pow(d, 2) in the last
-    bit).  One ``_two_level_arrays`` call gives the state at all nodes.
-    NumericalError names fields.omega_c (or delta_c) if its square overflows.
+    Every drive quantity is a numpy expression on (row, 1) columns, so a
+    DriveConfig is a batch of one and a profile row equals the profile
+    of its drive alone, bit for bit.  One ``_two_level_arrays`` call
+    gives the state at all nodes; a non-finite state is reported by the
+    kernel's guard.  NumericalError names fields.omega_c if s0 = |w0|^2
+    overflows, or fields.delta_c if den0 does.
     """
     if bundle.drive is None:
         raise ConfigValidationError("fields", "this config has no drive fields")
@@ -206,40 +199,31 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
     n = medium.n_z
     zeta = ((np.arange(n) + np.array(_NODES)[:, None]) / n)[:, None]   # (node, 1, step)
     g31, G3 = rates.gamma31, rates.Gamma3_total
-    w0s = np.atleast_1d(drive.omega_c).tolist()
-    dcs = np.atleast_1d(drive.delta_c).tolist()
-    omega_c = np.empty((3, len(w0s), n), complex)
-    rows = []   # (row, w0, ln a, ln a + a, a, r / zeta, num / (2 Re num)) of absorbed beams
-    for k, (w0, dc) in enumerate(zip(w0s, dcs)):
-        w0 = complex(w0)
-        # rhs(w) = (i g31 ac / 2) * (i/2) w (1 - 2 rho33) / (g31 - i dc)
-        #        = num * w / (den0 + g31 |w|^2),  den0 = G3 (g31^2 + dc^2),
-        # num = -(g31 ac / 4) den0 / (g31 - i dc); it vanishes with alpha_c,
-        # gamma31 or den0, and then the beam is not absorbed at all
-        try:
-            den0, s0 = G3 * (g31 ** 2 + dc ** 2), abs(w0) ** 2
-        except OverflowError:
-            key, v = ("fields.omega_c", abs(w0)) if abs(w0) >= abs(dc) else ("fields.delta_c", dc)
-            raise NumericalError(f"{key} = {v:g} is too large: its square overflows") from None
-        num = -0.25 * g31 * medium.alpha_c * G3 * (g31 + 1j * dc)
-        if w0 == 0.0 or num == 0.0:
-            omega_c[:, k] = w0
-            continue
-        ln_a = 2.0 * math.log(abs(w0)) + math.log(g31 / den0)
-        a = g31 * s0 / den0
-        rows.append((k, w0, ln_a, ln_a + a, a, 2.0 * num.real / den0, num / (2.0 * num.real)))
-    if rows:
-        k, *cols = zip(*rows)
-        w0, ln_a, z0, a, slope, e = (np.array(col)[:, None] for col in cols)
-        r = slope * zeta
-        x = _wright_omega(z0 + r)
-        # x < 1: ln x = z - x, so ln(s/s0) = (a - x) + r, safe even if x underflows;
-        # x >= 1: log(x) keeps the digits that a - x would cancel when saturated
-        with np.errstate(divide="ignore"):
-            log_ratio = np.where(x < 1.0, (a - x) + r, np.log(x) - ln_a)
-        omega_c[:, list(k)] = w0 * np.exp(e * log_ratio)
-    with np.errstate(over="ignore", invalid="ignore"):   # reported by the kernel's guard
-        rho33, rho31 = _two_level_arrays(omega_c, np.reshape(drive.delta_c, (-1, 1)), g31, G3)
+    w0, dc = (np.reshape(v, (-1, 1)) for v in (drive.omega_c, drive.delta_c))
+    # rhs(w) = (i g31 ac / 2) * (i/2) w (1 - 2 rho33) / (g31 - i dc)
+    #        = num * w / (den0 + g31 |w|^2),  den0 = G3 (g31^2 + dc^2),
+    # num = -(g31 ac / 4) den0 / (g31 - i dc); it vanishes with alpha_c,
+    # gamma31 or den0, and then the beam is not absorbed at all
+    with np.errstate(over="ignore"):
+        s0, den0 = np.square(w0), G3 * (g31 ** 2 + np.square(dc))
+    for key, v, sq in (("fields.omega_c", w0, s0), ("fields.delta_c", dc, den0)):
+        if np.isinf(sq).any():
+            raise NumericalError(f"{key} = {v[np.isinf(sq)][0]:g} is too large: "
+                                 "its square overflows")
+    num = -0.25 * g31 * medium.alpha_c * G3 * (g31 + 1j * dc)
+    omega_c = np.broadcast_to(w0, (3, w0.shape[0], n)).astype(complex, order="C")
+    k = ((w0 != 0.0) & (num != 0.0))[:, 0]   # rows of absorbed beams
+    w0, s0, den0, num = w0[k], s0[k], den0[k], num[k]
+    ln_a = 2.0 * np.log(np.abs(w0)) + np.log(g31 / den0)
+    a = g31 * s0 / den0
+    r = 2.0 * num.real / den0 * zeta
+    x = _wright_omega(ln_a + a + r)
+    # x < 1: ln x = z - x, so ln(s/s0) = (a - x) + r, safe even if x underflows;
+    # x >= 1: log(x) keeps the digits that a - x would cancel when saturated
+    with np.errstate(divide="ignore"):
+        log_ratio = np.where(x < 1.0, (a - x) + r, np.log(x) - ln_a)
+    omega_c[:, k] = w0 * np.exp(num / (2.0 * num.real) * log_ratio)
+    rho33, rho31 = _two_level_arrays(omega_c, dc, g31, G3)
     return CouplingProfile(zeta=zeta, omega_c=omega_c, rho33=rho33, rho31=rho31, n_steps=n)
 
 
@@ -503,12 +487,6 @@ def transfer_matrix(omega: float, bundle: ConfigBundle,
     return TransferMatrix(float(omega), *(complex(v) for v in out[:, 0]))
 
 
-def _abs2(entries: np.ndarray) -> np.ndarray:
-    """Python's abs(z) ** 2 of each entry, the convention of every
-    observable (np.abs and np.hypot differ from it in the last bit)."""
-    return np.array([abs(z) ** 2 for z in entries.ravel().tolist()]).reshape(entries.shape)
-
-
 def observables_at(bundle: ConfigBundle, delta_p=None, omega=0.0) -> Observables:
     """Steady-state observables T_p = |a|^2, eta_s = |c|^2, T_s = |d|^2,
     eta_p = |b|^2, from one ``_transfer_components`` call.
@@ -520,7 +498,7 @@ def observables_at(bundle: ConfigBundle, delta_p=None, omega=0.0) -> Observables
     profile = coupling_profile(bundle)
     if delta_p is None:
         delta_p = bundle.drive.delta_p
-    T_p, eta_p, eta_s, T_s = _abs2(_transfer_components(bundle, profile, delta_p, omega))
+    T_p, eta_p, eta_s, T_s = np.abs(_transfer_components(bundle, profile, delta_p, omega)) ** 2
     if np.ndim(delta_p) == np.ndim(omega) == 0:
         T_p, eta_p, eta_s, T_s = (float(v[0]) for v in (T_p, eta_p, eta_s, T_s))
     return Observables(T_p=T_p, eta_s=eta_s, T_s=T_s, eta_p=eta_p)
@@ -619,8 +597,8 @@ def spectrum_sweep(mode: str, bundle: ConfigBundle, start: Optional[float] = Non
 
     run = with_mode(bundle, mode)
     profile = coupling_profile(run)
-    T_p, eta_p, eta_s, T_s = _abs2(_transfer_components(run, profile, delta_ps, 0.0,
-                                                        threads=threads))
+    T_p, eta_p, eta_s, T_s = np.abs(_transfer_components(run, profile, delta_ps, 0.0,
+                                                         threads=threads)) ** 2
     table = SpectrumTable(mode=mode, delta_p=delta_ps, T_p=T_p, eta_s=eta_s, T_s=T_s,
                           eta_p=eta_p)
     if sweep.linewidth is not None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DriveConfig, RateTable
-from .errors import NoUniqueSteadyStateError, SingularResponseError
+from .errors import NoUniqueSteadyStateError, NumericalError, SingularResponseError
 
 _DET_TOL = 1e-28   # singularity threshold on |det|, scaled by matrix magnitude
 
@@ -73,15 +73,16 @@ def _two_level_arrays(omega_c, delta_c, gamma31, Gamma3):
 
     with s = |omega_c|^2.  The form above stays finite for Gamma3 -> 0
     (full saturation, rho33 -> 1/2).  ``delta_c`` may be an array of
-    per-drive detunings that broadcasts against ``omega_c``; the
-    drive-only term Gamma3*(gamma31^2 + delta_c^2) is Python float
-    arithmetic per drive, the same bits as for a scalar delta_c.
+    per-drive detunings that broadcasts against ``omega_c``: a lone
+    drive and a row of a batch share one numpy path.  A delta_c whose
+    square overflows gives the far-detuned limit rho33 = 0; an omega_c
+    whose square overflows gives a non-finite state, for the caller to
+    report.
     """
     omega_c = np.asarray(omega_c, dtype=np.complex128)
-    s = omega_c.real ** 2 + omega_c.imag ** 2
-    den0 = [Gamma3 * (gamma31 ** 2 + d ** 2) for d in np.ravel(delta_c).tolist()]
-    den = np.reshape(den0, np.shape(delta_c)) + s * gamma31
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = omega_c.real ** 2 + omega_c.imag ** 2
+        den = Gamma3 * (gamma31 ** 2 + np.square(delta_c)) + s * gamma31
         rho33 = np.where(den > 0.0, 0.5 * s * gamma31 / np.where(den > 0.0, den, 1.0), 0.0)
         rho31 = 0.5j * omega_c * (1.0 - 2.0 * rho33) / (gamma31 - 1j * delta_c)
     return rho33, rho31
@@ -90,9 +91,13 @@ def _two_level_arrays(omega_c, delta_c, gamma31, Gamma3):
 def two_level_steady_state(omega_c_local: complex, delta_c: float,
                            rates: RateTable) -> ZerothOrderState:
     """Steady state of the coupling transition at a (possibly complex)
-    local Rabi frequency."""
+    local Rabi frequency.  NumericalError names omega_c if its square
+    overflows."""
     rho33, rho31 = _two_level_arrays(omega_c_local, delta_c,
                                      rates.gamma31, rates.Gamma3_total)
+    if not (np.isfinite(rho33) and np.isfinite(rho31)):
+        raise NumericalError(f"omega_c = {abs(omega_c_local):g} is too large: "
+                             "its square overflows")
     return ZerothOrderState(rho33=float(rho33), rho31=complex(rho31))
 
 

@@ -382,16 +382,21 @@ def test_spectrum_photon_gain_exit_4(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("key", ["omega_c", "delta_c"])
-def test_spectrum_field_whose_square_overflows_exit_4(tmp_path, capsys, key):
+@pytest.mark.parametrize("key, value, rates", [
+    pytest.param("omega_c", 1e200, "", id="omega_c"),
+    pytest.param("delta_c", 1e200, "", id="delta_c"),
+    # delta_c^2 is finite, but Gamma3 (gamma31^2 + delta_c^2) is not
+    pytest.param("delta_c", 1e154, "rates:\n  Gamma3_total: 2.0\n", id="delta_c-Gamma3"),
+])
+def test_spectrum_field_whose_square_overflows_exit_4(tmp_path, capsys, key, value, rates):
     # finite, but |omega_c|^2 or delta_c^2 is beyond the float range
-    fields = {"omega_c": 11, "omega_d": 6, "delta_c": 5, "delta_d": -4, key: "1.0e200"}
+    fields = {"omega_c": 11, "omega_d": 6, "delta_c": 5, "delta_d": -4, key: f"{value:.1e}"}
     cfg = tmp_path / "huge.yaml"
-    cfg.write_text("medium:\n  od: 75.0\nfields:\n"
+    cfg.write_text("medium:\n  od: 75.0\n" + rates + "fields:\n"
                    + "".join(f"  {k}: {v}\n" for k, v in fields.items()))
     assert run(["spectrum", "--config", cfg, "--from", -1, "--to", 1, "--step", 0.5,
                 "--out", tmp_path]) == 4
-    assert f"fields.{key} = 1e+200 is too large" in capsys.readouterr().err
+    assert f"fields.{key} = {value:g} is too large" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -206,7 +206,7 @@ def test_batched_objective_matches_single_points_bitwise(od200_objective, k):
     b = default_bounds()
     rng = np.random.default_rng(k)
     X = b[:, 0] + rng.uniform(size=(k, 5)) * (b[:, 1] - b[:, 0])
-    X[0, 2] = -13.952544085020115   # numpy's d ** 2 and C's pow(d, 2) differ here
+    X[0, 2] = -13.952544085020115   # C's pow(d, 2) and d * d round apart here
     X[1:2, 0] = 0.0                 # no coupling beam: a constant profile row
     got = od200_objective(X)
     assert got.shape == (k,)

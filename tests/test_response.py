@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diamondfwm as dfm
-from diamondfwm import (DriveConfig, NoUniqueSteadyStateError, RateTable,
+from diamondfwm import (DriveConfig, NoUniqueSteadyStateError, NumericalError, RateTable,
                         SingularResponseError, linear_response,
                         liouvillian_steady_state, two_level_steady_state)
 from conftest import rk4_integrate_affine
@@ -38,6 +38,13 @@ def test_undriven_atom_is_dark():
 def test_resonant_saturation_limit():
     z = two_level_steady_state(1e6, 0.0, RATES)
     assert z.rho33 == pytest.approx(0.5, abs=1e-9)
+
+
+def test_square_overflow_gives_far_detuned_limit_or_keyed_error():
+    far = two_level_steady_state(1.0, 1e200, RATES)
+    assert far.rho33 == 0.0 and np.isfinite(far.rho31)
+    with pytest.raises(NumericalError, match="omega_c = 1e\\+200 is too large"):
+        two_level_steady_state(1e200, 1.0, RATES)
 
 
 def test_steady_state_against_time_integration():
