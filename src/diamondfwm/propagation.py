@@ -26,15 +26,21 @@ Phys. Rep. 470 (2009), section 4), and the 2x2 exponential is taken in
 closed form.  The method is of sixth order, so 256 steps reach the
 accuracy that fixed-step RK4 needed 2000 steps for at the presets;
 above OD ~300 the grid must grow with the optical depth (README,
-"Spatial grid").
+"Spatial grid").  Two kinds of medium skip the steps' product, exactly
+in exact arithmetic.  Where M is diagonal (no FWM loop: omega_d = 0 or
+omega_c = 0, as in the v_type, cascade and two_level modes) every
+commutator vanishes, and each channel's transfer is the exponential of
+the Gauss quadrature of its entry over all steps.  Where no profile row
+absorbs the coupling beam, M is the same at every node, and the whole
+span is one step.
 
 The transfer-matrix kernel (chi assembly, step propagators and their
 ordered product) runs over tiles of the detuning batch; one drive is a
 batch of one that all detunings share.  A tile holds
-max(1, _TILE_ELEMENTS // (3 n_z)) frequencies, laid out as (entry,
-Gauss node, frequency, step): the four entries of each 2x2 matrix, or
-the three of a traceless part, are one block, so that one numpy call
-covers them and runs along the steps.  Every operation writes through
+max(1, _TILE_ELEMENTS // (3 n)) frequencies on n steps (n_z, or 1 for a
+uniform medium), laid out as (entry, Gauss node, frequency, step): the
+four entries of each 2x2 matrix, or the three of a traceless part, are
+one block, so that one numpy call covers them and runs along the steps.  Every operation writes through
 ``out=`` into the calling thread's Workspace, a stack in one buffer
 from which each stage frees its scratch for the next; it grows only
 when a larger tile arrives, so no array of a tile's full size is
@@ -87,6 +93,8 @@ class CouplingProfile:
     ``omega_c``, ``rho33`` and ``rho31`` are (node, row, step) arrays,
     one row for a DriveConfig and one per point of a DriveBatch; ``zeta``
     is (node, 1, step).  Node 1 is the midpoint of each of the n_steps.
+    ``_uniform`` marks a profile in which no row's beam is absorbed, so
+    that every node holds the same values.
     """
 
     zeta: np.ndarray
@@ -94,6 +102,7 @@ class CouplingProfile:
     rho33: np.ndarray
     rho31: np.ndarray
     n_steps: int
+    _uniform: bool = False
 
     def __post_init__(self):
         for v in (self.zeta, self.omega_c, self.rho33, self.rho31):
@@ -190,8 +199,9 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
     DriveConfig is a batch of one and a profile row equals the profile
     of its drive alone, bit for bit.  One ``_two_level_arrays`` call
     gives the state at all nodes; a non-finite state is reported by the
-    kernel's guard.  NumericalError names fields.omega_c if s0 = |w0|^2
-    overflows, or fields.delta_c if den0 does.
+    kernel's guard.  NumericalError names rates.gamma31 if
+    Gamma3 gamma31^2 overflows, fields.omega_c if s0 = |w0|^2 or the
+    saturation parameter a overflows, or fields.delta_c if den0 does.
     """
     if bundle.drive is None:
         raise ConfigValidationError("fields", "this config has no drive fields")
@@ -204,8 +214,15 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
     #        = num * w / (den0 + g31 |w|^2),  den0 = G3 (g31^2 + dc^2),
     # num = -(g31 ac / 4) den0 / (g31 - i dc); it vanishes with alpha_c,
     # gamma31 or den0, and then the beam is not absorbed at all
+    try:
+        g31_sq = g31 ** 2
+    except OverflowError:   # a Python float raises where numpy gives inf
+        g31_sq = math.inf
+    if math.isinf(g31_sq) or math.isinf(G3 * g31_sq):
+        raise NumericalError(f"rates.gamma31 = {g31:g} is too large: "
+                             "Gamma3_total gamma31^2 overflows")
     with np.errstate(over="ignore"):
-        s0, den0 = np.square(w0), G3 * (g31 ** 2 + np.square(dc))
+        s0, den0 = np.square(w0), G3 * (g31_sq + np.square(dc))
     for key, v, sq in (("fields.omega_c", w0, s0), ("fields.delta_c", dc, den0)):
         if np.isinf(sq).any():
             raise NumericalError(f"{key} = {v[np.isinf(sq)][0]:g} is too large: "
@@ -215,7 +232,11 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
     k = ((w0 != 0.0) & (num != 0.0))[:, 0]   # rows of absorbed beams
     w0, s0, den0, num = w0[k], s0[k], den0[k], num[k]
     ln_a = 2.0 * np.log(np.abs(w0)) + np.log(g31 / den0)
-    a = g31 * s0 / den0
+    with np.errstate(over="ignore"):
+        a = g31 * s0 / den0
+    if np.isinf(a).any():
+        raise NumericalError(f"fields.omega_c = {w0[np.isinf(a)][0]:g} is too large: the "
+                             "saturation parameter gamma31 |omega_c|^2 / den0 overflows")
     r = 2.0 * num.real / den0 * zeta
     x = _wright_omega(ln_a + a + r)
     # x < 1: ln x = z - x, so ln(s/s0) = (a - x) + r, safe even if x underflows;
@@ -224,7 +245,8 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
         log_ratio = np.where(x < 1.0, (a - x) + r, np.log(x) - ln_a)
     omega_c[:, k] = w0 * np.exp(num / (2.0 * num.real) * log_ratio)
     rho33, rho31 = _two_level_arrays(omega_c, dc, g31, G3)
-    return CouplingProfile(zeta=zeta, omega_c=omega_c, rho33=rho33, rho31=rho31, n_steps=n)
+    return CouplingProfile(zeta=zeta, omega_c=omega_c, rho33=rho33, rho31=rho31, n_steps=n,
+                           _uniform=not k.any())
 
 
 def _mat_mul(a, b, out, tmp):
@@ -377,6 +399,33 @@ def _ordered_product(R, ws: Workspace):
     return cur[..., 0].reshape(R.shape[:-1])
 
 
+def _diagonal_propagator(M, h, ws: Workspace):
+    """Transfer matrix of a diagonal M, whose Magnus commutators all vanish.
+
+    The propagator over the steps is then exp of the Gauss quadrature of
+    M over all of them: entries 11 and 22 are
+    exp(h sum_steps (5/18 (M_1 + M_3) + 4/9 M_2)), and 12 and 21 are 0.
+    The exponential is taken entry by entry, so a channel the medium does
+    not couple stays exactly 1 and one absorbed beyond the float range
+    goes to exactly 0.  ``M`` is one (4, node, freq, step) block as in
+    ``_step_propagators``; the result is one (4, freq) block taken from
+    ``ws``, which stays taken.  Each frequency's sum runs along its own
+    steps, so it does not depend on the tile.
+    """
+    d = M[::3]   # entries 11 and 22, (2, node, freq, step)
+    R = ws.take((4,) + M.shape[2:-1])
+    R[1:3] = 0.0
+    diag = R[::3]
+    with ws.frame():
+        quad, tmp = ws.take(d[:, 0].shape), ws.take(d[:, 0].shape)
+        np.add(d[:, 0], d[:, 2], out=quad)
+        np.multiply(quad, _W_OUTER, out=quad)
+        np.add(quad, np.multiply(d[:, 1], _W_MID, out=tmp), out=quad)
+        np.sum(quad, axis=-1, out=diag)
+    np.exp(np.multiply(diag, h, out=diag), out=diag)
+    return R
+
+
 def _workspace() -> Workspace:
     """The calling thread's Workspace, made on its first use."""
     ws = getattr(_thread, "workspace", None)
@@ -401,6 +450,21 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     [i0, i1) of the n_z steps (used for compositionality checks).  Raises
     NumericalError if any entry is not finite or any column gains
     photons, |a|^2 + |c|^2 or |b|^2 + |d|^2 above 1 + PASSIVITY_TOL.
+
+    Two reductions, exact in exact arithmetic, are decided once per call
+    from the drive, the medium and the profile:
+
+    - M is diagonal when the cross coupling vanishes or every drive point
+      has omega_d = 0 or omega_c = 0 (the v_type, cascade and two_level
+      modes).  Every commutator is then zero, and ``_diagonal_propagator``
+      takes one exponential per channel instead of the step propagators
+      and their ordered product.
+    - M is the same at every node when no profile row absorbs the
+      coupling beam.  The span [i0, i1) is then one step of length
+      (i1 - i0) / n_z, so each frequency needs 3 chi samples.
+
+    A DriveBatch that mixes diagonal points with others takes the general
+    path for all of its rows.
     """
     rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
     detunings = {"delta_p": np.asarray(delta_p, float), "omega": np.asarray(omega, float)}
@@ -417,6 +481,8 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
         out = np.zeros((4,) + x.shape, complex)
         out[[0, 3]] = 1.0
         return out
+    if profile._uniform:   # one step over the span
+        i1, h = i0 + 1, (i1 - i0) / n
 
     # the profile of steps i0..i1-1, as (node, row, step), and the drive
     # as (row, 1) columns: one row per point of a DriveBatch, or one row
@@ -433,6 +499,9 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     cs = 0.5 * rates.gamma43 * medium.alpha_s
     cx = 0.5 * math.sqrt(rates.gamma21 * medium.alpha_p * rates.gamma43 * medium.alpha_s)
     couplings = np.array((1j * cp, 1j * cx, 1j * cx, 1j * cs)).reshape(4, 1, 1, 1)
+    # no FWM loop, so chi_ps = chi_sp = 0, at every point without omega_d or omega_c
+    loopless = (omega_d == 0.0) | (np.reshape(drive.omega_c, (-1, 1)) == 0.0)
+    diagonal = cx == 0.0 or bool(loopless.all())
 
     per_tile = max(1, _TILE_ELEMENTS // (3 * (i1 - i0)))
     slices = [slice(k, min(k + per_tile, x.size)) for k in range(0, x.size, per_tile)]
@@ -448,7 +517,10 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
             M = _chi_arrays(wc[:, r], rho33[:, r], rho31[:, r], x[sl][:, None], delta_c[r],
                             delta_d[r], omega_d[r], rates, ws=ws)
             np.multiply(couplings, M, out=M)   # M = i c chi
-            out[:, sl] = _ordered_product(_step_propagators(M, h, ws=ws), ws=ws)
+            if diagonal:
+                out[:, sl] = _diagonal_propagator(M, h, ws)
+            else:
+                out[:, sl] = _ordered_product(_step_propagators(M, h, ws=ws), ws=ws)
 
     if threads > 1 and len(slices) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

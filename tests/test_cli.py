@@ -4,6 +4,7 @@ import platform
 import shlex
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -397,6 +398,30 @@ def test_spectrum_field_whose_square_overflows_exit_4(tmp_path, capsys, key, val
     assert run(["spectrum", "--config", cfg, "--from", -1, "--to", 1, "--step", 0.5,
                 "--out", tmp_path]) == 4
     assert f"fields.{key} = {value:g} is too large" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("rates, fields, want", [
+    # gamma31 = 0.5 + gamma_extra, whose square is beyond the float range
+    pytest.param({"gamma_extra": "4.5e+275"}, {}, "rates.gamma31 = 4.5e+275 is too large",
+                 id="gamma31"),
+    # |omega_c|^2 is finite, but gamma31 |omega_c|^2 / den0 is not
+    pytest.param({"Gamma3_total": 0.1}, {"omega_c": "1.3e+154", "delta_c": 0},
+                 "fields.omega_c = 1.3e+154 is too large: the saturation parameter",
+                 id="saturation"),
+])
+def test_spectrum_product_that_overflows_exit_4(tmp_path, capsys, rates, fields, want):
+    fields = {"omega_c": 11, "omega_d": 6, "delta_c": 5, "delta_d": -4, **fields}
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text("medium:\n  od: 75.0\n"
+                   + "".join(f"{section}:\n" + "".join(f"  {k}: {v}\n" for k, v in keys.items())
+                             for section, keys in (("rates", rates), ("fields", fields))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["spectrum", "--config", cfg, "--from", -1, "--to", 1, "--step", 0.5,
+                    "--out", tmp_path]) == 4
+    err = capsys.readouterr().err
+    assert want in err and "n_z" not in err
     assert not list(tmp_path.glob("*.csv"))
 
 

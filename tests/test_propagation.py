@@ -303,21 +303,11 @@ def test_optical_depth_too_high_for_grid_is_silent_on_threads(fig3):
 # tiled kernel
 
 
-def _reference_components(bundle, profile, delta_p, omega, step_range=None):
-    """The transfer-matrix kernel as plain numpy expressions over the whole
-    batch at once, one temporary array per operation: chi at the Gauss
-    nodes, the sixth-order Magnus step with its closed-form exponential,
-    and the pairwise ordered product.  The tiled kernel performs the same
-    operations in the same order, so it must match this bit for bit.  The
-    exponential's branch for Re q > 1 is left out: no step of the grids
-    and optical depth used here reaches it."""
+def _reference_generator(bundle, profile, delta_p, omega, i0, i1):
+    """M = i c chi at the Gauss nodes of steps i0..i1-1 as plain numpy
+    expressions: entries (11, 12, 21, 22), each (frequency, node-major
+    column)."""
     r, dr = bundle.rates, bundle.drive
-    n = profile.n_steps
-    i0, i1 = step_range or (0, n)
-    m = i1 - i0
-    if m == 0:
-        ones, zeros = np.ones(len(delta_p), complex), np.zeros(len(delta_p), complex)
-        return ones, zeros, zeros, ones
     wc = profile.omega_c[:, 0, i0:i1].ravel()[None, :]   # node-major, as the kernel's columns
     rho33, rho31 = _two_level_arrays(wc, dr.delta_c, r.gamma31, r.Gamma3_total)
     rho11, rho13 = 1.0 - rho33, np.conj(rho31)
@@ -349,8 +339,26 @@ def _reference_components(bundle, profile, delta_p, omega, step_range=None):
     med = bundle.medium
     cp, cs = 0.5 * r.gamma21 * med.alpha_p, 0.5 * r.gamma43 * med.alpha_s
     cx = 0.5 * math.sqrt(r.gamma21 * med.alpha_p * r.gamma43 * med.alpha_s)
-    Mpp, Mps, Msp, Mss = (1j * cp * chi_pp, 1j * cx * chi_ps, 1j * cx * chi_sp,
-                          1j * cs * chi_ss)
+    return 1j * cp * chi_pp, 1j * cx * chi_ps, 1j * cx * chi_sp, 1j * cs * chi_ss
+
+
+def _reference_components(bundle, profile, delta_p, omega, step_range=None):
+    """The transfer-matrix kernel as plain numpy expressions over the whole
+    batch at once, one temporary array per operation: chi at the Gauss
+    nodes, the sixth-order Magnus step with its closed-form exponential,
+    and the pairwise ordered product, on every step of the span.  The
+    tiled kernel performs the same operations in the same order where M
+    is neither diagonal nor the same at every node, so there it must
+    match this bit for bit.  The exponential's branch for Re q > 1 is
+    left out: no step of the grids and optical depth used here reaches
+    it."""
+    n = profile.n_steps
+    i0, i1 = step_range or (0, n)
+    m = i1 - i0
+    if m == 0:
+        ones, zeros = np.ones(len(delta_p), complex), np.zeros(len(delta_p), complex)
+        return ones, zeros, zeros, ones
+    Mpp, Mps, Msp, Mss = _reference_generator(bundle, profile, delta_p, omega, i0, i1)
 
     # Magnus step on traceless parts (x, y, z) = [[x, y], [z, -x]]
     h = 1.0 / n
@@ -502,6 +510,120 @@ def test_warm_transfer_call_allocates_under_1mb(fig3):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# diagonal and zeta-uniform media
+
+
+def _mode_bundle(name, mode, n_z):
+    b = dfm.with_mode(dfm.preset(name), mode)
+    return replace(b, medium=replace(b.medium, n_z=n_z))
+
+
+@pytest.mark.parametrize("n_z", [256, 2000])
+@pytest.mark.parametrize("mode", ["v_type", "cascade", "two_level"])
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_diagonal_modes_match_the_magnus_product(name, mode, n_z):
+    # one exponential per channel against the general path's steps and product
+    b = _mode_bundle(name, mode, n_z)
+    prof = coupling_profile(b)
+    rng = np.random.default_rng(n_z)
+    dp, om = rng.uniform(-10, 15, 67), rng.uniform(-40, 40, 67)
+    got = propagation._transfer_components(b, prof, dp, om)
+    gap = np.max(np.abs(got - np.array(_reference_components(b, prof, dp, om))))
+    assert not np.any(got[1]) and not np.any(got[2])
+    if not prof._uniform:
+        assert gap <= 1e-13
+        return
+    # M is the same at every node, so the exact transfer is exp(M) entry by
+    # entry; the product of n_z factors reaches it to its own round-off only,
+    # about 1.5e-13 at n_z 2000
+    Mpp, _, _, Mss = _reference_generator(b, prof, dp, om, 0, 1)
+    assert np.max(np.abs(got[[0, 3]] - np.exp([Mpp[:, 0], Mss[:, 0]]))) <= 1e-15
+    assert n_z > 256 or gap <= 1e-13
+
+
+@pytest.mark.parametrize("mode", ["cascade", "two_level"])
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_uniform_profile_takes_one_step(monkeypatch, name, mode):
+    coarse, fine = (_mode_bundle(name, mode, n_z) for n_z in (2, 256))
+    assert coupling_profile(fine)._uniform and not coupling_profile(dfm.preset(name))._uniform
+    grids = []
+
+    def counted(*args, **kwargs):
+        grids.append(args[0].shape)   # (node, row, step) of the profile
+        return response_chi(*args, **kwargs)
+
+    response_chi = propagation._chi_arrays
+    monkeypatch.setattr(propagation, "_chi_arrays", counted)
+    dp = np.linspace(-10.0, 15.0, 101)
+    rows = [observables_at(b, delta_p=dp) for b in (coarse, fine)]
+    assert grids == [(3, 1, 1)] * 2   # 3 chi samples per frequency on either grid
+    for col in ("T_p", "eta_s", "T_s", "eta_p"):
+        assert np.max(np.abs(getattr(rows[0], col) - getattr(rows[1], col))) <= 1e-15
+    # a split span is one step on each side, and the halves compose
+    prof = coupling_profile(fine)
+    halves = [propagation._transfer_components(fine, prof, dp, 0.0, step_range=s)
+              for s in ((0, 100), (100, 256))]
+    whole = propagation._transfer_components(fine, prof, dp, 0.0)
+    assert np.max(np.abs(halves[0] * halves[1] - whole)) <= 1e-15
+
+
+def test_uniform_coupled_medium_is_one_closed_form_step():
+    # Gamma3_total = 0 leaves the beam unabsorbed, but omega_d keeps the FWM
+    # loop: one step of the closed-form exponential spans the medium
+    rates = RateTable(Gamma3_total=0.0, Gamma31=0.0, gamma_extra=0.5)
+    med = dfm.MediumConfig(alpha_p=150.0, alpha_c=150.0, alpha_s=150.0, n_z=400)
+    b = dfm.ConfigBundle(rates=rates, medium=med, drive=dfm.preset("fig3").drive)
+    prof = coupling_profile(b)
+    rng = np.random.default_rng(1)
+    dp, om = rng.uniform(-10, 15, 67), rng.uniform(-40, 40, 67)
+    got = propagation._transfer_components(b, prof, dp, om)
+    assert prof._uniform and np.min(np.abs(got[2])) > 0.0
+    assert np.max(np.abs(got - np.array(_reference_components(b, prof, dp, om)))) <= 1e-13
+
+
+@pytest.mark.parametrize("mode", ["v_type", "cascade"])
+def test_diagonal_tiles_and_threads_match_bitwise(monkeypatch, mode):
+    b = _mode_bundle("fig3", mode, 256)
+    prof = coupling_profile(b)
+    rng = np.random.default_rng(7)
+    dp, om = rng.uniform(-10, 15, 67), rng.uniform(-40, 40, 67)
+    want = propagation._transfer_components(b, prof, dp, om).tobytes()
+    grid = 3 * (1 if prof._uniform else b.medium.n_z)   # chi samples per frequency
+    for per_tile in (1, 3, 64):
+        monkeypatch.setattr(propagation, "_TILE_ELEMENTS", per_tile * grid)
+        for threads in (1, 2):
+            got = propagation._transfer_components(b, prof, dp, om, threads=threads)
+            assert got.tobytes() == want, (per_tile, threads)
+
+
+@pytest.mark.parametrize("mode", ["v_type", "cascade"])
+def test_warm_diagonal_transfer_call_allocates_under_1mb(mode):
+    b = dfm.with_mode(dfm.preset("fig3"), mode)
+    prof = coupling_profile(b)
+    dp = np.linspace(-10.0, 15.0, 501)
+    om = np.zeros_like(dp)
+    propagation._transfer_components(b, prof, dp, om)
+    tracemalloc.start()
+    try:
+        propagation._transfer_components(b, prof, dp, om)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_mixed_batch_takes_the_general_path_for_every_row(fig3):
+    # one point without omega_d among fig3 points: the batch keeps the
+    # product, and each row's eta_s is that of its drive alone, bit for bit
+    drives = [replace(fig3.drive, delta_p=d) for d in (-4.0, -1.0, 2.5)]
+    drives.insert(2, replace(fig3.drive, omega_d=0.0, delta_p=0.5))
+    batch = observables_at(replace(fig3, drive=propagation.DriveBatch.stack(drives)))
+    assert batch.eta_s[2] == 0.0 and np.all(batch.eta_s[[0, 1, 3]] > 0.0)
+    for k, drive in enumerate(drives):
+        assert observables_at(replace(fig3, drive=drive)).eta_s == batch.eta_s[k]
 
 
 # ---------------------------------------------------------------------------
