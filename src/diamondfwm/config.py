@@ -42,6 +42,11 @@ DEFAULT_LINEWIDTH = 5.0 / 6.0
 
 _EPS = 1e-9
 
+# The input domain: every configured number lies within +-MAX_MAGNITUDE,
+# above the 795 nm carrier (about 6.3e7 Gamma) where a rotating-wave model
+# stops meaning anything; within it no square or product the model forms overflows
+MAX_MAGNITUDE = 1e8
+
 # Field metadata.  Each config dataclass declares its document keys: a
 # field's key is its name unless it carries {"key": ...}, and a
 # {"derived": True} field is computed, never read from or written to a
@@ -59,18 +64,22 @@ def _require_number(value, key):
              f"must be a number, got {value!r}")
 
 
-def _float_fields(config, section: str, finite: bool = True) -> None:
+def _float_fields(config, section: str, ranged=()) -> None:
     """Store each float field of a config (an Optional one when set) as a
-    float, after checking that it holds a number, and a finite one if
-    ``finite``; an error names the field's document key.  Under
-    ``from __future__ import annotations`` a field's type is the
-    annotation as written."""
+    float, after checking that it holds a number within +-MAX_MAGNITUDE
+    (a finite one if derived; the caller checks those in ``ranged``); an
+    error names its document key.  Under ``from __future__ import
+    annotations`` a field's type is the annotation as written."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "float" or (f.type == "Optional[float]" and value is not None):
             key = f"{section}.{_key(f)}"
             _require_number(value, key)
-            _require(not finite or math.isfinite(value), key, f"must be finite, got {value}")
+            if f.metadata.get("derived"):
+                _require(math.isfinite(value), key, f"must be finite, got {value}")
+            elif f.name not in ranged:
+                _require(abs(value) <= MAX_MAGNITUDE, key,
+                         f"must be finite and within +-{MAX_MAGNITUDE:g}, got {value}")
             object.__setattr__(config, f.name, float(value))
 
 
@@ -125,8 +134,7 @@ class RateTable:
                 s(self, name, default + self.gamma_extra)
         for f in fields(self):
             value = getattr(self, f.name)
-            _require(math.isfinite(value) and value >= 0.0, f"rates.{f.name}",
-                     f"must be finite and >= 0, got {value}")
+            _require(value >= 0.0, f"rates.{f.name}", f"must be >= 0, got {value}")
         _require(self.Gamma21 <= self.Gamma2_total + _EPS, "rates.Gamma21",
                  f"partial rate {self.Gamma21} exceeds rates.Gamma2_total = {self.Gamma2_total}")
         _require(self.Gamma31 <= self.Gamma3_total + _EPS, "rates.Gamma31",
@@ -215,12 +223,10 @@ class MediumConfig:
                  "specify exactly one of alpha_p or od")
         if alpha_p is None:
             _require_number(od, "medium.od")
-            _require(math.isfinite(od) and od >= 0.0, "medium.od",
-                     f"optical depth must be finite and >= 0, got {od}")
+            _require(0.0 <= od <= MAX_MAGNITUDE / 2.0, "medium.od", "optical depth must be >= 0 "
+                     f"and at most {MAX_MAGNITUDE / 2.0:g} (alpha_p = 2 od), got {od}")
             alpha_p = 2.0 * od
         medium = cls(alpha_p=alpha_p, alpha_c=0.0, alpha_s=0.0, **grid)
-        if medium.alpha_p == 0.0:
-            return medium
         for key, value in (("rates.Gamma21", rates.Gamma21),
                            ("rates.gamma31", rates.gamma31),
                            ("rates.gamma43", rates.gamma43)):
@@ -250,14 +256,12 @@ class SweepOptions:
     def __post_init__(self):
         _require(self.mode in SWEEP_MODES, "sweep.mode",
                  f"must be one of {SWEEP_MODES}, got {self.mode!r}")
-        _float_fields(self, "sweep", finite=False)   # below: both ends of the range are sweep.from
-        _require(math.isfinite(self.step) and self.step > 0.0, "sweep.step",
-                 "must be finite and > 0")
-        _require(math.isfinite(self.start) and math.isfinite(self.stop),
-                 "sweep.from", "sweep range must be finite")
+        _float_fields(self, "sweep", ranged=("start", "stop"))   # both ends are sweep.from
+        _require(all(abs(v) <= MAX_MAGNITUDE for v in (self.start, self.stop)), "sweep.from",
+                 f"sweep range must be finite and within +-{MAX_MAGNITUDE:g}")
+        _require(self.step > 0.0, "sweep.step", "must be > 0")
         if self.linewidth is not None:
-            _require(math.isfinite(self.linewidth) and self.linewidth > 0.0,
-                     "sweep.linewidth", "FWHM must be finite and > 0")
+            _require(self.linewidth > 0.0, "sweep.linewidth", "FWHM must be > 0")
 
 
 @dataclass(frozen=True)

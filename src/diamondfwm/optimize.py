@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import ConfigBundle, DriveConfig, MediumConfig, RateTable
+from .config import MAX_MAGNITUDE, ConfigBundle, DriveConfig, MediumConfig, RateTable
 from .errors import BoundsError, ObjectiveError, SimulationError
 from .propagation import DriveBatch, observables_at
 
@@ -85,8 +85,9 @@ def _check_bounds(bounds) -> np.ndarray:
     if b.shape != (5, 2):
         raise BoundsError("optimize.bounds",
                           f"expected 5 (low, high) pairs for {PARAM_NAMES}, got shape {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise BoundsError("optimize.bounds", "bounds must be finite")
+    if not np.all(np.abs(b) <= MAX_MAGNITUDE):
+        raise BoundsError("optimize.bounds",
+                          f"bounds must be finite and within +-{MAX_MAGNITUDE:g}")
     if np.any(b[:, 0] > b[:, 1]):
         raise BoundsError("optimize.bounds", "lower bounds exceed upper bounds")
     if np.any(b[:2, 0] < 0.0):
@@ -215,9 +216,9 @@ def make_objective(od: float, rates: Optional[RateTable] = None, **grid):
     A (K, 5) array gives K values from one ``observables_at`` call on a
     DriveBatch of its rows, each equal bit for bit to the value of its
     row alone; a (5,) point is a batch of one and gives a float.  A row
-    with an entry that is not finite or a negative Rabi frequency raises
-    the keyed error of ``DriveConfig``.  ``grid`` sets ``n_z`` and the
-    wavelengths as in ``MediumConfig.derive``.  Evaluation failures are
+    with an entry beyond +-MAX_MAGNITUDE or a negative Rabi frequency
+    raises the keyed error of ``DriveConfig``.  ``grid`` sets ``n_z`` and
+    the wavelengths as in ``MediumConfig.derive``.  Evaluation failures are
     re-raised with the offending parameter vector attached; in a batch,
     that of the first row that fails alone.
     """
@@ -226,7 +227,7 @@ def make_objective(od: float, rates: Optional[RateTable] = None, **grid):
 
     def objective(x):
         X = np.atleast_2d(np.asarray(x, float))
-        bad = ~(np.isfinite(X).all(axis=1) & (X[:, :2] >= 0.0).all(axis=1))
+        bad = ~((np.abs(X) <= MAX_MAGNITUDE).all(axis=1) & (X[:, :2] >= 0.0).all(axis=1))
         if bad.any():   # DriveConfig raises the keyed error for the first bad row
             DriveConfig(**dict(zip(PARAM_NAMES, X[bad.argmax()].tolist())))
         points = DriveBatch(**dict(zip(PARAM_NAMES, X.T)))
@@ -254,8 +255,9 @@ def optimize_eta(od: float, bounds: Optional[Sequence] = None, starts: int = STA
     ``default_bounds()``.  The starts run in lockstep, one batched
     objective call per round; ``grid`` is passed to ``make_objective``.
     """
-    if not (np.isfinite(od) and od >= 0):
-        raise BoundsError("optimize.od", f"optical depth must be finite and >= 0, got {od}")
+    if not 0 <= od <= MAX_MAGNITUDE / 2:
+        raise BoundsError("optimize.od", "optical depth must be >= 0 and at most "
+                          f"{MAX_MAGNITUDE / 2:g} (alpha_p = 2 od), got {od}")
     counts = {"seed": (seed, 0), "starts": (starts, 1), "max_evals": (max_evals, 1)}
     for key, (value, least) in counts.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:

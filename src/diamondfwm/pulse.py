@@ -10,14 +10,13 @@ input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .config import ConfigBundle
-from .errors import ConfigValidationError, PulseGridError
+from .errors import PulseGridError
 from .propagation import _transfer_components, coupling_profile
 
 MIN_SPAN_GAMMA = 40.0   # the frequency grid must reach at least +-40 Gamma
@@ -68,9 +67,8 @@ def propagate_pulse(bundle: ConfigBundle, duration: Optional[float] = None,
     duration, n_freq = opts.duration, opts.n_freq
     window = 8.0 * duration if opts.window is None else opts.window
     profile = coupling_profile(bundle)   # raises for a drive-less bundle
-    delta_p = bundle.drive.delta_p if delta_p is None else float(delta_p)
-    if not math.isfinite(delta_p):
-        raise ConfigValidationError("fields.delta_p", f"must be finite, got {delta_p}")
+    # replace() re-runs DriveConfig validation on the override
+    drive = bundle.drive if delta_p is None else replace(bundle.drive, delta_p=delta_p)
     if window < 4.0 * duration:
         raise PulseGridError(
             "pulse.window",
@@ -92,7 +90,7 @@ def propagate_pulse(bundle: ConfigBundle, duration: Optional[float] = None,
     spectrum = np.fft.ifft(envelope)
     omegas = 2.0 * np.pi * np.fft.fftfreq(n_freq, d=dt)
 
-    a, _, c, _ = _transfer_components(bundle, profile, np.full(n_freq, float(delta_p)),
+    a, _, c, _ = _transfer_components(bundle, profile, np.full(n_freq, drive.delta_p),
                                       omegas, threads=threads)
     out_p = np.fft.fft(spectrum * a)
     out_s = np.fft.fft(spectrum * c)
@@ -100,5 +98,5 @@ def propagate_pulse(bundle: ConfigBundle, duration: Optional[float] = None,
                        input_probe=np.abs(envelope) ** 2,
                        output_probe=np.abs(out_p) ** 2,
                        output_signal=np.abs(out_s) ** 2,
-                       delta_p=float(delta_p), duration=duration,
+                       delta_p=drive.delta_p, duration=duration,
                        onset=onset, window=window, n_freq=n_freq)

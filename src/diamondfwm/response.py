@@ -212,7 +212,8 @@ def _chi_arrays(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, ws=N
             sub(d3 * d4, g, out=inv_q)   # det_q
             if singular(inv_q):
                 raise SingularResponseError(
-                    "lower coherence block is singular (zero decoherence with coincident resonances)")
+                    "lower coherence block is singular (zero decoherence with coincident "
+                    "resonances: rates.gamma41 and rates.gamma43 vanish against the detunings)")
             np.divide(1.0, inv_q, out=inv_q)
 
             # Schur complement of the Q block: S = Dp - e Dq^{-1}, with
@@ -229,7 +230,8 @@ def _chi_arrays(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, ws=N
             sub(inv_p, mul(mul(g, fac, out=tmp), fac, out=tmp), out=inv_p)
             if singular(inv_p):
                 raise SingularResponseError(
-                    "reduced probe block is singular (zero decoherence with coincident resonances)")
+                    "reduced probe block is singular (zero decoherence with coincident "
+                    "resonances: rates.gamma21 and rates.gamma23 vanish against the detunings)")
             np.divide(1.0, inv_p, out=inv_p)
 
         def solve_p(x1, x2, out1, out2):

@@ -1,19 +1,27 @@
+import contextlib
+import io
 import json
+import math
 import os
 import platform
+import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diamondfwm
 from diamondfwm.cli import build_parser, main
 from diamondfwm.manifest import read_csv
+from diamondfwm.propagation import PASSIVITY_TOL
 
 
 def run(argv):
@@ -389,47 +397,167 @@ def test_spectrum_photon_gain_exit_4(tmp_path, capsys):
     # delta_c^2 is finite, but Gamma3 (gamma31^2 + delta_c^2) is not
     pytest.param("delta_c", 1e154, "rates:\n  Gamma3_total: 2.0\n", id="delta_c-Gamma3"),
 ])
-def test_spectrum_field_whose_square_overflows_exit_4(tmp_path, capsys, key, value, rates):
-    # finite, but |omega_c|^2 or delta_c^2 is beyond the float range
+def test_spectrum_field_beyond_domain_exit_3(tmp_path, capsys, key, value, rates):
+    # finite, but beyond config.MAX_MAGNITUDE (and its square beyond the
+    # float range): rejected where the document is read
     fields = {"omega_c": 11, "omega_d": 6, "delta_c": 5, "delta_d": -4, key: f"{value:.1e}"}
     cfg = tmp_path / "huge.yaml"
     cfg.write_text("medium:\n  od: 75.0\n" + rates + "fields:\n"
                    + "".join(f"  {k}: {v}\n" for k, v in fields.items()))
     assert run(["spectrum", "--config", cfg, "--from", -1, "--to", 1, "--step", 0.5,
-                "--out", tmp_path]) == 4
-    assert f"fields.{key} = {value:g} is too large" in capsys.readouterr().err
+                "--out", tmp_path]) == 3
+    assert f"fields.{key}: must be finite and within +-1e+08, got {value}" \
+        in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def _spectrum_doc(tmp_path, sections):
+    """A config file of the given {section: {key: value}} document."""
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("".join(f"{section}:\n" + "".join(f"  {k}: {v}\n" for k, v in keys.items())
+                           for section, keys in sections.items()))
+    return cfg
+
+
+def _assert_finite_and_passive(cols):
+    assert all(np.isfinite(v).all() for v in cols.values())
+    for gain in (cols["T_p"] + cols["eta_s"], cols["T_s"] + cols["eta_p"]):
+        assert gain.max() <= 1.0 + PASSIVITY_TOL
+
+
+def _spectrum_strict(cfg, tmp_path):
+    """Exit code of a 3-row spectrum run with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(["spectrum", "--config", cfg, "--from", -1, "--to", 1, "--step", 1,
+                    "--out", tmp_path])
 
 
 @pytest.mark.parametrize("rates, fields, want", [
     # gamma31 = 0.5 + gamma_extra, whose square is beyond the float range
-    pytest.param({"gamma_extra": "4.5e+275"}, {}, "rates.gamma31 = 4.5e+275 is too large",
-                 id="gamma31"),
+    pytest.param({"gamma_extra": "4.5e+275"}, {}, "rates.gamma_extra", id="gamma31"),
     # |omega_c|^2 is finite, but gamma31 |omega_c|^2 / den0 is not
     pytest.param({"Gamma3_total": 0.1}, {"omega_c": "1.3e+154", "delta_c": 0},
-                 "fields.omega_c = 1.3e+154 is too large: the saturation parameter",
-                 id="saturation"),
+                 "fields.omega_c", id="saturation"),
 ])
-def test_spectrum_product_that_overflows_exit_4(tmp_path, capsys, rates, fields, want):
+def test_spectrum_product_operand_beyond_domain_exit_3(tmp_path, capsys, rates, fields, want):
     fields = {"omega_c": 11, "omega_d": 6, "delta_c": 5, "delta_d": -4, **fields}
-    cfg = tmp_path / "huge.yaml"
-    cfg.write_text("medium:\n  od: 75.0\n"
-                   + "".join(f"{section}:\n" + "".join(f"  {k}: {v}\n" for k, v in keys.items())
-                             for section, keys in (("rates", rates), ("fields", fields))))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["spectrum", "--config", cfg, "--from", -1, "--to", 1, "--step", 0.5,
-                    "--out", tmp_path]) == 4
-    err = capsys.readouterr().err
-    assert want in err and "n_z" not in err
+    cfg = _spectrum_doc(tmp_path, {"medium": {"od": 75.0}, "rates": rates, "fields": fields})
+    assert _spectrum_strict(cfg, tmp_path) == 3
+    assert f"{want}: must be finite and within +-1e+08" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_optimize_rabi_bound_whose_square_overflows_exit_4(tmp_path, capsys):
-    assert run(["optimize", "--od", 75, "--omega-max", 1e200, "--starts", 1,
-                "--max-evals", 10, "--out", tmp_path]) == 4
+@pytest.mark.parametrize("doc", [
+    # Re num, with num = -(gamma31 alpha_c / 4) Gamma3 (gamma31 + i delta_c),
+    # underflows to 0
+    pytest.param({"medium": {"od": 0.005},
+                  "rates": {"Gamma3_total": "1.0e-160", "gamma_extra": 0.05},
+                  "fields": {"omega_c": 0.1, "omega_d": "1.0e-22", "delta_c": -1.4}},
+                 id="re-num-underflows"),
+    # den0 = Gamma3 (gamma31^2 + delta_c^2) is subnormal, so the saturation
+    # overflows, but the saturated beam loses 2 |Re num| / gamma31 ~ 1e-269 of
+    # its |omega_c|^2 = 1e12
+    pytest.param({"medium": {"od": "1.0e+5"},
+                  "rates": {"Gamma2_total": "1.0e-280", "gamma21": "1.0e+6",
+                            "Gamma3_total": "1.0e-280", "gamma31": "1.0e-20"},
+                  "fields": {"omega_c": "1.0e+6", "delta_c": 0}},
+                 id="saturated"),
+])
+def test_spectrum_absorption_below_rounding_is_unabsorbed(tmp_path, doc):
+    # |num| / (den0 + gamma31 |omega_c|^2) is below rounding: the coupling
+    # beam keeps its input value
+    assert _spectrum_strict(_spectrum_doc(tmp_path, doc), tmp_path) == 0
+    _assert_finite_and_passive(read_csv(tmp_path / "spectrum_fwm.csv")[1])
+
+
+def test_spectrum_zero_od_checks_rates_exit_3(tmp_path, capsys):
+    # Gamma3_total = 0 makes gamma31 = 0, whose rho31 = 0/0 at any OD
+    cfg = _spectrum_doc(tmp_path, {"medium": {"od": 0}, "rates": {"Gamma3_total": 0},
+                                   "fields": {"omega_c": 1, "omega_d": 1, "delta_c": 0}})
+    assert _spectrum_strict(cfg, tmp_path) == 3
+    assert "rates.gamma31: must be > 0" in capsys.readouterr().err
+
+
+def test_spectrum_saturation_beyond_float_range_exit_4(tmp_path, capsys):
+    # den0 = Gamma3 (gamma31^2 + delta_c^2) underflows to 0, so the
+    # saturation gamma31 |omega_c|^2 / den0 overflows, while the saturated
+    # beam still loses about 30% of its |omega_c|^2
+    cfg = _spectrum_doc(tmp_path, {"medium": {"od": 75}, "rates": {"gamma31": "1.0e-170"},
+                                   "fields": {"omega_c": 11, "omega_d": 6, "delta_c": 0}})
+    assert _spectrum_strict(cfg, tmp_path) == 4
     err = capsys.readouterr().err
-    assert "objective evaluation failed: fields.omega_c" in err and "at parameters" in err
+    assert ("saturation is too large for the float range at fields.omega_c = 11, "
+            "fields.delta_c = 0, rates.Gamma3_total = 1 and rates.gamma31 = 1e-170") in err
+    assert "n_z" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# the input domain of each drawn key: config.MAX_MAGNITUDE, and half of it
+# for medium.od (alpha_p = 2 od)
+DOMAIN = {("medium", "od"): 5e7,
+          **{("rates", key): 1e8 for key in (
+              "Gamma2_total", "Gamma3_total", "Gamma4_total", "Gamma21", "Gamma31", "Gamma42",
+              "Gamma43", "gamma_extra", "gamma21", "gamma23", "gamma31", "gamma41", "gamma43")},
+          **{("fields", key): 1e8 for key in (
+              "omega_c", "omega_d", "delta_p", "delta_c", "delta_d")}}
+FIG3_DOC = {"medium": {"od": 75},
+            "fields": {"omega_c": 11, "omega_d": 9, "delta_p": -1, "delta_c": 5, "delta_d": -4}}
+KEYED = re.compile(r"\b(rates|medium|fields|sweep|pulse)\.\w+")
+
+
+def _powers_of_ten(low, high):
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def spectrum_documents(draw):
+    """(document, key) pairs.  Either a document whose keys are each absent
+    (but medium.od and fields.omega_c), 0, 10^U(-3, top) or 10^U(-320, top)
+    for the key's bound 10^top, with detunings signed, and key None; or the
+    fig3 document with one key set beyond its bound, and that key."""
+    if draw(st.integers(0, 3)) == 0:
+        (section, key), bound = draw(st.sampled_from(sorted(DOMAIN.items())))
+        value = bound * draw(_powers_of_ten(1e-3, 300.0))
+        doc = {name: dict(keys) for name, keys in FIG3_DOC.items()}
+        doc.setdefault(section, {})[key] = -value if key.startswith("delta") else value
+        return doc, f"{section}.{key}"
+    doc = {"medium": {}, "rates": {}, "fields": {}}
+    for (section, key), bound in DOMAIN.items():
+        top = math.log10(bound)
+        value = draw(st.one_of(st.just(0.0), _powers_of_ten(-3.0, top),
+                               _powers_of_ten(-320.0, top)))
+        if key in ("od", "omega_c") or draw(st.booleans()):
+            signed = key.startswith("delta") and draw(st.booleans())
+            doc[section][key] = -value if signed else value
+    return doc, None
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(drawn=spectrum_documents())
+def test_spectrum_document_ends_clean_or_keyed(drawn):
+    # every draw exits 0 with finite, passive rows, or 3 or 4 with a message
+    # that names a key, or the OD and n_z; a key beyond the domain exits 3
+    # naming itself; nothing raises, and a RuntimeWarning is an error
+    doc, beyond = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = _spectrum_strict(_spectrum_doc(Path(tmp), doc), Path(tmp))
+        err = err.getvalue()
+        if beyond is not None:
+            assert rc == 3 and f"{beyond}: must be" in err, (doc, err)
+        elif rc == 0:
+            _assert_finite_and_passive(read_csv(Path(tmp) / "spectrum_fwm.csv")[1])
+        else:
+            assert rc in (3, 4), (doc, rc, err)
+            assert KEYED.search(err) or ("OD " in err and "n_z" in err), (doc, err)
+
+
+def test_optimize_rabi_bound_beyond_domain_exit_3(tmp_path, capsys):
+    assert run(["optimize", "--od", 75, "--omega-max", 1e200, "--starts", 1,
+                "--max-evals", 10, "--out", tmp_path]) == 3
+    assert "optimize.bounds: bounds must be finite and within +-1e+08" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
 
 
