@@ -20,8 +20,7 @@ from . import __version__
 from .config import (DEFAULT_LINEWIDTH, GAMMA_HZ, PRESET_NAMES, SWEEP_MODES,
                      TIME_UNIT_NS, ConfigBundle, MediumConfig, RateTable,
                      dump_config, load_config, preset)
-from .errors import (ConfigParseError, ConfigValidationError, NumericalError,
-                     SimulationError)
+from .errors import ConfigParseError, ConfigValidationError, NumericalError
 from .manifest import make_manifest, write_csv, write_json
 from .optimize import (DELTA_MAX, MAX_EVALS, OMEGA_MAX, PARAM_NAMES, SEED, STARTS,
                        default_bounds, optimize_eta)
@@ -226,9 +225,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error (numerical): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except SimulationError as exc:   # pragma: no cover - catch-all
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except OSError as exc:   # unreadable config, or an --out path that cannot be written
         print(f"error (io): {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -13,7 +13,6 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -30,39 +29,21 @@ def environment() -> dict:
             "nproc": os.cpu_count()}
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_hash: str
-    preset: Optional[str] = None
-    seed: Optional[int] = None
-    version: str = __version__
-    duration_s: Optional[float] = None
-    args: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)   # verdicts on the run's output
-    env: dict = field(default_factory=environment)
-
-    def as_dict(self) -> dict:
-        doc = {"command": self.command, "config_hash": self.config_hash,
-               "preset": self.preset, "seed": self.seed, "version": self.version,
-               "duration_s": self.duration_s, "env": self.env}
-        doc.update({f"arg_{k}": v for k, v in sorted(self.args.items())})
-        doc.update(sorted(self.results.items()))
-        return doc
-
-    def json_line(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-
 def make_manifest(command: str, bundle: ConfigBundle, preset: Optional[str] = None,
                   seed: Optional[int] = None, started: Optional[float] = None,
-                  results: Optional[dict] = None, **args) -> RunManifest:
+                  results: Optional[dict] = None, **args) -> dict:
+    """The run record: command, config hash, preset, seed, version, wall
+    time since ``started``, environment, each of ``args`` as arg_<name>,
+    and the verdicts on the run's output in ``results``."""
     duration = None if started is None else time.perf_counter() - started
-    return RunManifest(command=command, config_hash=bundle_hash(bundle), preset=preset,
-                       seed=seed, duration_s=duration, args=args, results=results or {})
+    doc = {"command": command, "config_hash": bundle_hash(bundle), "preset": preset,
+           "seed": seed, "version": __version__, "duration_s": duration, "env": environment()}
+    doc.update({f"arg_{k}": v for k, v in args.items()})
+    doc.update(results or {})
+    return doc
 
 
-def write_csv(path, columns: dict, manifest: RunManifest) -> Path:
+def write_csv(path, columns: dict, manifest: dict) -> Path:
     """Write named columns with the manifest as a comment header."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -70,17 +51,17 @@ def write_csv(path, columns: dict, manifest: RunManifest) -> Path:
     arrays = [np.asarray(columns[n]) for n in names]
     n_rows = len(arrays[0])
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"# manifest: {manifest.json_line()}\n")
+        fh.write(f"# manifest: {json.dumps(manifest, sort_keys=True)}\n")
         fh.write(",".join(names) + "\n")
         for i in range(n_rows):
             fh.write(",".join(f"{a[i]:.17g}" for a in arrays) + "\n")
     return path
 
 
-def write_json(path, payload: dict, manifest: RunManifest) -> Path:
+def write_json(path, payload: dict, manifest: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {"manifest": manifest.as_dict(), **payload}
+    doc = {"manifest": manifest, **payload}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 

@@ -215,9 +215,9 @@ def make_objective(od: float, rates: Optional[RateTable] = None, **grid):
 
     A (K, 5) array gives K values from one ``observables_at`` call on a
     DriveBatch of its rows, each equal bit for bit to the value of its
-    row alone; a (5,) point is a batch of one and gives a float.  A row
-    with an entry beyond +-MAX_MAGNITUDE or a negative Rabi frequency
-    raises the keyed error of ``DriveConfig``.  ``grid`` sets ``n_z`` and
+    row alone; a (5,) point is a batch of one and gives a float.  The
+    DriveBatch checks the rows: the first one outside DriveConfig's
+    domain raises DriveConfig's keyed error.  ``grid`` sets ``n_z`` and
     the wavelengths as in ``MediumConfig.derive``.  Evaluation failures are
     re-raised with the offending parameter vector attached; in a batch,
     that of the first row that fails alone.
@@ -227,9 +227,6 @@ def make_objective(od: float, rates: Optional[RateTable] = None, **grid):
 
     def objective(x):
         X = np.atleast_2d(np.asarray(x, float))
-        bad = ~((np.abs(X) <= MAX_MAGNITUDE).all(axis=1) & (X[:, :2] >= 0.0).all(axis=1))
-        if bad.any():   # DriveConfig raises the keyed error for the first bad row
-            DriveConfig(**dict(zip(PARAM_NAMES, X[bad.argmax()].tolist())))
         points = DriveBatch(**dict(zip(PARAM_NAMES, X.T)))
         try:
             eta = observables_at(ConfigBundle(rates=rates, medium=medium, drive=points)).eta_s
@@ -267,21 +264,13 @@ def optimize_eta(od: float, bounds: Optional[Sequence] = None, starts: int = STA
     x0s = _latin_hypercube(b, starts, seed)
     all_records, stop_reasons = _lockstep(objective, x0s, b, max_evals)
 
-    best_eta = -np.inf
-    best_params = tuple(x0s[0])
-    n_evals = 0
-    traces = []
-    for records in all_records:
-        n_evals += len(records)
-        traces.append(tuple((k, eta) for k, (_, eta) in enumerate(records)))
-        for params, eta in records:
-            if eta > best_eta:   # strict: ties keep the earlier start
-                best_eta = eta
-                best_params = params
-    if not np.isfinite(best_eta):
-        raise ObjectiveError("no successful objective evaluation", best_params)
-    return OptimizationResult(od=float(od), params=best_params, eta_s=float(best_eta),
-                              seed=seed, starts=starts, n_evaluations=n_evals,
-                              traces=tuple(traces),
+    # max keeps the first of equal values: ties go to the earlier start
+    best_params, best_eta = max((r for records in all_records for r in records),
+                                key=lambda r: r[1])
+    return OptimizationResult(od=float(od), params=best_params, eta_s=best_eta,
+                              seed=seed, starts=starts,
+                              n_evaluations=sum(map(len, all_records)),
+                              traces=tuple(tuple(enumerate(eta for _, eta in records))
+                                           for records in all_records),
                               bounds=tuple((float(lo), float(hi)) for lo, hi in b),
                               stop_reasons=stop_reasons)

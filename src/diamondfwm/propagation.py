@@ -66,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigBundle, with_mode
+from .config import MAX_MAGNITUDE, ConfigBundle, DriveConfig, with_mode
 from .errors import ConfigValidationError, NumericalError
 from .response import Workspace, _chi_arrays, _two_level_arrays
 
@@ -113,9 +113,13 @@ class CouplingProfile:
 class DriveBatch:
     """K drive points solved side by side, one probe detuning each.
 
-    Each field is a (K,) array whose entry k is that field of point k.
-    A bundle with a DriveBatch as its drive gets one coupling-profile row
-    per point, and ``_transfer_components`` pairs point k with detuning k.
+    Each field is a (K,) float array whose entry k is that field of
+    point k.  A field that is not a 1-D array of numbers (not bools) as
+    long as omega_c raises ConfigValidationError naming its ``fields.``
+    key, and the first point that breaks DriveConfig's rules raises
+    DriveConfig's keyed error.  A bundle with a DriveBatch as its drive
+    gets one coupling-profile row per point, and ``_transfer_components``
+    pairs point k with detuning k.
     """
 
     omega_c: np.ndarray
@@ -123,6 +127,20 @@ class DriveBatch:
     delta_p: np.ndarray
     delta_c: np.ndarray
     delta_d: np.ndarray
+
+    def __post_init__(self):
+        names = [f.name for f in fields(self)]
+        for name in names:
+            v = np.asarray(getattr(self, name))
+            if v.ndim != 1 or v.dtype.kind not in "iuf" or v.size != np.size(self.omega_c):
+                raise ConfigValidationError(
+                    f"fields.{name}", "must be a 1-D array of numbers as long as "
+                    f"fields.omega_c, got a {v.dtype} array of shape {v.shape}")
+            object.__setattr__(self, name, v.astype(float, copy=False))
+        X = np.array([getattr(self, name) for name in names])
+        bad = ~((np.abs(X) <= MAX_MAGNITUDE).all(axis=0) & (X[:2] >= 0.0).all(axis=0))
+        if bad.any():   # DriveConfig raises the keyed error for the first bad point
+            DriveConfig(**dict(zip(names, X[:, bad.argmax()].tolist())))
 
     @classmethod
     def stack(cls, drives) -> "DriveBatch":
@@ -270,6 +288,15 @@ def _comm(a, b, scale, out, tmp):
     np.multiply(out, f, out=out)
 
 
+def _gauss_sum(c1, c2, c3, out, s13, scratch):
+    """out = 5/18 (c1 + c3) + 4/9 c2, the Gauss-Legendre sum over one
+    step's nodes, leaving c1 + c3 in ``s13`` (which may be ``out``);
+    ``scratch`` has the shape of ``out``.  Returns ``out``."""
+    np.add(c1, c3, out=s13)
+    np.multiply(s13, _W_OUTER, out=out)
+    return np.add(out, np.multiply(c2, _W_MID, out=scratch), out=out)
+
+
 def _step_propagators(M, h, ws: Workspace):
     """Per-step propagators R_i = exp(Omega_i) for dU/dzeta = M U.
 
@@ -310,15 +337,8 @@ def _step_propagators(M, h, ws: Workspace):
         mul(sub(M[0], M[3], out=M[0]), 0.5, out=M[0])
         A1, A2, A3 = (M[:3, k] for k in range(3))
         t, omega, b2, b3 = ws.take(shape), ws.take(comps), ws.take(comps), ws.take(comps)
-
-        def quadrature(c1, c2, c3, out, s13, scratch):   # out = h (5/18 s13 + 4/9 c2), s13 = c1 + c3
-            add(c1, c3, out=s13)
-            mul(s13, _W_OUTER, out=out)
-            add(out, mul(c2, _W_MID, out=scratch), out=out)
-            mul(out, h, out=out)
-
-        quadrature(*tau, t, tmp[0], tmp2[0])
-        quadrature(A1, A2, A3, omega, b3, tmp2)
+        mul(_gauss_sum(*tau, t, tmp[0], tmp2[0]), h, out=t)
+        mul(_gauss_sum(A1, A2, A3, omega, b3, tmp2), h, out=omega)   # b3 = A1 + A3
         sub(A3, A1, out=b2)                              # a2 / h_a2
         sub(b3, mul(A2, 2.0, out=tmp), out=b3)           # a3 / h_a3
         c, u, w = ws.take(comps), ws.take(comps), ws.take(comps)
@@ -410,10 +430,8 @@ def _diagonal_propagator(M, h, ws: Workspace):
     R[1:3] = 0.0
     diag = R[::3]
     with ws.frame():
-        quad, tmp = ws.take(d[:, 0].shape), ws.take(d[:, 0].shape)
-        np.add(d[:, 0], d[:, 2], out=quad)
-        np.multiply(quad, _W_OUTER, out=quad)
-        np.add(quad, np.multiply(d[:, 1], _W_MID, out=tmp), out=quad)
+        quad = ws.take(d[:, 0].shape)
+        _gauss_sum(d[:, 0], d[:, 1], d[:, 2], quad, quad, ws.take(quad.shape))
         np.sum(quad, axis=-1, out=diag)
     np.exp(np.multiply(diag, h, out=diag), out=diag)
     return R
@@ -433,7 +451,9 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     (4, batch) array whose rows are a, b, c and d.
 
     ``delta_p`` and ``omega`` (scalars or 1-D arrays; ValueError names
-    one of higher rank) are broadcast to a common 1-D batch.  The
+    one of higher rank, and ConfigValidationError, keyed fields.delta_p
+    or omega, one with a non-finite entry) are broadcast to a common 1-D
+    batch.  The
     sideband frequency shifts every detuning of the response alike, so
     the kernel sees only delta_p + omega.  The bundle's drive, which its
     callers check is set, and ``profile``, its coupling profile with the
@@ -460,10 +480,12 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     path for all of its rows.
     """
     rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
-    detunings = {"delta_p": np.asarray(delta_p, float), "omega": np.asarray(omega, float)}
+    detunings = {"fields.delta_p": np.asarray(delta_p, float), "omega": np.asarray(omega, float)}
     for name, v in detunings.items():
         if v.ndim > 1:
             raise ValueError(f"{name} must be a scalar or a 1-D array, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ConfigValidationError(name, f"must be finite, got {v[~np.isfinite(v)][0]}")
     x = np.add(*np.broadcast_arrays(*map(np.atleast_1d, detunings.values())))
     n = profile.n_steps
     i0, i1 = step_range if step_range is not None else (0, n)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -255,7 +256,7 @@ def test_optimize_section_in_config_exit_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, key", [
     (["spectrum", "--preset", "fig3", "--linewidth", "inf"], "sweep.linewidth"),
-    (["spectrum", "--preset", "fig3", "--to", "inf"], "sweep.from"),
+    (["spectrum", "--preset", "fig3", "--to", "inf"], "sweep.to"),
     (["spectrum", "--preset", "fig3", "--step", "nan"], "sweep.step"),
     (["pulse", "--preset", "fig3", "--delta-p", "nan"], "fields.delta_p"),
     (["pulse", "--preset", "fig3", "--duration", "inf"], "pulse.duration"),
@@ -567,3 +568,33 @@ def test_unwritable_out_exit_2(tmp_path, capsys):
     assert run(["spectrum", "--preset", "fig3", "--from", 0, "--to", 1,
                 "--out", blocker / "sub"]) == 2
     assert "error (io)" in capsys.readouterr().err
+
+
+def test_validate_coarse_grid_exit_5(tmp_path, capsys):
+    # the fig3 drive at OD 300 on 16 steps is finite and passive but not
+    # converged on its grid
+    cfg = tmp_path / "coarse.yaml"
+    cfg.write_text("medium: {od: 300, n_z: 16}\n"
+                   "fields: {omega_c: 11, omega_d: 9, delta_p: -1, delta_c: 5, delta_d: -4}\n")
+    assert run(["validate", "--config", cfg, "--out", tmp_path]) == 5
+    out = capsys.readouterr().out
+    assert "[FAIL] grid_convergence" in out and "1 of 7 checks FAILED" in out
+    doc = json.loads((tmp_path / "validate_report.json").read_text())
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["grid_convergence"]
+
+
+def test_pulse_si_writes_time_in_ns(tmp_path):
+    assert run(["pulse", "--preset", "fig3", "--n-freq", 1024, "--si", "--out", tmp_path]) == 0
+    _, cols = read_csv(tmp_path / "pulse.csv")
+    assert np.array_equal(cols["time_ns"], cols["time_over_gamma_inv"]
+                          * diamondfwm.TIME_UNIT_NS)
+
+
+def test_only_the_cli_prints():
+    # library modules report through return values and logging, never print
+    package = Path(diamondfwm.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "cli.py":
+            calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"]
+            assert not calls, f"{path.name} calls print at lines {calls}"

@@ -801,3 +801,61 @@ def test_drive_required(fig3_small):
         observables_at(replace(fig3_small, drive=None))
     with pytest.raises(ConfigValidationError):
         transfer_matrix(0.0, replace(fig3_small, drive=None), profile=coupling_profile(fig3_small))
+
+
+_POINT = {"omega_c": [11.0, 11.0], "omega_d": [9.0, 9.0], "delta_p": [-1.0, -1.0],
+          "delta_c": [5.0, 5.0], "delta_d": [-4.0, -4.0]}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("omega_c", [11.0, np.nan]),
+    ("delta_p", [np.inf, -1.0]),
+    ("omega_c", [11.0, -11.0]),
+    ("omega_d", [-0.5, 9.0]),
+    ("delta_c", [5.0, 1e200]),
+    ("delta_d", np.array(["-4", "-4"])),
+    ("omega_d", np.array([True, True])),
+    ("delta_c", [[5.0], [5.0]]),
+    ("delta_p", [-1.0]),
+    ("omega_c", 11.0),
+])
+def test_drive_batch_rejects_bad_points_by_key(key, value):
+    with pytest.raises(ConfigValidationError) as err:
+        propagation.DriveBatch(**{**_POINT, key: value})
+    assert err.value.key == f"fields.{key}"
+
+
+def test_drive_batch_points_obey_drive_config(fig3_small):
+    # the first bad point raises DriveConfig's error for that point
+    batch = {**_POINT, "omega_c": [-1.0, np.nan], "delta_c": [1e9, 5.0]}
+    with pytest.raises(ConfigValidationError) as err:
+        propagation.DriveBatch(**batch)
+    with pytest.raises(ConfigValidationError) as want:
+        dfm.DriveConfig(**{k: v[0] for k, v in batch.items()})
+    assert str(err.value) == str(want.value)
+    # a valid batch is stored as float arrays and solved as before
+    drives = propagation.DriveBatch(**{**_POINT, "omega_c": [11, 0]})
+    assert drives.omega_c.dtype == float
+    eta = observables_at(replace(fig3_small, drive=drives)).eta_s
+    assert eta[0] == observables_at(fig3_small).eta_s
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    ({"delta_p": np.nan}, "fields.delta_p"),
+    ({"delta_p": [-1.0, np.inf]}, "fields.delta_p"),
+    ({"omega": np.inf}, "omega"),
+    ({"omega": [0.0, np.nan]}, "omega"),
+])
+def test_non_finite_detunings_rejected_by_key(fig3_small, kwargs, key):
+    with pytest.raises(ConfigValidationError) as err:
+        observables_at(fig3_small, **kwargs)
+    assert err.value.key == key
+
+
+def test_non_finite_transfer_frequency_rejected_by_key(fig3_small):
+    with pytest.raises(ConfigValidationError) as err:
+        transfer_matrix(np.nan, fig3_small)
+    assert err.value.key == "omega"
+    with pytest.raises(ConfigValidationError) as err:
+        transfer_matrix(0.0, fig3_small, delta_p=-np.inf)
+    assert err.value.key == "fields.delta_p"

@@ -240,3 +240,21 @@ def test_oracle_perturbation_scaling_is_quadratic():
         devs.append(abs(rho[1, 0] / eps - chi.chi_pp) / abs(chi.chi_pp))
     assert devs[0] / devs[1] == pytest.approx(4.0, rel=0.05)
     assert devs[1] / devs[2] == pytest.approx(4.0, rel=0.05)
+
+
+@pytest.mark.parametrize("extra", [0.05, 0.5, 2.0])
+def test_oracle_matches_linear_response_with_pure_dephasing(extra):
+    # gamma_extra adds pure dephasing to every coherence of the master
+    # equation and to every default coherence decay of the rate table
+    rates = RateTable(gamma_extra=extra)
+    drive = dfm.preset("fig3").drive
+    zeroth = two_level_steady_state(drive.omega_c, drive.delta_c, rates)
+    chi = linear_response(0.0, drive, drive.omega_c, zeroth, rates)
+    eps = 2.5e-4
+    rho_p = liouvillian_steady_state(drive, drive.omega_c, rates, omega_p=eps)
+    rho_s = liouvillian_steady_state(drive, drive.omega_c, rates, omega_s=eps)
+    assert abs(rho_p[2, 2].real - zeroth.rho33) < 1e-8
+    assert abs(rho_p[2, 0] - zeroth.rho31) < 1e-8
+    for got, want in ((rho_p[1, 0] / eps, chi.chi_pp), (rho_p[3, 2] / eps, chi.chi_sp),
+                      (rho_s[1, 0] / eps, chi.chi_ps), (rho_s[3, 2] / eps, chi.chi_ss)):
+        assert abs(got - want) / abs(want) < 1e-6
