@@ -4,7 +4,7 @@ diamond-type four-wave mixing in a four-level atomic ensemble."""
 __version__ = "0.1.0"
 
 from .config import (ConfigBundle, DriveConfig, MediumConfig, PulseOptions,
-                     RateTable, SweepOptions, bundle_hash,
+                     RateTable, SweepOptions, absorptions, bundle_hash,
                      dump_config, load_config, parse_config, preset, with_mode,
                      GAMMA_HZ, GAMMA_RAD_PER_S, TIME_UNIT_NS)
 from .errors import (BoundsError, ConfigParseError, ConfigValidationError,
@@ -30,7 +30,7 @@ __all__ = [
     "PulseGridError", "PulseOptions", "PulseResult", "RateTable", "ResponseMatrix",
     "SimulationError", "SingularResponseError", "SpectrumTable", "SweepOptions",
     "TIME_UNIT_NS", "TransferMatrix", "UnknownPresetError", "ZerothOrderState",
-    "bundle_hash", "coupling_profile", "default_bounds", "dump_config",
+    "absorptions", "bundle_hash", "coupling_profile", "default_bounds", "dump_config",
     "linear_response", "liouvillian_generator", "liouvillian_steady_state",
     "load_config", "lorentzian_convolve", "make_objective", "observables_at",
     "optimize_eta", "parse_config", "preset", "propagate_pulse", "run_checks",

@@ -47,11 +47,8 @@ _EPS = 1e-9
 # stops meaning anything; within it no square or product the model forms overflows
 MAX_MAGNITUDE = 1e8
 
-# Field metadata.  Each config dataclass declares its document keys: a
-# field's key is its name unless it carries {"key": ...}, and a
-# {"derived": True} field is computed, never read from or written to a
-# document.
-_DERIVED = {"derived": True}
+# Each config dataclass declares its document keys: a field's key is its
+# name unless the field carries the metadata {"key": ...}.
 
 
 def _require(cond, key, message):
@@ -66,20 +63,16 @@ def _require_number(value, key):
 
 def _float_fields(config, section: str) -> None:
     """Store each float field of a config (an Optional one when set) as a
-    float, after checking that it holds a number within +-MAX_MAGNITUDE
-    (a finite one if derived); an error names its document key.  Under
-    ``from __future__ import annotations`` a field's type is the
-    annotation as written."""
+    float, after checking that it holds a number within +-MAX_MAGNITUDE;
+    an error names its document key.  Under ``from __future__ import
+    annotations`` a field's type is the annotation as written."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "float" or (f.type == "Optional[float]" and value is not None):
             key = f"{section}.{_key(f)}"
             _require_number(value, key)
-            if f.metadata.get("derived"):
-                _require(math.isfinite(value), key, f"must be finite, got {value}")
-            else:
-                _require(abs(value) <= MAX_MAGNITUDE, key,
-                         f"must be finite and within +-{MAX_MAGNITUDE:g}, got {value}")
+            _require(abs(value) <= MAX_MAGNITUDE, key,
+                     f"must be finite and within +-{MAX_MAGNITUDE:g}, got {value}")
             object.__setattr__(config, f.name, float(value))
 
 
@@ -95,6 +88,8 @@ class RateTable:
     total population decay rates of the two levels plus ``gamma_extra``
     (the ground state |1> has zero decay).  The shipped totals are
     standard Rb-line values; they are configuration, not ground truth.
+    ``replace(rates, gamma_extra=...)`` keeps the coherence rates already
+    resolved (fig3 stays at eta_s 0.7104); build a new RateTable instead.
     """
 
     Gamma2_total: float = 0.958
@@ -170,13 +165,8 @@ class DriveConfig:
 
 @dataclass(frozen=True)
 class MediumConfig:
-    """Optical depths, wavelengths and the spatial grid.
-
-    ``alpha_c`` and ``alpha_s`` are never configured directly; they
-    follow from alpha_p at fixed density and length:
-
-        alpha_l / alpha_p = (lambda_l/lambda_p)^2
-                            * (Gamma_jk/gamma_jk) / (Gamma21/gamma21)
+    """Probe optical depth, wavelengths and the spatial grid (the other
+    absorptions are not stored: see ``absorptions``).
 
     ``n_z`` is the number of integration steps across zeta in [0, 1],
     each a sixth-order Gauss-Magnus step (see ``propagation``).  The
@@ -186,8 +176,6 @@ class MediumConfig:
     """
 
     alpha_p: float
-    alpha_c: float = field(metadata=_DERIVED)
-    alpha_s: float = field(metadata=_DERIVED)
     lambda_p: float = 795.0
     lambda_c: float = 780.0
     lambda_d: float = 1324.0
@@ -212,7 +200,7 @@ class MediumConfig:
     @classmethod
     def derive(cls, rates: RateTable, alpha_p: Optional[float] = None,
                od: Optional[float] = None, **grid) -> "MediumConfig":
-        """Build a medium, deriving alpha_c and alpha_s from the rates.
+        """Build a medium, checking that the rates derive its absorptions.
 
         Exactly one of ``alpha_p`` (the propagation-equation parameter)
         or ``od`` (the conventional resonant optical depth, -ln T) must
@@ -226,23 +214,37 @@ class MediumConfig:
             _require(0.0 <= od <= MAX_MAGNITUDE / 2.0, "medium.od", "optical depth must be >= 0 "
                      f"and at most {MAX_MAGNITUDE / 2.0:g} (alpha_p = 2 od), got {od}")
             alpha_p = 2.0 * od
-        medium = cls(alpha_p=alpha_p, alpha_c=0.0, alpha_s=0.0, **grid)
-        for key, value in (("rates.Gamma21", rates.Gamma21),
-                           ("rates.gamma31", rates.gamma31),
-                           ("rates.gamma43", rates.gamma43)):
-            _require(value > 0.0, key, "must be > 0 to derive alpha_c/alpha_s")
-        lp = medium.lambda_p
-        return replace(
-            medium,
-            alpha_c=medium.alpha_p * (medium.lambda_c / lp) ** 2
-            * (rates.Gamma31 / rates.gamma31) * (rates.gamma21 / rates.Gamma21),
-            alpha_s=medium.alpha_p * (medium.lambda_s / lp) ** 2
-            * (rates.Gamma43 / rates.gamma43) * (rates.gamma21 / rates.Gamma21))
+        medium = cls(alpha_p=alpha_p, **grid)
+        absorptions(rates, medium)
+        return medium
 
     @property
     def od(self) -> float:
         """Conventional resonant optical depth, -ln(T) = alpha_p/2."""
         return self.alpha_p / 2.0
+
+
+def absorptions(rates: RateTable, medium: MediumConfig) -> tuple:
+    """The coupling and signal absorptions (alpha_c, alpha_s), which follow
+    from alpha_p at fixed density and length, with jk = 31 and 43:
+
+        alpha_l / alpha_p = (lambda_l/lambda_p)^2
+                            * (Gamma_jk/gamma_jk) / (Gamma21/gamma21)
+
+    ConfigValidationError names a rate that is not > 0, or the rates. key
+    of the larger ratio when an absorption leaves the float range.
+    """
+    for key in ("Gamma21", "gamma31", "gamma43"):
+        _require(getattr(rates, key) > 0.0, f"rates.{key}", "must be > 0 to derive alpha_c/alpha_s")
+    probe, alphas = rates.gamma21 / rates.Gamma21, []
+    for name, lam, G, g in (("alpha_c", medium.lambda_c, "Gamma31", "gamma31"),
+                            ("alpha_s", medium.lambda_s, "Gamma43", "gamma43")):
+        ratio = getattr(rates, G) / getattr(rates, g)
+        alphas.append(medium.alpha_p * (lam / medium.lambda_p) ** 2 * ratio * probe)
+        _require(math.isfinite(alphas[-1]), f"rates.{g}" if ratio >= probe else "rates.Gamma21",
+                 f"{name} leaves the float range at rates.{G} / rates.{g} = {ratio:g} "
+                 f"and rates.gamma21 / rates.Gamma21 = {probe:g}")
+    return tuple(alphas)
 
 
 @dataclass(frozen=True)
@@ -306,10 +308,9 @@ def _schema(cls) -> dict:
     hints = get_type_hints(cls)
     schema = {}
     for f in fields(cls):
-        if not f.metadata.get("derived"):
-            want = hints[f.name]
-            want = next((t for t in get_args(want) if t is not type(None)), want)
-            schema[_key(f)] = (f.name, want)
+        want = hints[f.name]
+        want = next((t for t in get_args(want) if t is not type(None)), want)
+        schema[_key(f)] = (f.name, want)
     return schema
 
 
@@ -390,13 +391,13 @@ def load_config(path) -> ConfigBundle:
 def canonical_dict(config) -> dict:
     """Fully-resolved plain-dict form; the basis for hashing and round-trips.
 
-    Every field that is set and not derived is written under its document
-    key; a nested config dataclass becomes a section.
+    Every field that is set is written under its document key; a nested
+    config dataclass becomes a section.
     """
     doc = {}
     for f in fields(config):
         value = getattr(config, f.name)
-        if value is not None and not f.metadata.get("derived"):
+        if value is not None:
             doc[_key(f)] = canonical_dict(value) if is_dataclass(value) else value
     return doc
 

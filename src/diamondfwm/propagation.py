@@ -66,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import MAX_MAGNITUDE, ConfigBundle, DriveConfig, with_mode
+from .config import MAX_MAGNITUDE, ConfigBundle, DriveConfig, absorptions, with_mode
 from .errors import ConfigValidationError, NumericalError
 from .response import Workspace, _chi_arrays, _two_level_arrays
 
@@ -235,7 +235,7 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
     # across the medium, so where that is below rounding (num vanishes with
     # alpha_c, gamma31 or Gamma3, or underflows) the beam keeps w = w0
     s0, den0 = np.square(w0), G3 * (g31 ** 2 + np.square(dc))
-    num = -0.25 * g31 * medium.alpha_c * G3 * (g31 + 1j * dc)
+    num = -0.25 * g31 * absorptions(rates, medium)[0] * G3 * (g31 + 1j * dc)
     omega_c = np.broadcast_to(w0, (3, w0.shape[0], n)).astype(complex, order="C")
     k = ((w0 != 0.0) & (np.abs(num) > 1e-16 * (den0 + g31 * s0)))[:, 0]   # absorbed rows
     w0, s0, den0, num = w0[k], s0[k], den0[k], num[k]
@@ -450,12 +450,12 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     """Transfer-matrix entries for arrays of detuning pairs, as one
     (4, batch) array whose rows are a, b, c and d.
 
-    ``delta_p`` and ``omega`` (scalars or 1-D arrays; ValueError names
-    one of higher rank, and ConfigValidationError, keyed fields.delta_p
-    or omega, one with a non-finite entry) are broadcast to a common 1-D
-    batch.  The
-    sideband frequency shifts every detuning of the response alike, so
-    the kernel sees only delta_p + omega.  The bundle's drive, which its
+    ``delta_p`` and ``omega`` (scalars or 1-D arrays of numbers;
+    ValueError names one of higher rank, and ConfigValidationError, keyed
+    fields.delta_p or omega, one of bools, of non-numbers or with a
+    non-finite entry) are broadcast to a common 1-D batch.  The sideband
+    frequency shifts every detuning of the response alike, so the kernel
+    sees only delta_p + omega.  The bundle's drive, which its
     callers check is set, and ``profile``, its coupling profile with the
     two-level state, have one row per point of a DriveBatch or one for a
     DriveConfig; entry k of the batch is solved at row k, or at the only
@@ -480,12 +480,15 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     path for all of its rows.
     """
     rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
-    detunings = {"fields.delta_p": np.asarray(delta_p, float), "omega": np.asarray(omega, float)}
+    detunings = {"fields.delta_p": np.asarray(delta_p), "omega": np.asarray(omega)}
     for name, v in detunings.items():
+        if v.dtype.kind not in "iuf":   # numbers, not bools, as in DriveBatch
+            raise ConfigValidationError(name, f"must be numbers, got a {v.dtype} array")
         if v.ndim > 1:
             raise ValueError(f"{name} must be a scalar or a 1-D array, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise ConfigValidationError(name, f"must be finite, got {v[~np.isfinite(v)][0]}")
+        detunings[name] = v.astype(float, copy=False)
     x = np.add(*np.broadcast_arrays(*map(np.atleast_1d, detunings.values())))
     n = profile.n_steps
     i0, i1 = step_range if step_range is not None else (0, n)
@@ -510,9 +513,10 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
         raise ValueError(f"{points} drive points, {wc.shape[1]} profile rows "
                          f"and {x.size} detunings do not pair up")
 
+    alpha_s = absorptions(rates, medium)[1]
     cp = 0.5 * rates.gamma21 * medium.alpha_p
-    cs = 0.5 * rates.gamma43 * medium.alpha_s
-    cx = 0.5 * math.sqrt(rates.gamma21 * medium.alpha_p * rates.gamma43 * medium.alpha_s)
+    cs = 0.5 * rates.gamma43 * alpha_s
+    cx = 0.5 * math.sqrt(rates.gamma21 * medium.alpha_p * rates.gamma43 * alpha_s)
     couplings = np.array((1j * cp, 1j * cx, 1j * cx, 1j * cs)).reshape(4, 1, 1, 1)
     # no FWM loop, so chi_ps = chi_sp = 0, at every point without omega_d or omega_c
     loopless = (omega_d == 0.0) | (np.reshape(drive.omega_c, (-1, 1)) == 0.0)
@@ -626,8 +630,6 @@ class SpectrumTable:
 
 
 def _peak_index(y: np.ndarray) -> int:
-    if y.size < 3:
-        return int(np.argmax(y))
     interior = np.where((y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:]))[0] + 1
     if interior.size == 0:
         return int(np.argmax(y))

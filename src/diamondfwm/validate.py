@@ -141,12 +141,7 @@ def check_zeroth_order(bundle: ConfigBundle) -> CheckResult:
 
 def run_checks(bundle: ConfigBundle) -> list:
     """Run the whole invariant suite on one config."""
-    return [
-        check_passivity(bundle),
-        check_conjugation_symmetry(bundle),
-        check_oracle_agreement(bundle),
-        check_grid_convergence(bundle),
-        check_beer_absorption(bundle),
-        check_compositionality(bundle),
-        check_zeroth_order(bundle),
-    ]
+    return [check(bundle) for check in (check_passivity, check_conjugation_symmetry,
+                                        check_oracle_agreement, check_grid_convergence,
+                                        check_beer_absorption, check_compositionality,
+                                        check_zeroth_order)]

@@ -480,6 +480,23 @@ def test_spectrum_zero_od_checks_rates_exit_3(tmp_path, capsys):
     assert "rates.gamma31: must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rates, want", [
+    # Gamma31 / gamma31 is beyond the float range: alpha_c = inf
+    pytest.param({"gamma31": "1.0e-310"}, "rates.gamma31", id="gamma31"),
+    # gamma21 / Gamma21 is: both absorptions are infinite
+    pytest.param({"Gamma2_total": "1.0e-320", "gamma21": 1}, "rates.Gamma21", id="Gamma21"),
+])
+def test_spectrum_absorption_beyond_float_range_exit_3(tmp_path, capsys, rates, want):
+    # the absorptions are computed, not document keys: the error names a rate
+    cfg = _spectrum_doc(tmp_path, {"medium": {"od": 75}, "rates": rates,
+                                   "fields": {"omega_c": 11, "omega_d": 6, "delta_c": 5}})
+    assert _spectrum_strict(cfg, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert f"{want}: alpha_c leaves the float range" in err
+    assert "medium." not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_spectrum_saturation_beyond_float_range_exit_4(tmp_path, capsys):
     # den0 = Gamma3 (gamma31^2 + delta_c^2) underflows to 0, so the
     # saturation gamma31 |omega_c|^2 / den0 overflows, while the saturated

@@ -23,8 +23,9 @@ def test_minimal_document_applies_defaults():
     assert b.rates.gamma23 == pytest.approx((0.958 + 1.0) / 2)
     # derived optical depths from the single alpha formula
     want_c = 75.0 * (780.0 / 795.0) ** 2 * (1.0 / 0.5) * (0.479 / 0.958)
-    assert b.medium.alpha_c == pytest.approx(want_c, rel=1e-12)
-    assert b.medium.alpha_s > 0
+    alpha_c, alpha_s = dfm.absorptions(b.rates, b.medium)
+    assert alpha_c == pytest.approx(want_c, rel=1e-12)
+    assert alpha_s > 0
     assert b.drive is None
 
 
@@ -111,7 +112,7 @@ def test_all_totals_one_makes_alpha_c_equal_alpha_p():
                       Gamma21=1.0, Gamma31=1.0)
     med = dfm.MediumConfig.derive(rates, alpha_p=42.0, lambda_c=795.0,
                                   lambda_s=1324.0)
-    assert med.alpha_c == pytest.approx(42.0, abs=0)
+    assert dfm.absorptions(rates, med)[0] == pytest.approx(42.0, abs=0)
 
 
 def test_default_gammas_are_halfsums_plus_extra():
@@ -153,6 +154,28 @@ def test_hash_stable_across_reserialization():
     h1 = bundle_hash(b)
     h2 = bundle_hash(parse_config(dump_config(b)))
     assert h1 == h2
+
+
+@pytest.mark.parametrize("edit, eta_s", [
+    pytest.param(lambda b: replace(b, medium=replace(b.medium, alpha_p=300.0)), 0.0318,
+                 id="alpha_p"),
+    pytest.param(lambda b: replace(b, medium=replace(b.medium, lambda_c=781.0)), 0.7105,
+                 id="lambda_c"),
+    pytest.param(lambda b: replace(b, rates=RateTable(gamma_extra=0.5)), 0.0881, id="rates"),
+    # replace() on a RateTable keeps the coherence rates it has resolved
+    pytest.param(lambda b: replace(b, rates=replace(b.rates, gamma_extra=0.5)), 0.7104,
+                 id="rates-replace"),
+])
+def test_scan_by_replace_is_the_document_it_dumps(edit, eta_s):
+    # a config holds only document keys, so a bundle built with replace()
+    # is the one its dump parses to, with the same hash and outputs
+    b = edit(dfm.preset("fig3"))
+    parsed = parse_config(dump_config(b))
+    assert parsed == b
+    assert bundle_hash(parsed) == bundle_hash(b)
+    got, want = dfm.observables_at(b), dfm.observables_at(parsed)
+    assert got == want   # floats, none NaN: bit for bit
+    assert got.eta_s == pytest.approx(eta_s, abs=5e-5)
 
 
 def test_od_and_alpha_p_are_consistent_views():

@@ -55,11 +55,12 @@ def test_weak_resonant_coupling_decays_at_quarter_alpha():
                             delta_c=0.0, delta_d=0.0)
     med = dfm.MediumConfig.derive(rates, alpha_p=4.0, lambda_c=795.0,
                                   lambda_s=1324.0, n_z=400)
-    assert med.alpha_c == pytest.approx(4.0)
+    alpha_c = dfm.absorptions(rates, med)[0]
+    assert alpha_c == pytest.approx(4.0)
     b = dfm.ConfigBundle(rates=rates, medium=med, drive=drive)
     prof = coupling_profile(b)
     ratio = abs(prof.omega_c[-1, 0, -1]) / drive.omega_c   # at the last node
-    assert ratio == pytest.approx(math.exp(-med.alpha_c * prof.zeta[-1, 0, -1] / 4.0), abs=1e-4)
+    assert ratio == pytest.approx(math.exp(-alpha_c * prof.zeta[-1, 0, -1] / 4.0), abs=1e-4)
 
 
 def test_profile_magnitude_never_increases():
@@ -93,7 +94,7 @@ def test_profile_satisfies_separable_invariant(wc, dc, od):
         zeta, w = prof.zeta[j, 0, i], prof.omega_c[j, 0, i]
         s = abs(w) ** 2
         lhs = den0 * math.log(s / s0) + g31 * (s - s0)
-        rhs = -0.5 * g31 ** 2 * b.medium.alpha_c * G3 * zeta
+        rhs = -0.5 * g31 ** 2 * dfm.absorptions(b.rates, b.medium)[0] * G3 * zeta
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
         phase = np.angle(w / wc)
         want = (dc / (2.0 * g31)) * math.log(s / s0)
@@ -110,7 +111,7 @@ def _fine_rk4_profile(b, zeta_end, n_steps=4000):
         den = r.Gamma3_total * (r.gamma31 ** 2 + dc ** 2) + s * r.gamma31
         rho33 = 0.5 * s * r.gamma31 / den if den > 0.0 else 0.0
         rho31 = 0.5j * w * (1.0 - 2.0 * rho33) / (r.gamma31 - 1j * dc)
-        return 0.5j * r.gamma31 * b.medium.alpha_c * rho31
+        return 0.5j * r.gamma31 * dfm.absorptions(r, b.medium)[0] * rho31
 
     return complex(rk4_integrate(rhs, b.drive.omega_c, zeta_end, zeta_end / n_steps))
 
@@ -143,7 +144,7 @@ def test_profile_constant_without_coupling_decay():
     # Gamma3_total = 0 with gamma_extra > 0 gives den0 = 0: the coupling
     # transition is fully saturated and the beam is not absorbed
     rates = RateTable(Gamma3_total=0.0, Gamma31=0.0, gamma_extra=0.5)
-    med = dfm.MediumConfig(alpha_p=150.0, alpha_c=150.0, alpha_s=150.0, n_z=400)
+    med = dfm.MediumConfig.derive(rates, alpha_p=150.0, n_z=400)
     b = dfm.ConfigBundle(rates=rates, medium=med, drive=dfm.preset("fig3").drive)
     assert np.all(coupling_profile(b).omega_c == 11.0 + 0j)
 
@@ -337,8 +338,9 @@ def _reference_generator(bundle, profile, delta_p, omega, i0, i1):
     chi_ss = (d3 * (bq2 - v * p2) - occ * (bq1 - v * chi_ps)) * inv_q
 
     med = bundle.medium
-    cp, cs = 0.5 * r.gamma21 * med.alpha_p, 0.5 * r.gamma43 * med.alpha_s
-    cx = 0.5 * math.sqrt(r.gamma21 * med.alpha_p * r.gamma43 * med.alpha_s)
+    alpha_s = dfm.absorptions(r, med)[1]
+    cp, cs = 0.5 * r.gamma21 * med.alpha_p, 0.5 * r.gamma43 * alpha_s
+    cx = 0.5 * math.sqrt(r.gamma21 * med.alpha_p * r.gamma43 * alpha_s)
     return 1j * cp * chi_pp, 1j * cx * chi_ps, 1j * cx * chi_sp, 1j * cs * chi_ss
 
 
@@ -574,7 +576,7 @@ def test_uniform_coupled_medium_is_one_closed_form_step():
     # Gamma3_total = 0 leaves the beam unabsorbed, but omega_d keeps the FWM
     # loop: one step of the closed-form exponential spans the medium
     rates = RateTable(Gamma3_total=0.0, Gamma31=0.0, gamma_extra=0.5)
-    med = dfm.MediumConfig(alpha_p=150.0, alpha_c=150.0, alpha_s=150.0, n_z=400)
+    med = dfm.MediumConfig.derive(rates, alpha_p=150.0, n_z=400)
     b = dfm.ConfigBundle(rates=rates, medium=med, drive=dfm.preset("fig3").drive)
     prof = coupling_profile(b)
     rng = np.random.default_rng(1)
@@ -850,6 +852,26 @@ def test_non_finite_detunings_rejected_by_key(fig3_small, kwargs, key):
     with pytest.raises(ConfigValidationError) as err:
         observables_at(fig3_small, **kwargs)
     assert err.value.key == key
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    ({"delta_p": "x"}, "fields.delta_p"),
+    ({"delta_p": True}, "fields.delta_p"),
+    ({"delta_p": [-1.0, None]}, "fields.delta_p"),
+    ({"omega": [0.0, 1j]}, "omega"),
+    ({"omega": np.array([False, True])}, "omega"),
+])
+def test_non_numeric_detunings_rejected_by_key(fig3_small, kwargs, key):
+    # numbers, not bools, as DriveBatch takes them
+    with pytest.raises(ConfigValidationError, match="must be numbers") as err:
+        observables_at(fig3_small, **kwargs)
+    assert err.value.key == key
+
+
+def test_integer_detunings_are_numbers(fig3_small):
+    got = observables_at(fig3_small, delta_p=-1, omega=[0, 2])
+    want = observables_at(fig3_small, delta_p=-1.0, omega=[0.0, 2.0])
+    assert all(np.array_equal(getattr(got, k), getattr(want, k)) for k in ("T_p", "eta_s"))
 
 
 def test_non_finite_transfer_frequency_rejected_by_key(fig3_small):
