@@ -231,16 +231,25 @@ def absorptions(rates: RateTable, medium: MediumConfig) -> tuple:
         alpha_l / alpha_p = (lambda_l/lambda_p)^2
                             * (Gamma_jk/gamma_jk) / (Gamma21/gamma21)
 
-    ConfigValidationError names a rate that is not > 0, or the rates. key
-    of the larger ratio when an absorption leaves the float range.
+    ConfigValidationError names a rate that is not > 0, the medium.lambda_
+    key of a wavelength ratio whose square leaves the float range, or the
+    rates. key of the larger ratio when an absorption does.
     """
     for key in ("Gamma21", "gamma31", "gamma43"):
         _require(getattr(rates, key) > 0.0, f"rates.{key}", "must be > 0 to derive alpha_c/alpha_s")
     probe, alphas = rates.gamma21 / rates.Gamma21, []
-    for name, lam, G, g in (("alpha_c", medium.lambda_c, "Gamma31", "gamma31"),
-                            ("alpha_s", medium.lambda_s, "Gamma43", "gamma43")):
+    for name, lam, G, g in (("alpha_c", "lambda_c", "Gamma31", "gamma31"),
+                            ("alpha_s", "lambda_s", "Gamma43", "gamma43")):
+        wavelengths = getattr(medium, lam) / medium.lambda_p
+        try:
+            wavelengths **= 2   # a float's ** raises OverflowError where * would give inf
+        except OverflowError:
+            wavelengths = math.inf
+        _require(math.isfinite(wavelengths), f"medium.{lam}",
+                 f"{name} leaves the float range: (medium.{lam} / medium.lambda_p)^2 = "
+                 f"({getattr(medium, lam):g} / {medium.lambda_p:g})^2")
         ratio = getattr(rates, G) / getattr(rates, g)
-        alphas.append(medium.alpha_p * (lam / medium.lambda_p) ** 2 * ratio * probe)
+        alphas.append(medium.alpha_p * wavelengths * ratio * probe)
         _require(math.isfinite(alphas[-1]), f"rates.{g}" if ratio >= probe else "rates.Gamma21",
                  f"{name} leaves the float range at rates.{G} / rates.{g} = {ratio:g} "
                  f"and rates.gamma21 / rates.Gamma21 = {probe:g}")

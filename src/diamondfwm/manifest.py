@@ -48,13 +48,12 @@ def write_csv(path, columns: dict, manifest: dict) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     names = list(columns)
-    arrays = [np.asarray(columns[n]) for n in names]
-    n_rows = len(arrays[0])
+    row = ",".join(["{:.17g}"] * len(names)) + "\n"
+    rows = zip(*(np.asarray(columns[n]).tolist() for n in names))
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"# manifest: {json.dumps(manifest, sort_keys=True)}\n")
         fh.write(",".join(names) + "\n")
-        for i in range(n_rows):
-            fh.write(",".join(f"{a[i]:.17g}" for a in arrays) + "\n")
+        fh.write("".join(row.format(*values) for values in rows))
     return path
 
 

@@ -22,29 +22,39 @@ omega function, computed here by the Fritsch-Shafer-Crowley iteration
 Jeffrey, ACM TOMS 38 (2012) 20, Algorithm 917).  Each step's
 propagator is exp(Omega) with Omega the sixth-order Magnus expansion
 built from M at those three nodes (Blanes, Casas, Oteo & Ros,
-Phys. Rep. 470 (2009), section 4), and the 2x2 exponential is taken in
-closed form.  The method is of sixth order, so 256 steps reach the
+Phys. Rep. 470 (2009), section 4).  The 2x2 exponential of
+Omega = t I + N (N traceless, N^2 = q^2 I) is e^(i Im t) times
+e^(Re t) (cosh q I + sinh(q)/q N): where |q^2| is small, as on every
+step at the presets, cosh q - 1 and sinh(q)/q are short series in q^2
+and e^(Re t) is a real exponential, so no step takes a complex sinh,
+cosh, sqrt or exp; elsewhere the closed form e^(Re t +- q) is taken on
+those lanes alone, the standard split of a small matrix's exponential
+(Moler & Van Loan, SIAM Rev. 45 (2003) 3).  The phases e^(i Im t)
+commute with every step, so each frequency's product takes their sum
+once.  The method is of sixth order, so 256 steps reach the
 accuracy that fixed-step RK4 needed 2000 steps for at the presets;
 above OD ~300 the grid must grow with the optical depth (README,
 "Spatial grid").  Two kinds of medium skip the steps' product, exactly
 in exact arithmetic.  Where M is diagonal (no FWM loop: omega_d = 0 or
 omega_c = 0, as in the v_type, cascade and two_level modes) every
 commutator vanishes, and each channel's transfer is the exponential of
-the Gauss quadrature of its entry over all steps.  Where no profile row
-absorbs the coupling beam, M is the same at every node, and the whole
-span is one step.
+the Gauss quadrature of its entry over all steps; where omega_d = 0,
+chi solves its two blocks alone.  Where no profile row absorbs the
+coupling beam, M is the same at every node, and the whole span is one
+step.
 
 The transfer-matrix kernel (chi assembly, step propagators and their
 ordered product) runs over tiles of the detuning batch; one drive is a
-batch of one that all detunings share.  A tile holds
-max(1, _TILE_ELEMENTS // (3 n)) frequencies on n steps (n_z, or 1 for a
-uniform medium), laid out as (entry, Gauss node, frequency, step): the
-four entries of each 2x2 matrix, or the three of a traceless part, are
-one block, so that one numpy call covers them and runs along the steps.  Every operation writes through
-``out=`` into the calling thread's Workspace, a stack in one buffer
-from which each stage frees its scratch for the next; it grows only
-when a larger tile arrives, so no array of a tile's full size is
-allocated per tile.
+batch of one that all detunings share, and chi's terms of the
+frequencies alone or of that drive's grid alone are computed once per
+call.  A tile holds max(1, _TILE_ELEMENTS // (3 n)) frequencies on n
+steps (n_z, or 1 for a uniform medium), laid out as (entry, Gauss node,
+frequency, step): the four entries of each 2x2 matrix, or the three of
+a traceless part, are one block, so that one numpy call covers them and
+runs along the steps.  Every operation writes through ``out=`` into the
+calling thread's Workspace, a stack in one buffer from which each stage
+frees its scratch for the next; it grows only when a larger tile
+arrives, so no array of a tile's full size is allocated per tile.
 Plain expressions map and unmap their temporaries on every operation:
 on a 2-core x86_64 host at 16,384 elements per tile, a 1,001-row fig3
 sweep took 473 ms against 303 ms (59 k minor page faults against 5)
@@ -68,7 +78,7 @@ import numpy as np
 
 from .config import MAX_MAGNITUDE, ConfigBundle, DriveConfig, absorptions, with_mode
 from .errors import ConfigValidationError, NumericalError
-from .response import Workspace, _chi_arrays, _two_level_arrays
+from .response import Workspace, _chi_arrays, _chi_terms, _two_level_arrays
 
 # chi samples x frequencies per tile; see the module docstring
 _TILE_ELEMENTS = 16384
@@ -76,7 +86,6 @@ _TILE_ELEMENTS = 16384
 # Gauss-Legendre nodes of one step, as fractions of it, and their weights
 _NODES = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 _W_OUTER, _W_MID = 5.0 / 18.0, 4.0 / 9.0
-_SMALL_Q = 1e-4   # below |q| = 1e-4, sinh(q)/q = 1 + q^2/6 to within 1e-18
 
 # largest column photon gain |a|^2 + |c|^2 or |b|^2 + |d|^2 accepted as
 # passive; the tolerance of `diamondfwm validate`
@@ -277,15 +286,24 @@ def _comm(a, b, scale, out, tmp):
 
         [a, b] = (a_y b_z - b_y a_z, 2 (a_x b_y - b_x a_y), 2 (a_z b_x - b_z a_x))
 
-    ``out`` must not share memory with ``a`` or ``b``; ``tmp`` has the
-    shape of one component.
+    ``scale`` is the vector (s, 2 s, 2 s) of the scalar s, shaped to
+    broadcast along the first axis (see ``_comm_scales``).  ``out`` must
+    not share memory with ``a`` or ``b``; ``tmp`` has the shape of one
+    component.
     """
     terms = ((a[1], b[2], b[1], a[2]), (a[0], b[1], b[0], a[1]), (a[2], b[0], b[2], a[0]))
     for dst, (p, q, r, s) in zip(out, terms):
         np.multiply(p, q, out=dst)
         np.subtract(dst, np.multiply(r, s, out=tmp), out=dst)
-    f = np.array((scale, 2.0 * scale, 2.0 * scale)).reshape((3,) + (1,) * (out.ndim - 1))
-    np.multiply(out, f, out=out)
+    np.multiply(out, scale, out=out)
+
+
+def _comm_scales(h):
+    """``_comm``'s scale vectors for (3, freq, step) blocks in a Magnus
+    step of length h: those of [a1, a2], of [a1, 2 a3 + [a1, a2]] / 60 and
+    of the outer commutator / 240 (see ``_step_propagators``)."""
+    s = np.array((h * (math.sqrt(15.0) * h / 3.0), h / 60.0, 1.0 / 240.0))
+    return np.multiply.outer(s, (1.0, 2.0, 2.0)).reshape(3, 3, 1, 1)
 
 
 def _gauss_sum(c1, c2, c3, out, s13, scratch):
@@ -297,12 +315,14 @@ def _gauss_sum(c1, c2, c3, out, s13, scratch):
     return np.add(out, np.multiply(c2, _W_MID, out=scratch), out=out)
 
 
-def _step_propagators(M, h, ws: Workspace):
-    """Per-step propagators R_i = exp(Omega_i) for dU/dzeta = M U.
+def _step_propagators(M, h, scales, ws: Workspace):
+    """Per-step propagators for dU/dzeta = M U, and the phase that they
+    leave out.
 
     ``M`` is one (4, node, freq, step) block holding the entries
-    (11, 12, 21, 22) of M at the three Gauss nodes of each step.  With
-    A_k = M at node k of a step, the sixth-order Magnus term is
+    (11, 12, 21, 22) of M at the three Gauss nodes of each step, and
+    ``scales`` are ``_comm_scales(h)``.  With A_k = M at node k of a
+    step, the sixth-order Magnus term is
 
         a1 = h A_2,  a2 = (sqrt(15) h / 3)(A_3 - A_1),
         a3 = (10 h / 3)(A_3 - 2 A_2 + A_1),
@@ -310,25 +330,21 @@ def _step_propagators(M, h, ws: Workspace):
                                       a2 - (1/60) [a1, 2 a3 + [a1, a2]]]
 
     whose identity part t I is h times the Gauss quadrature of tr(M)/2
-    (commutators are traceless).  With N = Omega - t I and
-    q^2 = N_11^2 + N_12 N_21 (N^2 = q^2 I),
-
-        exp(Omega) = I + D I + S N,  D = expm1(t) cosh q + 2 sinh^2(q/2),
-        S = e^t sinh(q)/q,
-
-    which has no cancellation near the identity, so a channel the medium
-    does not couple stays exactly 1.  Far from it the form cancels:
-    with Re q large (a strongly absorbed channel next to a clear one)
-    expm1(t) cosh q and 2 sinh^2(q/2) nearly cancel, and cosh q
-    overflows beyond Re q ~ 710.  Where Re q > 1, D and S come from
-    e^(t+q) and e^(t-q) instead.  ``M[0]`` is overwritten.  The
-    propagators come back as one (4, freq, step) block taken from
-    ``ws``, which stays taken.
+    (commutators are traceless).  The step's propagator is
+    exp(Omega) = e^(i Im t) R with R = exp(Re t I + N), N = Omega - t I;
+    ``_exp_terms`` gives R.  A scalar phase commutes with every step, so
+    the product of the exp(Omega) is e^(i Phi) times that of the R, with
+    Phi the sum of Im t over the steps: each frequency's phase is taken
+    once, from real cos and sin.  ``M[0]`` is overwritten.  The R come
+    back as one (4, freq, step) block and the phases e^(i Phi) as one
+    (freq,) array, both taken from ``ws``, which stay taken.  Each
+    frequency's sum runs along its own steps, so it does not depend on
+    the tile.
     """
     shape, comps = M.shape[2:], (3,) + M.shape[2:]
     h_a2, h_a3 = math.sqrt(15.0) * h / 3.0, 10.0 * h / 3.0
     mul, add, sub = np.multiply, np.add, np.subtract
-    R = ws.take((4,) + shape)
+    R, phase = ws.take((4,) + shape), ws.take(shape[:-1])
     with ws.frame():
         tmp, tmp2 = ws.take(comps), ws.take(comps)
         # half trace at each node; then M[0] becomes the traceless x, so
@@ -342,50 +358,80 @@ def _step_propagators(M, h, ws: Workspace):
         sub(A3, A1, out=b2)                              # a2 / h_a2
         sub(b3, mul(A2, 2.0, out=tmp), out=b3)           # a3 / h_a3
         c, u, w = ws.take(comps), ws.take(comps), ws.take(comps)
-        _comm(A2, b2, h * h_a2, c, tmp[0])               # [a1, a2]
+        _comm(A2, b2, scales[0], c, tmp[0])              # [a1, a2]
         sub(c, mul(A2, 20.0 * h, out=u), out=u)          # u = -20 a1 + [a1, a2]
         sub(u, mul(b3, h_a3, out=tmp), out=u)            #     - a3
         add(c, mul(b3, 2.0 * h_a3, out=w), out=w)        # w = 2 a3 + [a1, a2]
-        _comm(A2, w, h / 60.0, c, tmp[0])
+        _comm(A2, w, scales[1], c, tmp[0])
         sub(mul(b2, h_a2, out=b2), c, out=b2)            # v = a2 - [a1, w] / 60
-        _comm(u, b2, 1.0 / 240.0, c, tmp[0])
+        _comm(u, b2, scales[2], c, tmp[0])
         nx, ny, nz = add(omega, c, out=omega)
+        phi = np.sum(t.imag, axis=-1, out=ws.take(shape[:-1], np.float64))
+        np.cos(phi, out=phase.real)
+        np.sin(phi, out=phase.imag)
         D, S = R[1], R[2]   # overwritten last, below
-        _exp_terms(t, nx, ny, nz, D, S, ws)
+        re_t = ws.take(shape, np.float64)
+        np.copyto(re_t, t.real)
+        _exp_terms(re_t, nx, ny, nz, D, S, ws)
         mul(S, nx, out=tmp[0])
         add(add(D, tmp[0], out=R[0]), 1.0, out=R[0])
         add(sub(D, tmp[0], out=R[3]), 1.0, out=R[3])
         mul(S, ny, out=R[1])
         mul(S, nz, out=R[2])
-    return R
+    return R, phase
 
 
-def _exp_terms(t, nx, ny, nz, D, S, ws: Workspace):
-    """D and S of exp(t I + N) = I + D I + S N for the traceless
-    N = (nx, ny, nz), written into ``D`` and ``S``; see
-    ``_step_propagators``."""
+# cosh q - 1 = z (1/2! + z/4! + ...) and sinh(q)/q = 1/1! + z/3! + ... in
+# z = q^2, each through z^5, as (power, series, freq, step) coefficients;
+# for |z| <= _SERIES_BOUND the first term left out is below 1e-17
+_SERIES = np.array([[1.0 / math.factorial(2 * k + 2), 1.0 / math.factorial(2 * k + 1)]
+                    for k in range(6)], complex).reshape(6, 2, 1, 1)
+_SERIES_BOUND = 1.0 / 16.0
+
+
+def _exp_terms(tau, nx, ny, nz, D, S, ws: Workspace):
+    """D and S of exp(tau I + N) = I + D I + S N for real ``tau`` and the
+    traceless N = (nx, ny, nz), written into ``D`` and ``S``.
+
+    With q^2 = N_11^2 + N_12 N_21 (N^2 = q^2 I),
+
+        D = expm1(tau) cosh q + (cosh q - 1),  S = e^tau sinh(q)/q,
+
+    which has no cancellation near the identity, so a channel the medium
+    does not couple stays exactly 1.  Where |q^2| <= _SERIES_BOUND,
+    cosh q - 1 and sinh(q)/q are their series in q^2, summed by Horner's
+    rule on the two at once, and e^tau and expm1(tau) are real.  Beyond
+    the bound, where the truncated series no longer holds to round-off,
+    D = (e^(tau+q) + e^(tau-q))/2 - 1 and S = (e^(tau+q) - e^(tau-q))/(2q)
+    on those lanes alone; this form neither cancels with Re q large (a
+    strongly absorbed channel next to a clear one) nor overflows where
+    cosh q would.  The arrays are (freq, step).
+    """
     mul, add = np.multiply, np.add
-    shape = t.shape
+    shape = tau.shape
     with ws.frame():
-        q2, q, sh, ch = (ws.take(shape) for _ in range(4))
-        mask = ws.take(shape, np.bool_)
-        add(mul(nx, nx, out=q2), mul(ny, nz, out=q), out=q2)
-        np.sqrt(q2, out=q)
-        np.sinh(mul(q, 0.5, out=sh), out=sh)
-        np.cosh(mul(q, 0.5, out=ch), out=ch)
-        mul(mul(sh, ch, out=ch), 2.0, out=ch)                # sinh q
-        mul(mul(sh, sh, out=sh), 2.0, out=sh)                # 2 sinh^2(q/2) = cosh q - 1
-        np.greater_equal(np.abs(q, out=ws.take(shape, np.float64)), _SMALL_Q, out=mask)
-        np.divide(ch, q, out=S, where=mask)                  # sinh(q)/q,
-        add(mul(q2, 1.0 / 6.0, out=q2), 1.0, out=S, where=np.logical_not(mask, out=mask))
-        mul(np.expm1(t, out=D), add(sh, 1.0, out=q2), out=D)  # expm1(t) cosh q
-        add(D, sh, out=D)
-        mul(S, np.exp(t, out=ch), out=S)
-        if np.greater(q.real, 1.0, out=mask).any():          # sqrt gives Re q >= 0
-            tw, qw = t[mask], q[mask]
+        z, series, decay = ws.take(shape), ws.take((2,) + shape), ws.take((2,) + shape)
+        add(mul(nx, nx, out=z), mul(ny, nz, out=D), out=z)   # q^2
+        np.copyto(series, _SERIES[-1])
+        for c in _SERIES[-2::-1]:
+            add(mul(series, z, out=series), c, out=series)
+        ch, sh = series                                   # cosh q - 1, sinh(q)/q
+        mul(ch, z, out=ch)
+        # e^tau and expm1(tau), held as complex: numpy multiplies a complex
+        # array by a real one through a cast, at half the speed
+        decay.imag = 0.0
+        np.exp(tau, out=decay[0].real)
+        np.expm1(tau, out=decay[1].real)
+        mul(decay[1], add(ch, 1.0, out=D), out=D)         # expm1(tau) cosh q
+        add(D, ch, out=D)
+        mul(sh, decay[0], out=S)
+        far = np.greater(np.abs(z, out=ws.take(shape, np.float64)), _SERIES_BOUND,
+                         out=ws.take(shape, np.bool_))
+        if far.any():
+            tw, qw = tau[far], np.sqrt(z[far])
             up, down = np.exp(tw + qw), np.exp(tw - qw)
-            D[mask] = (up + down) * 0.5 - 1.0
-            S[mask] = (up - down) * 0.5 / qw
+            D[far] = (up + down) * 0.5 - 1.0
+            S[far] = (up - down) * 0.5 / qw
 
 
 def _ordered_product(R, ws: Workspace):
@@ -525,6 +571,15 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     per_tile = max(1, _TILE_ELEMENTS // (3 * (i1 - i0)))
     slices = [slice(k, min(k + per_tile, x.size)) for k in range(0, x.size, per_tile)]
     out = np.empty((4,) + x.shape, dtype=np.complex128)
+    # what the tiles share, when there are several: chi's terms of the
+    # frequencies, sliced per tile, and of a shared drive's grid; a DriveBatch's
+    # tiles, or a lone tile, compute their own
+    terms = None
+    if points == 1 and len(slices) > 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _chi_terms(wc, rho33, rho31, x[:, None], delta_c, delta_d, omega_d, rates,
+                               Workspace())
+    scales = _comm_scales(h)
 
     def run_tile(sl):
         ws = _workspace()
@@ -534,12 +589,14 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
         # the guard below reports once; errstate is per thread, so it is set here
         with np.errstate(over="ignore", invalid="ignore"):
             M = _chi_arrays(wc[:, r], rho33[:, r], rho31[:, r], x[sl][:, None], delta_c[r],
-                            delta_d[r], omega_d[r], rates, ws=ws)
+                            delta_d[r], omega_d[r], rates, ws=ws,
+                            terms=None if terms is None else terms.tile(sl))
             np.multiply(couplings, M, out=M)   # M = i c chi
             if diagonal:
                 out[:, sl] = _diagonal_propagator(M, h, ws)
             else:
-                out[:, sl] = _ordered_product(_step_propagators(M, h, ws=ws), ws=ws)
+                R, phase = _step_propagators(M, h, scales, ws)
+                np.multiply(_ordered_product(R, ws=ws), phase, out=out[:, sl])
 
     if threads > 1 and len(slices) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

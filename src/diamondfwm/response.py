@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,7 +141,79 @@ class Workspace:
         self._top = 0
 
 
-def _chi_arrays(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, ws=None):
+@dataclass(frozen=True)
+class _ChiTerms:
+    """The terms of ``_chi_arrays`` below its full shape: columns of the
+    detunings and the drive (d1...d4, the products d1 d2 and d3 d4, v, -v,
+    -w, e = w v, |omega_d| and 1 + |d1| + |d2| + |d3| + |d4|), each with
+    the shape of x, and arrays of the grid only (oc, occ, g = oc occ,
+    |omega_c|, bp = -(i/2)(rho11, rho13) and bq = -(i/2)(rho31, rho33)).
+    ``loopless`` marks omega_d = 0 at every point: no FWM loop.
+    """
+
+    d1: np.ndarray
+    d2: np.ndarray
+    d3: np.ndarray
+    d4: np.ndarray
+    d12: np.ndarray
+    d34: np.ndarray
+    v: np.ndarray
+    neg_v: np.ndarray
+    neg_w: np.ndarray
+    e: np.ndarray
+    wd_abs: np.ndarray
+    d_sum: np.ndarray
+    oc: np.ndarray
+    occ: np.ndarray
+    g: np.ndarray
+    wc_abs: np.ndarray
+    bp1: np.ndarray
+    bp2: np.ndarray
+    bq1: np.ndarray
+    bq2: np.ndarray
+    loopless: bool
+
+    def tile(self, sl):
+        """These terms at the frequencies ``sl`` (the first axis of x);
+        the grid terms are shared."""
+        columns = ("d1", "d2", "d3", "d4", "d12", "d34", "v", "neg_v", "neg_w", "e", "wd_abs",
+                   "d_sum")
+        return replace(self, **{name: getattr(self, name)[sl] for name in columns})
+
+
+def _chi_terms(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, ws):
+    """The _ChiTerms of ``_chi_arrays``' inputs; grid arrays are taken
+    from ``ws`` and stay taken."""
+    mul, sub = np.multiply, np.subtract
+    xd = x + delta_d
+    d1 = 1j * x - rates.gamma21
+    d2 = 1j * (x - delta_c) - rates.gamma23
+    d3 = 1j * xd - rates.gamma41
+    d4 = 1j * (xd - delta_c) - rates.gamma43
+    # one entry per frequency, so that tile() slices every column alike
+    omega_d = np.broadcast_to(omega_d, np.shape(d4))
+    w = 0.5j * np.conj(omega_d)   # couples P=(r21,r23) to Q=(r41,r43)
+    v = 0.5j * omega_d
+    grid = np.broadcast_shapes(*(np.shape(a) for a in (omega_c, rho31, rho33)))
+    # oc = -0.5j omega_c, occ = -0.5j conj(omega_c): upper off-diagonals
+    # of the 2x2 blocks
+    oc, occ, g, bp1, bp2, bq1, bq2 = (ws.take(grid) for _ in range(7))
+    mul(-0.5j, omega_c, out=oc)
+    mul(-0.5j, np.conj(omega_c, out=occ), out=occ)
+    mul(-0.5j, sub(1.0, rho33, out=bp1), out=bp1)
+    mul(-0.5j, np.conj(rho31, out=bp2), out=bp2)
+    return _ChiTerms(
+        d1=d1, d2=d2, d3=d3, d4=d4, d12=d1 * d2, d34=d3 * d4, v=v, neg_v=-v, neg_w=-w,
+        e=w * v,   # = -|omega_d|^2 / 4
+        wd_abs=np.abs(omega_d), d_sum=1.0 + np.abs(d1) + np.abs(d2) + np.abs(d3) + np.abs(d4),
+        oc=oc, occ=occ, g=mul(oc, occ, out=g),   # = -|omega_c|^2 / 4
+        wc_abs=np.abs(omega_c, out=ws.take(grid, np.float64)), bp1=bp1, bp2=bp2,
+        bq1=mul(-0.5j, rho31, out=bq1), bq2=mul(-0.5j, rho33, out=bq2),
+        loopless=not np.any(omega_d))
+
+
+def _chi_arrays(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, ws=None,
+                terms=None):
     """Susceptibility coefficients on broadcastable arrays.
 
     Solves the steady-state system for the first-order coherences
@@ -157,18 +229,24 @@ def _chi_arrays(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, ws=N
     The system splits into 2x2 blocks coupled by scalar multiples of the
     identity ((i/2) Wd), so it is eliminated in closed form; this is
     exact dense elimination specialized to the block structure and
-    vectorizes over position and frequency.
+    vectorizes over position and frequency.  Where omega_d = 0 at every
+    point the blocks decouple: chi_ps = chi_sp = 0, and chi_pp and chi_ss
+    are each one block's solve, the operations the elimination performs
+    on them when omega_d = 0, so the values are the same.
 
     ``rho33`` and ``rho31`` are the two-level state; rho11 = 1 - rho33
     and rho13 = conj(rho31) are formed here.  ``delta_c``, ``delta_d``
     and ``omega_d`` are scalars, or per-drive arrays that broadcast like
-    ``x``.  Every array of the grid shape (``omega_c`` and the populations
-    and coherences) or of the full shape is taken from ``ws`` (a fresh
-    Workspace when None).  The result, one (4,) + full block of chi_pp,
-    chi_ps, chi_sp and chi_ss, stays taken; the scratch is free again on
-    return.  Each step is the numpy operation of the formula in the
-    comments, on the same operands in the same order, so the result does
-    not depend on how the frequencies are split into calls, bit for bit.
+    ``x``.  ``terms`` are ``_chi_terms`` of the same inputs, which a
+    caller that splits a batch into calls computes once and slices with
+    ``_ChiTerms.tile``; when None they are computed here.  Every array of
+    the grid shape (``omega_c`` and the populations and coherences) or
+    of the full shape is taken from ``ws`` (a fresh Workspace when None).
+    The result, one (4,) + full block of chi_pp, chi_ps, chi_sp and
+    chi_ss, stays taken; the scratch is free again on return.  Each step
+    is the numpy operation of the formula in the comments, on the same
+    operands in the same order, so the result does not depend on how the
+    frequencies are split into calls, bit for bit.
     """
     ws = Workspace() if ws is None else ws
     grid = np.broadcast_shapes(*(np.shape(a) for a in (omega_c, rho31, rho33)))
@@ -177,62 +255,60 @@ def _chi_arrays(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, ws=N
     chi = ws.take((4,) + full)
     chi_pp, chi_ps, chi_sp, chi_ss = (chi[k, ...] for k in range(4))   # arrays even if full is ()
 
-    # terms that depend on the frequency only are small plain arrays
-    xd = x + delta_d
-    d1 = 1j * x - rates.gamma21
-    d2 = 1j * (x - delta_c) - rates.gamma23
-    d3 = 1j * xd - rates.gamma41
-    d4 = 1j * (xd - delta_c) - rates.gamma43
-    w = 0.5j * np.conj(omega_d)   # couples P=(r21,r23) to Q=(r41,r43)
-    v = 0.5j * omega_d
-    e = w * v                     # = -|omega_d|^2 / 4
-
     with ws.frame():
-        # oc = -0.5j omega_c, occ = -0.5j conj(omega_c): upper off-diagonals
-        # of the 2x2 blocks
-        oc, occ = ws.take(grid), ws.take(grid)
-        mul(-0.5j, omega_c, out=oc)
-        mul(-0.5j, np.conj(omega_c, out=occ), out=occ)
-        tmp, inv_q, s11, s22, oc_fac, occ_fac, inv_p, p2 = (ws.take(full) for _ in range(8))
+        t = terms
+        if t is None:
+            t = _chi_terms(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, ws)
+        oc, occ, g = t.oc, t.occ, t.g
+        tmp, inv_q, inv_p = (ws.take(full) for _ in range(3))
+        # threshold = _DET_TOL (1 + |d1| + |d2| + |d3| + |d4| + |omega_c| + |omega_d|)^2
+        threshold, mag = ws.take(full, np.float64), ws.take(full, np.float64)
+        add(t.d_sum, t.wc_abs, out=threshold)
+        add(threshold, t.wd_abs, out=threshold)
+        np.square(threshold, out=threshold)
+        mul(_DET_TOL, threshold, out=threshold)
+        below = ws.take(full, np.bool_)
 
-        with ws.frame():
-            g = mul(oc, occ, out=ws.take(grid))   # = -|omega_c|^2 / 4
-            # threshold = _DET_TOL (1 + |d1| + |d2| + |d3| + |d4| + |omega_c| + |omega_d|)^2
-            threshold, mag = ws.take(full, np.float64), ws.take(full, np.float64)
-            add(1.0 + np.abs(d1) + np.abs(d2) + np.abs(d3) + np.abs(d4),
-                np.abs(omega_c, out=ws.take(grid, np.float64)), out=threshold)
-            add(threshold, abs(omega_d), out=threshold)
-            np.square(threshold, out=threshold)
-            mul(_DET_TOL, threshold, out=threshold)
-            below = ws.take(full, np.bool_)
-
-            def singular(det):
-                return np.less(np.abs(det, out=mag), threshold, out=below).any()
-
-            sub(d3 * d4, g, out=inv_q)   # det_q
-            if singular(inv_q):
+        def invert(det, block, rates_named):
+            """det = 1 / det, unless |det| is below the threshold somewhere."""
+            if np.less(np.abs(det, out=mag), threshold, out=below).any():
                 raise SingularResponseError(
-                    "lower coherence block is singular (zero decoherence with coincident "
-                    "resonances: rates.gamma41 and rates.gamma43 vanish against the detunings)")
-            np.divide(1.0, inv_q, out=inv_q)
+                    f"{block} is singular (zero decoherence with coincident resonances: "
+                    f"{rates_named} vanish against the detunings)")
+            np.divide(1.0, det, out=det)
 
+        sub(t.d34, g, out=inv_q)   # det_q
+        invert(inv_q, "lower coherence block", "rates.gamma41 and rates.gamma43")
+        probe_block = ("reduced probe block", "rates.gamma21 and rates.gamma23")
+
+        if t.loopless:
+            # chi_pp = (d2 bp1 - oc bp2) inv_p, det_p = d1 d2 - g;
+            # chi_ss = (d3 bq2 - occ bq1) inv_q
+            invert(sub(t.d12, g, out=inv_p), *probe_block)
+            for out, d, b1, off, b2, inv in ((chi_pp, t.d2, t.bp1, oc, t.bp2, inv_p),
+                                             (chi_ss, t.d3, t.bq2, occ, t.bq1, inv_q)):
+                mul(d, b1, out=out)
+                sub(out, mul(off, b2, out=tmp), out=out)
+                mul(out, inv, out=out)
+            chi_ps[...] = 0.0
+            chi_sp[...] = 0.0
+            return chi
+
+        s11, s22, oc_fac, occ_fac, p2 = (ws.take(full) for _ in range(5))
+        with ws.frame():
             # Schur complement of the Q block: S = Dp - e Dq^{-1}, with
             # f = e inv_q: s11 = d1 - f d4, s22 = d2 - f d3, fac = 1 + f,
             # off-diagonals oc fac and occ fac
-            fac = f = mul(e, inv_q, out=ws.take(full))
-            sub(d1, mul(f, d4, out=s11), out=s11)
-            sub(d2, mul(f, d3, out=s22), out=s22)
+            fac = f = mul(t.e, inv_q, out=ws.take(full))
+            sub(t.d1, mul(f, t.d4, out=s11), out=s11)
+            sub(t.d2, mul(f, t.d3, out=s22), out=s22)
             add(1.0, f, out=fac)
             mul(oc, fac, out=oc_fac)
             mul(occ, fac, out=occ_fac)
             # det_p = s11 s22 - g fac fac
             mul(s11, s22, out=inv_p)
             sub(inv_p, mul(mul(g, fac, out=tmp), fac, out=tmp), out=inv_p)
-            if singular(inv_p):
-                raise SingularResponseError(
-                    "reduced probe block is singular (zero decoherence with coincident "
-                    "resonances: rates.gamma21 and rates.gamma23 vanish against the detunings)")
-            np.divide(1.0, inv_p, out=inv_p)
+            invert(inv_p, *probe_block)
 
         def solve_p(x1, x2, out1, out2):
             """(out1, out2) = ((s22 x1 - oc fac x2) inv_p, (s11 x2 - occ fac x1) inv_p)"""
@@ -242,36 +318,30 @@ def _chi_arrays(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, ws=N
                 mul(out, inv_p, out=out)
 
         # probe source: bp = -(i/2)(rho11, rho13), bq = 0
-        with ws.frame():
-            bp1, bp2 = ws.take(grid), ws.take(grid)
-            mul(-0.5j, sub(1.0, rho33, out=bp1), out=bp1)
-            mul(-0.5j, np.conj(rho31, out=bp2), out=bp2)
-            solve_p(bp1, bp2, chi_pp, p2)
+        solve_p(t.bp1, t.bp2, chi_pp, p2)
         # chi_sp = -v (d3 p2 - occ chi_pp) inv_q
-        mul(d3, p2, out=chi_sp)
+        mul(t.d3, p2, out=chi_sp)
         sub(chi_sp, mul(occ, chi_pp, out=tmp), out=chi_sp)
-        mul(-v, chi_sp, out=chi_sp)
+        mul(t.neg_v, chi_sp, out=chi_sp)
         mul(chi_sp, inv_q, out=chi_sp)
 
         # signal source: bp = 0, bq = -(i/2)(rho31, rho33);
         # rp1 = -w (d4 bq1 - oc bq2) inv_q, rp2 = -w (d3 bq2 - occ bq1) inv_q
+        bq1, bq2 = t.bq1, t.bq2
         with ws.frame():
-            bq1 = mul(-0.5j, rho31, out=ws.take(grid))
-            bq2 = mul(-0.5j, rho33, out=ws.take(grid))
-            with ws.frame():
-                rp1, rp2, off_b = ws.take(full), ws.take(full), ws.take(grid)
-                for out, d, x, off, y in ((rp1, d4, bq1, oc, bq2), (rp2, d3, bq2, occ, bq1)):
-                    mul(d, x, out=out)
-                    sub(out, mul(off, y, out=off_b), out=out)
-                    mul(-w, out, out=out)
-                    mul(out, inv_q, out=out)
-                solve_p(rp1, rp2, chi_ps, p2)
-            # chi_ss = (d3 (bq2 - v p2) - occ (bq1 - v chi_ps)) inv_q
-            sub(bq2, mul(v, p2, out=p2), out=p2)
-            mul(d3, p2, out=chi_ss)
-            sub(bq1, mul(v, chi_ps, out=tmp), out=tmp)
-            sub(chi_ss, mul(occ, tmp, out=tmp), out=chi_ss)
-            mul(chi_ss, inv_q, out=chi_ss)
+            rp1, rp2, off_b = ws.take(full), ws.take(full), ws.take(grid)
+            for out, d, x, off, y in ((rp1, t.d4, bq1, oc, bq2), (rp2, t.d3, bq2, occ, bq1)):
+                mul(d, x, out=out)
+                sub(out, mul(off, y, out=off_b), out=out)
+                mul(t.neg_w, out, out=out)
+                mul(out, inv_q, out=out)
+            solve_p(rp1, rp2, chi_ps, p2)
+        # chi_ss = (d3 (bq2 - v p2) - occ (bq1 - v chi_ps)) inv_q
+        sub(bq2, mul(t.v, p2, out=p2), out=p2)
+        mul(t.d3, p2, out=chi_ss)
+        sub(bq1, mul(t.v, chi_ps, out=tmp), out=tmp)
+        sub(chi_ss, mul(occ, tmp, out=tmp), out=chi_ss)
+        mul(chi_ss, inv_q, out=chi_ss)
     return chi
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import diamondfwm
 from diamondfwm.cli import build_parser, main
-from diamondfwm.manifest import read_csv
+from diamondfwm.manifest import read_csv, write_csv
 from diamondfwm.propagation import PASSIVITY_TOL
 
 
@@ -56,6 +56,23 @@ def test_spectrum_two_level_has_zero_eta(tmp_path):
     assert rc == 0
     _, cols = read_csv(tmp_path / "spectrum_two_level.csv")
     assert np.all(cols["eta_s"] == 0.0)
+
+
+def test_csv_rows_are_the_per_element_format_and_round_trip(tmp_path):
+    # each value as f"{x:.17g}" of its numpy scalar, so the bytes stay those
+    # of a per-element writer, and every float reads back exactly
+    edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                     -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16, 0.1, 1.0 / 3.0])
+    columns = {"a": edge, "b": edge[::-1].copy(), "c": np.arange(edge.size, dtype=float)}
+    manifest = {"command": "test"}
+    path = write_csv(tmp_path / "edge.csv", columns, manifest)
+    want = [f"# manifest: {json.dumps(manifest, sort_keys=True)}", "a,b,c"]
+    want += [",".join(f"{v[i]:.17g}" for v in columns.values()) for i in range(edge.size)]
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+    got_manifest, got = read_csv(path)
+    assert got_manifest == manifest
+    for name, v in columns.items():
+        assert got[name].tobytes() == v.tobytes(), name   # -0.0 keeps its sign
 
 
 def test_spectrum_v_type_fig4_peak(tmp_path, capsys):
@@ -494,6 +511,18 @@ def test_spectrum_absorption_beyond_float_range_exit_3(tmp_path, capsys, rates, 
     err = capsys.readouterr().err
     assert f"{want}: alpha_c leaves the float range" in err
     assert "medium." not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_spectrum_wavelength_ratio_beyond_float_range_exit_3(tmp_path, capsys):
+    # lambda_s / lambda_p = 1e308 conserves energy, but its square overflows
+    cfg = _spectrum_doc(tmp_path, {"medium": {"od": 75, "lambda_p": "1.0e-300",
+                                              "lambda_c": "1.0e-300", "lambda_d": "1.0e+8",
+                                              "lambda_s": "1.0e+8"}})
+    assert _spectrum_strict(cfg, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert "medium.lambda_s: alpha_s leaves the float range" in err
+    assert "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -12,7 +12,7 @@ import diamondfwm as dfm
 from diamondfwm import (ConfigValidationError, NumericalError, RateTable, coupling_profile,
                         observables_at, spectrum_sweep, transfer_matrix)
 from diamondfwm import propagation
-from diamondfwm.response import _two_level_arrays
+from diamondfwm.response import Workspace, _two_level_arrays
 
 from conftest import rk4_integrate
 
@@ -304,9 +304,9 @@ def test_optical_depth_too_high_for_grid_is_silent_on_threads(fig3):
 # tiled kernel
 
 
-def _reference_generator(bundle, profile, delta_p, omega, i0, i1):
-    """M = i c chi at the Gauss nodes of steps i0..i1-1 as plain numpy
-    expressions: entries (11, 12, 21, 22), each (frequency, node-major
+def _reference_chi(bundle, profile, delta_p, omega, i0, i1):
+    """chi_pp, chi_ps, chi_sp and chi_ss at the Gauss nodes of steps
+    i0..i1-1 as plain numpy expressions, each (frequency, node-major
     column)."""
     r, dr = bundle.rates, bundle.drive
     wc = profile.omega_c[:, 0, i0:i1].ravel()[None, :]   # node-major, as the kernel's columns
@@ -336,8 +336,15 @@ def _reference_generator(bundle, profile, delta_p, omega, i0, i1):
     chi_ps = (s22 * rp1 - oc * fac * rp2) * inv_p
     p2 = (s11 * rp2 - occ * fac * rp1) * inv_p
     chi_ss = (d3 * (bq2 - v * p2) - occ * (bq1 - v * chi_ps)) * inv_q
+    return chi_pp, chi_ps, chi_sp, chi_ss
 
-    med = bundle.medium
+
+def _reference_generator(bundle, profile, delta_p, omega, i0, i1):
+    """M = i c chi at the Gauss nodes of steps i0..i1-1 as plain numpy
+    expressions: entries (11, 12, 21, 22), each (frequency, node-major
+    column)."""
+    chi_pp, chi_ps, chi_sp, chi_ss = _reference_chi(bundle, profile, delta_p, omega, i0, i1)
+    r, med = bundle.rates, bundle.medium
     alpha_s = dfm.absorptions(r, med)[1]
     cp, cs = 0.5 * r.gamma21 * med.alpha_p, 0.5 * r.gamma43 * alpha_s
     cx = 0.5 * math.sqrt(r.gamma21 * med.alpha_p * r.gamma43 * alpha_s)
@@ -347,13 +354,14 @@ def _reference_generator(bundle, profile, delta_p, omega, i0, i1):
 def _reference_components(bundle, profile, delta_p, omega, step_range=None):
     """The transfer-matrix kernel as plain numpy expressions over the whole
     batch at once, one temporary array per operation: chi at the Gauss
-    nodes, the sixth-order Magnus step with its closed-form exponential,
-    and the pairwise ordered product, on every step of the span.  The
-    tiled kernel performs the same operations in the same order where M
-    is neither diagonal nor the same at every node, so there it must
-    match this bit for bit.  The exponential's branch for Re q > 1 is
-    left out: no step of the grids and optical depth used here reaches
-    it."""
+    nodes, the sixth-order Magnus step with its exponential e^(Re t) in
+    real arithmetic and cosh q - 1 and sinh(q)/q as series in q^2, the
+    pairwise ordered product, on every step of the span, and the phase
+    e^(i sum Im t) of each frequency.  The tiled kernel performs the same
+    operations in the same order where M is neither diagonal nor the same
+    at every node, so there it must match this bit for bit.  The
+    exponential's fallback beyond the series bound is left out: no step
+    of the grids and optical depths used here reaches it (asserted)."""
     n = profile.n_steps
     i0, i1 = step_range or (0, n)
     m = i1 - i0
@@ -386,15 +394,22 @@ def _reference_components(bundle, profile, delta_p, omega, step_range=None):
     v = [b2[k] * h_a2 - cw[k] for k in range(3)]
     cuv = comm(u, v, 1.0 / 240.0)
     nx, ny, nz = (quadrature(A1[k], A2[k], A3[k]) + cuv[k] for k in range(3))
-    q2 = nx * nx + ny * nz
-    q = np.sqrt(q2)
-    sh, ch = np.sinh(q * 0.5), np.cosh(q * 0.5)
-    sh2 = (sh * sh) * 2.0
-    with np.errstate(invalid="ignore"):
-        S = np.where(np.abs(q) >= 1e-4, ((sh * ch) * 2.0) / q, q2 * (1.0 / 6.0) + 1.0)
-    D = np.expm1(t) * (sh2 + 1.0) + sh2
-    S = S * np.exp(t)
+    z = nx * nx + ny * nz   # q^2
+    assert np.all(np.abs(z) <= propagation._SERIES_BOUND)
+    # Horner's rule on (cosh q - 1) / z = sum z^k / (2k + 2)! and
+    # sinh(q) / q = sum z^k / (2k + 1)!, k = 0..5, side by side
+    coef = [np.array([1.0 / math.factorial(2 * k + 2), 1.0 / math.factorial(2 * k + 1)],
+                     complex)[:, None, None] for k in range(6)]
+    series = np.broadcast_to(coef[5], (2,) + z.shape)
+    for c in coef[4::-1]:
+        series = series * z + c
+    ch, sh = series[0] * z, series[1]
+    tau = t.real
+    D = np.expm1(tau) * (ch + 1.0) + ch
+    S = sh * np.exp(tau)
     R = [(D + S * nx) + 1.0, S * ny, S * nz, (D - S * nx) + 1.0]
+    phi = np.sum(t.imag, axis=1)
+    phase = np.cos(phi) + 1j * np.sin(phi)
 
     def mat_mul(a, b):
         return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
@@ -404,7 +419,7 @@ def _reference_components(bundle, profile, delta_p, omega, step_range=None):
         k = R[0].shape[1] // 2
         prod = mat_mul([a[:, 1:2 * k:2] for a in R], [a[:, 0:2 * k:2] for a in R])
         R = [np.concatenate([p, a[:, 2 * k:]], axis=1) for p, a in zip(prod, R)]
-    return tuple(a[:, 0] for a in R)
+    return tuple(a[:, 0] * phase for a in R)
 
 
 @pytest.mark.parametrize("n_z", [400, 2000, 8000])
@@ -469,6 +484,56 @@ def test_tiles_read_the_two_level_state_from_the_profile(monkeypatch, fig3, thre
     assert np.all(np.isfinite(got)) and not calls
     coupling_profile(fig3)
     assert len(calls) == 1   # one call per profile
+
+
+def test_step_exponential_matches_expm():
+    # exp(tau I + N) = (1 + D) I + S N against scipy's expm for |q^2| from 0
+    # to 10: lanes with nx = 0 and ny = 1 have q^2 = nz, so they sit at the
+    # series bound and one ulp either side of it; beyond it the fallback
+    from scipy.linalg import expm
+    bound = propagation._SERIES_BOUND
+    rng = np.random.default_rng(5)
+    edge = [s * v for v in (bound, np.nextafter(bound, 0.0), np.nextafter(bound, 1.0))
+            for s in (1.0, -1.0, 1j, -1j)]
+    # random lanes: nz = (q^2 - nx^2) / ny for |q^2| from 0 to 10
+    q2 = np.concatenate([[0.0], np.logspace(-12, 1, 99)])
+    q2 = q2 * np.exp(2j * np.pi * rng.uniform(size=100))
+    x = np.sqrt(np.abs(q2)) / 2 * (rng.normal(size=100) + 1j * rng.normal(size=100))
+    y = rng.uniform(0.1, 10.0, 100) * np.exp(1j * rng.uniform(-3, 3, 100))
+    nx, ny = np.concatenate([np.zeros(len(edge)), x]), np.concatenate([np.ones(len(edge)), y])
+    nz = np.concatenate([edge, (q2 - x * x) / y])
+    tau = rng.uniform(-3.0, 1.0, nx.size)
+    shape = (4, nx.size // 4)   # (frequency, step) as in the kernel
+    D, S = np.empty(shape, complex), np.empty(shape, complex)
+    propagation._exp_terms(*(a.reshape(shape) for a in (tau, nx, ny, nz)), D, S,
+                           Workspace())
+    D, S = D.ravel(), S.ravel()
+    far = np.abs(nx * nx + ny * nz) > bound
+    assert not far[:8].any() and far[8:12].all() and 10 < far.sum() < 100
+    for k in range(nx.size):
+        want = expm(np.array([[tau[k] + nx[k], ny[k]], [nz[k], tau[k] - nx[k]]]))
+        got = np.array([[(D[k] + S[k] * nx[k]) + 1.0, S[k] * ny[k]],
+                        [S[k] * nz[k], (D[k] - S[k] * nx[k]) + 1.0]])
+        ulp = np.finfo(float).eps * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 8.0 * ulp, k
+
+
+@pytest.mark.parametrize("mode", ["v_type", "two_level", "fwm"])
+def test_loopless_chi_is_the_elimination_at_zero_omega_d(mode):
+    # without omega_d the blocks decouple: chi_pp and chi_ss are those of the
+    # full elimination bit for bit, and chi_ps = chi_sp = 0
+    b = dfm.preset("fig3")
+    b = replace(b, drive=replace(b.drive, omega_d=0.0)) if mode == "fwm" else dfm.with_mode(b, mode)
+    prof = coupling_profile(b)
+    rng = np.random.default_rng(3)
+    dp, om = rng.uniform(-10, 15, 67), rng.uniform(-40, 40, 67)
+    d = b.drive
+    chi = propagation._chi_arrays(prof.omega_c, prof.rho33, prof.rho31, (dp + om)[:, None],
+                                  d.delta_c, d.delta_d, d.omega_d, b.rates)
+    got = chi.transpose(0, 2, 1, 3).reshape(4, dp.size, -1)   # (freq, node-major column)
+    want = _reference_chi(b, prof, dp, om, 0, b.medium.n_z)
+    assert got[0].tobytes() == want[0].tobytes() and got[3].tobytes() == want[3].tobytes()
+    assert not np.any(got[1]) and not np.any(got[2])
 
 
 def test_magnus_step_is_sixth_order():
