@@ -211,8 +211,8 @@ class MediumConfig:
                  "specify exactly one of alpha_p or od")
         if alpha_p is None:
             _require_number(od, "medium.od")
-            _require(0.0 <= od <= MAX_MAGNITUDE / 2.0, "medium.od", "optical depth must be >= 0 "
-                     f"and at most {MAX_MAGNITUDE / 2.0:g} (alpha_p = 2 od), got {od}")
+            _require(0.0 <= od <= MAX_MAGNITUDE / 2.0, "medium.od", "must be >= 0 and at most "
+                     f"{MAX_MAGNITUDE / 2.0:g} (alpha_p = 2 od), got {od}")
             alpha_p = 2.0 * od
         medium = cls(alpha_p=alpha_p, **grid)
         absorptions(rates, medium)

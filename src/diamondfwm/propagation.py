@@ -46,8 +46,9 @@ step.
 The transfer-matrix kernel (chi assembly, step propagators and their
 ordered product) runs over tiles of the detuning batch; one drive is a
 batch of one that all detunings share, and chi's terms of the
-frequencies alone or of that drive's grid alone are computed once per
-call.  A tile holds max(1, _TILE_ELEMENTS // (3 n)) frequencies on n
+frequencies alone or of the grid alone are computed once per call and
+sliced per tile, for a DriveBatch as for one drive.  A tile holds
+max(1, _TILE_ELEMENTS // (3 n)) frequencies on n
 steps (n_z, or 1 for a uniform medium), laid out as (entry, Gauss node,
 frequency, step): the four entries of each 2x2 matrix, or the three of
 a traceless part, are one block, so that one numpy call covers them and
@@ -78,7 +79,8 @@ import numpy as np
 
 from .config import MAX_MAGNITUDE, ConfigBundle, DriveConfig, absorptions, with_mode
 from .errors import ConfigValidationError, NumericalError
-from .response import Workspace, _chi_arrays, _chi_terms, _two_level_arrays
+from .response import (_UNPHYSICAL, Workspace, _chi_arrays, _chi_terms, _physical,
+                       _two_level_arrays)
 
 # chi samples x frequencies per tile; see the module docstring
 _TILE_ELEMENTS = 16384
@@ -225,11 +227,12 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
     Every drive quantity is a numpy expression on (row, 1) columns, so a
     DriveConfig is a batch of one and a profile row equals the profile
     of its drive alone, bit for bit.  One ``_two_level_arrays`` call
-    gives the state at all nodes; a non-finite state is reported by the
-    kernel's guard.  The inputs are within MAX_MAGNITUDE, so nothing
-    overflows but over a den0 that tiny rates underflow; a row whose
-    profile then leaves the float range raises NumericalError naming
-    fields.omega_c, fields.delta_c, rates.Gamma3_total and rates.gamma31.
+    gives the state at all nodes.  The inputs are within MAX_MAGNITUDE,
+    so nothing overflows but over a den0 that tiny rates underflow.  A
+    row whose state leaves its physical bounds (``response._physical``),
+    as it does where its profile leaves the float range, raises
+    NumericalError naming fields.omega_c, fields.delta_c,
+    rates.Gamma3_total and rates.gamma31.
     """
     if bundle.drive is None:
         raise ConfigValidationError("fields", "this config has no drive fields")
@@ -237,17 +240,17 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
     n = medium.n_z
     zeta = ((np.arange(n) + np.array(_NODES)[:, None]) / n)[:, None]   # (node, 1, step)
     g31, G3 = rates.gamma31, rates.Gamma3_total
-    w0, dc = (np.reshape(v, (-1, 1)) for v in (drive.omega_c, drive.delta_c))
+    wc0, dc = (np.reshape(v, (-1, 1)) for v in (drive.omega_c, drive.delta_c))
     # rhs(w) = (i g31 ac / 2) * (i/2) w (1 - 2 rho33) / (g31 - i dc)
     #        = num * w / (den0 + g31 |w|^2),  den0 = G3 (g31^2 + dc^2),
     # num = -(g31 ac / 4) den0 / (g31 - i dc).  |ln(w/w0)| <= |num| / (den0 + g31 |w0|^2)
     # across the medium, so where that is below rounding (num vanishes with
     # alpha_c, gamma31 or Gamma3, or underflows) the beam keeps w = w0
-    s0, den0 = np.square(w0), G3 * (g31 ** 2 + np.square(dc))
+    s0, den0 = np.square(wc0), G3 * (g31 ** 2 + np.square(dc))
     num = -0.25 * g31 * absorptions(rates, medium)[0] * G3 * (g31 + 1j * dc)
-    omega_c = np.broadcast_to(w0, (3, w0.shape[0], n)).astype(complex, order="C")
-    k = ((w0 != 0.0) & (np.abs(num) > 1e-16 * (den0 + g31 * s0)))[:, 0]   # absorbed rows
-    w0, s0, den0, num = w0[k], s0[k], den0[k], num[k]
+    omega_c = np.broadcast_to(wc0, (3, wc0.shape[0], n)).astype(complex, order="C")
+    k = ((wc0 != 0.0) & (np.abs(num) > 1e-16 * (den0 + g31 * s0)))[:, 0]   # absorbed rows
+    w0, s0, den0, num = wc0[k], s0[k], den0[k], num[k]
     with np.errstate(all="ignore"):   # a row beyond the float range comes out non-finite
         ln_a = 2.0 * np.log(np.abs(w0)) + np.log(g31 / den0)
         a = g31 * s0 / den0
@@ -256,15 +259,14 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
         # x < 1: ln x = z - x, so ln(s/s0) = (a - x) + r, safe even if x underflows;
         # x >= 1: log(x) keeps the digits that a - x would cancel when saturated
         log_ratio = np.where(x < 1.0, (a - x) + r, np.log(x) - ln_a)
-        w = w0 * np.exp(num / (2.0 * num.real) * log_ratio)
-    bad = ~np.isfinite(w).all(axis=(0, 2))
+        omega_c[:, k] = w0 * np.exp(num / (2.0 * num.real) * log_ratio)
+    rho33, rho31 = _two_level_arrays(omega_c, dc, g31, G3)
+    bad = ~_physical(rho33, rho31).all(axis=(0, 2))   # also where omega_c is not finite
     if bad.any():
         raise NumericalError(
             "the coupling beam's saturation is too large for the float range at fields.omega_c "
-            f"= {w0[bad][0, 0]:g}, fields.delta_c = {dc[k][bad][0, 0]:g}, "
-            f"rates.Gamma3_total = {G3:g} and rates.gamma31 = {g31:g}")
-    omega_c[:, k] = w
-    rho33, rho31 = _two_level_arrays(omega_c, dc, g31, G3)
+            f"= {wc0[bad][0, 0]:g}, fields.delta_c = {dc[bad][0, 0]:g}, "
+            f"rates.Gamma3_total = {G3:g} and rates.gamma31 = {g31:g}, {_UNPHYSICAL}")
     return CouplingProfile(zeta=zeta, omega_c=omega_c, rho33=rho33, rho31=rho31, n_steps=n,
                            _uniform=not k.any())
 
@@ -523,7 +525,8 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
       (i1 - i0) / n_z, so each frequency needs 3 chi samples.
 
     A DriveBatch that mixes diagonal points with others takes the general
-    path for all of its rows.
+    path for all of its rows.  ``_chi_terms`` runs once per call; each
+    tile passes ``_chi_arrays`` its frequencies' and drive rows' slice.
     """
     rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
     detunings = {"fields.delta_p": np.asarray(delta_p), "omega": np.asarray(omega)}
@@ -571,26 +574,18 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     per_tile = max(1, _TILE_ELEMENTS // (3 * (i1 - i0)))
     slices = [slice(k, min(k + per_tile, x.size)) for k in range(0, x.size, per_tile)]
     out = np.empty((4,) + x.shape, dtype=np.complex128)
-    # what the tiles share, when there are several: chi's terms of the
-    # frequencies, sliced per tile, and of a shared drive's grid; a DriveBatch's
-    # tiles, or a lone tile, compute their own
-    terms = None
-    if points == 1 and len(slices) > 1:
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = _chi_terms(wc, rho33, rho31, x[:, None], delta_c, delta_d, omega_d, rates,
-                               Workspace())
+    # an overflow shows as a non-finite or non-passive output, which the
+    # guard below reports once; errstate is per thread, so each tile sets it
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _chi_terms(wc, rho33, rho31, x[:, None], delta_c, delta_d, omega_d, rates)
     scales = _comm_scales(h)
 
     def run_tile(sl):
         ws = _workspace()
         ws.reset()
-        r = slice(None) if points == 1 else sl   # the tile's drive rows
-        # an overflow shows as a non-finite or non-passive output, which
-        # the guard below reports once; errstate is per thread, so it is set here
+        rows = slice(None) if points == 1 else sl   # the tile's drive rows
         with np.errstate(over="ignore", invalid="ignore"):
-            M = _chi_arrays(wc[:, r], rho33[:, r], rho31[:, r], x[sl][:, None], delta_c[r],
-                            delta_d[r], omega_d[r], rates, ws=ws,
-                            terms=None if terms is None else terms.tile(sl))
+            M = _chi_arrays(terms.tile(sl, rows), ws)
             np.multiply(couplings, M, out=M)   # M = i c chi
             if diagonal:
                 out[:, sl] = _diagonal_propagator(M, h, ws)

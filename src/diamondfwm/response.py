@@ -30,6 +30,11 @@ from .config import DriveConfig, RateTable
 from .errors import NoUniqueSteadyStateError, NumericalError, SingularResponseError
 
 _DET_TOL = 1e-28   # singularity threshold on |det|, scaled by matrix magnitude
+_STATE_MARGIN = 1e-12   # round-off margin on the two-level state's bounds
+
+# why a two-level state leaves its bounds, after the saturation's cause
+_UNPHYSICAL = ("or rates.gamma31 is below rates.Gamma3_total / 4: the two-level state "
+               "leaves 0 <= rho33 <= 1/2, |rho31| <= 1/2")
 
 
 @dataclass(frozen=True)
@@ -88,16 +93,30 @@ def _two_level_arrays(omega_c, delta_c, gamma31, Gamma3):
     return rho33, rho31
 
 
+def _physical(rho33, rho31):
+    """Where a two-level state is within its physical bounds, 0 <= rho33
+    <= 1/2 and |rho31| <= 1/2, to round-off; a non-finite one is not.
+    The closed form leaves them where its saturation leaves the float
+    range (its denominator underflows, or omega_c's square overflows),
+    or where gamma31 < Gamma3 / 4, a coherence decay that no physical
+    state has."""
+    return ((np.abs(rho33 - 0.25) <= 0.25 + _STATE_MARGIN)
+            & (np.abs(rho31) <= 0.5 + _STATE_MARGIN))
+
+
 def two_level_steady_state(omega_c_local: complex, delta_c: float,
                            rates: RateTable) -> ZerothOrderState:
     """Steady state of the coupling transition at a (possibly complex)
-    local Rabi frequency.  NumericalError names omega_c if its square
-    overflows."""
+    local Rabi frequency.  NumericalError names fields.omega_c,
+    rates.Gamma3_total and rates.gamma31 if the state leaves its
+    physical bounds (see ``_physical``)."""
     rho33, rho31 = _two_level_arrays(omega_c_local, delta_c,
                                      rates.gamma31, rates.Gamma3_total)
-    if not (np.isfinite(rho33) and np.isfinite(rho31)):
-        raise NumericalError(f"omega_c = {abs(omega_c_local):g} is too large: "
-                             "its square overflows")
+    if not _physical(rho33, rho31):
+        raise NumericalError(
+            f"fields.omega_c = {abs(omega_c_local):g} is too large for the float range at "
+            f"fields.delta_c = {delta_c:g}, rates.Gamma3_total = {rates.Gamma3_total:g} and "
+            f"rates.gamma31 = {rates.gamma31:g}, {_UNPHYSICAL}")
     return ZerothOrderState(rho33=float(rho33), rho31=complex(rho31))
 
 
@@ -143,10 +162,11 @@ class Workspace:
 
 @dataclass(frozen=True)
 class _ChiTerms:
-    """The terms of ``_chi_arrays`` below its full shape: columns of the
+    """The terms of ``_chi_arrays`` below its full shape, which
+    ``_chi_terms`` computes once per call for every tile: columns of the
     detunings and the drive (d1...d4, the products d1 d2 and d3 d4, v, -v,
     -w, e = w v, |omega_d| and 1 + |d1| + |d2| + |d3| + |d4|), each with
-    the shape of x, and arrays of the grid only (oc, occ, g = oc occ,
+    the shape of x, and arrays of the grid (oc, occ, g = oc occ,
     |omega_c|, bp = -(i/2)(rho11, rho13) and bq = -(i/2)(rho31, rho33)).
     ``loopless`` marks omega_d = 0 at every point: no FWM loop.
     """
@@ -173,18 +193,23 @@ class _ChiTerms:
     bq2: np.ndarray
     loopless: bool
 
-    def tile(self, sl):
-        """These terms at the frequencies ``sl`` (the first axis of x);
-        the grid terms are shared."""
+    def tile(self, sl, rows):
+        """These terms at the frequencies ``sl`` (the first axis of x) and
+        the grid rows ``rows`` (its second axis)."""
         columns = ("d1", "d2", "d3", "d4", "d12", "d34", "v", "neg_v", "neg_w", "e", "wd_abs",
                    "d_sum")
-        return replace(self, **{name: getattr(self, name)[sl] for name in columns})
+        grid = ("oc", "occ", "g", "wc_abs", "bp1", "bp2", "bq1", "bq2")
+        return replace(self, **{name: getattr(self, name)[sl] for name in columns},
+                       **{name: getattr(self, name)[:, rows] for name in grid})
 
 
-def _chi_terms(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, ws):
-    """The _ChiTerms of ``_chi_arrays``' inputs; grid arrays are taken
-    from ``ws`` and stay taken."""
-    mul, sub = np.multiply, np.subtract
+def _chi_terms(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates) -> _ChiTerms:
+    """The _ChiTerms of the two-level state (``omega_c``, ``rho33`` and
+    ``rho31``, arrays of the grid's shape) and of the frequencies x with
+    the drive: ``delta_c``, ``delta_d`` and ``omega_d`` are scalars, or
+    per-drive arrays that broadcast like x.  rho11 = 1 - rho33 and
+    rho13 = conj(rho31) are formed here."""
+    mul = np.multiply
     xd = x + delta_d
     d1 = 1j * x - rates.gamma21
     d2 = 1j * (x - delta_c) - rates.gamma23
@@ -194,27 +219,20 @@ def _chi_terms(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, ws):
     omega_d = np.broadcast_to(omega_d, np.shape(d4))
     w = 0.5j * np.conj(omega_d)   # couples P=(r21,r23) to Q=(r41,r43)
     v = 0.5j * omega_d
-    grid = np.broadcast_shapes(*(np.shape(a) for a in (omega_c, rho31, rho33)))
     # oc = -0.5j omega_c, occ = -0.5j conj(omega_c): upper off-diagonals
     # of the 2x2 blocks
-    oc, occ, g, bp1, bp2, bq1, bq2 = (ws.take(grid) for _ in range(7))
-    mul(-0.5j, omega_c, out=oc)
-    mul(-0.5j, np.conj(omega_c, out=occ), out=occ)
-    mul(-0.5j, sub(1.0, rho33, out=bp1), out=bp1)
-    mul(-0.5j, np.conj(rho31, out=bp2), out=bp2)
+    oc, occ = mul(-0.5j, omega_c), mul(-0.5j, np.conj(omega_c))
     return _ChiTerms(
         d1=d1, d2=d2, d3=d3, d4=d4, d12=d1 * d2, d34=d3 * d4, v=v, neg_v=-v, neg_w=-w,
         e=w * v,   # = -|omega_d|^2 / 4
         wd_abs=np.abs(omega_d), d_sum=1.0 + np.abs(d1) + np.abs(d2) + np.abs(d3) + np.abs(d4),
-        oc=oc, occ=occ, g=mul(oc, occ, out=g),   # = -|omega_c|^2 / 4
-        wc_abs=np.abs(omega_c, out=ws.take(grid, np.float64)), bp1=bp1, bp2=bp2,
-        bq1=mul(-0.5j, rho31, out=bq1), bq2=mul(-0.5j, rho33, out=bq2),
-        loopless=not np.any(omega_d))
+        oc=oc, occ=occ, g=oc * occ,   # = -|omega_c|^2 / 4
+        wc_abs=np.abs(omega_c), bp1=mul(-0.5j, 1.0 - rho33), bp2=mul(-0.5j, np.conj(rho31)),
+        bq1=mul(-0.5j, rho31), bq2=mul(-0.5j, rho33), loopless=not np.any(omega_d))
 
 
-def _chi_arrays(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, ws=None,
-                terms=None):
-    """Susceptibility coefficients on broadcastable arrays.
+def _chi_arrays(t: _ChiTerms, ws: Workspace):
+    """Susceptibility coefficients from the terms ``t`` of ``_chi_terms``.
 
     Solves the steady-state system for the first-order coherences
     X = (rho_21, rho_23, rho_41, rho_43) of a weak-field component at
@@ -234,31 +252,22 @@ def _chi_arrays(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, ws=N
     are each one block's solve, the operations the elimination performs
     on them when omega_d = 0, so the values are the same.
 
-    ``rho33`` and ``rho31`` are the two-level state; rho11 = 1 - rho33
-    and rho13 = conj(rho31) are formed here.  ``delta_c``, ``delta_d``
-    and ``omega_d`` are scalars, or per-drive arrays that broadcast like
-    ``x``.  ``terms`` are ``_chi_terms`` of the same inputs, which a
-    caller that splits a batch into calls computes once and slices with
-    ``_ChiTerms.tile``; when None they are computed here.  Every array of
-    the grid shape (``omega_c`` and the populations and coherences) or
-    of the full shape is taken from ``ws`` (a fresh Workspace when None).
-    The result, one (4,) + full block of chi_pp, chi_ps, chi_sp and
-    chi_ss, stays taken; the scratch is free again on return.  Each step
-    is the numpy operation of the formula in the comments, on the same
-    operands in the same order, so the result does not depend on how the
-    frequencies are split into calls, bit for bit.
+    The full shape is the grid's broadcast against x.  A caller that
+    splits a batch into tiles computes the terms once and passes each
+    tile ``_ChiTerms.tile`` of them.  Every array of the full shape is
+    taken from ``ws``.  The result, one (4,) + full block of chi_pp,
+    chi_ps, chi_sp and chi_ss, stays taken; the scratch is free again on
+    return.  Each step is the numpy operation of the formula in the
+    comments, on the same operands in the same order, so the result does
+    not depend on how the frequencies are split into tiles, bit for bit.
     """
-    ws = Workspace() if ws is None else ws
-    grid = np.broadcast_shapes(*(np.shape(a) for a in (omega_c, rho31, rho33)))
-    full = np.broadcast_shapes(grid, np.shape(x))
+    grid = np.shape(t.oc)
+    full = np.broadcast_shapes(grid, np.shape(t.d1))
     mul, add, sub = np.multiply, np.add, np.subtract
     chi = ws.take((4,) + full)
     chi_pp, chi_ps, chi_sp, chi_ss = (chi[k, ...] for k in range(4))   # arrays even if full is ()
 
     with ws.frame():
-        t = terms
-        if t is None:
-            t = _chi_terms(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, ws)
         oc, occ, g = t.oc, t.occ, t.g
         tmp, inv_q, inv_p = (ws.take(full) for _ in range(3))
         # threshold = _DET_TOL (1 + |d1| + |d2| + |d3| + |d4| + |omega_c| + |omega_d|)^2
@@ -350,9 +359,10 @@ def linear_response(omega: float, drive: DriveConfig, omega_c_local: complex,
     """First-order response of the four weak-field coherences at sideband
     frequency ``omega``, for the given local coupling Rabi frequency and
     the zeroth-order state consistent with it."""
-    chi = _chi_arrays(np.complex128(omega_c_local), zeroth.rho33, zeroth.rho31,
-                      float(drive.delta_p) + float(omega), drive.delta_c,
-                      drive.delta_d, drive.omega_d, rates)
+    terms = _chi_terms(np.complex128(omega_c_local), zeroth.rho33, zeroth.rho31,
+                       float(drive.delta_p) + float(omega), drive.delta_c, drive.delta_d,
+                       drive.omega_d, rates)
+    chi = _chi_arrays(terms, Workspace())
     return ResponseMatrix(*(complex(c) for c in chi))
 
 

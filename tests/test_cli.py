@@ -540,6 +540,22 @@ def test_spectrum_saturation_beyond_float_range_exit_4(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_spectrum_two_level_state_beyond_bounds_exit_4(tmp_path, capsys):
+    # gamma31 = Gamma3_total / 2, so den = Gamma3 gamma31^2 + gamma31 |omega_c|^2
+    # underflows to 0 and the closed form gives rho31 = (i/2) omega_c / gamma31
+    # ~ 1e213 i, where the exact state has rho33 ~ 1/2 and |rho31| ~ 5e-214:
+    # no n_z helps
+    cfg = _spectrum_doc(tmp_path, {"medium": {"od": 134.6},
+                                   "rates": {"Gamma3_total": "9.16e-293"},
+                                   "fields": {"omega_c": "9.6e-80", "delta_d": "-7.3e+5"}})
+    assert _spectrum_strict(cfg, tmp_path) == 4
+    err = capsys.readouterr().err
+    for key in ("rates.Gamma3_total", "rates.gamma31", "fields.omega_c"):
+        assert key in err
+    assert "raise medium.n_z" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # the input domain of each drawn key: config.MAX_MAGNITUDE, and half of it
 # for medium.od (alpha_p = 2 od)
 DOMAIN = {("medium", "od"): 5e7,

@@ -468,6 +468,33 @@ def test_drive_batch_of_one_drive_matches_shared_drive_bitwise(monkeypatch, per_
 
 
 @pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("per_tile", [1, 67])
+@pytest.mark.parametrize("batched", [False, True])
+def test_chi_terms_are_built_once_per_call(monkeypatch, batched, per_tile, threads):
+    # a shared drive and a DriveBatch alike: every tile slices the one set of terms
+    b = dfm.preset("fig3")
+    if batched:
+        b = replace(b, drive=propagation.DriveBatch.stack([b.drive] * 67))
+    prof = coupling_profile(b)
+    rng = np.random.default_rng(67)
+    dp, om = rng.uniform(-10, 15, 67), rng.uniform(-40, 40, 67)
+    monkeypatch.setattr(propagation, "_TILE_ELEMENTS", per_tile * 3 * b.medium.n_z)
+    calls = {"_chi_terms": [], "_chi_arrays": []}   # list.append is atomic across threads
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            calls[name].append(name)
+            return f(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(propagation, name, counting(name, getattr(propagation, name)))
+    propagation._transfer_components(b, prof, dp, om, threads=threads)
+    assert {name: len(v) for name, v in calls.items()} == {"_chi_terms": 1,
+                                                           "_chi_arrays": 67 // per_tile}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 def test_tiles_read_the_two_level_state_from_the_profile(monkeypatch, fig3, threads):
     # the profile holds the two-level state: many tiles on one profile compute none
     prof = coupling_profile(fig3)
@@ -528,8 +555,9 @@ def test_loopless_chi_is_the_elimination_at_zero_omega_d(mode):
     rng = np.random.default_rng(3)
     dp, om = rng.uniform(-10, 15, 67), rng.uniform(-40, 40, 67)
     d = b.drive
-    chi = propagation._chi_arrays(prof.omega_c, prof.rho33, prof.rho31, (dp + om)[:, None],
-                                  d.delta_c, d.delta_d, d.omega_d, b.rates)
+    terms = propagation._chi_terms(prof.omega_c, prof.rho33, prof.rho31, (dp + om)[:, None],
+                                   d.delta_c, d.delta_d, d.omega_d, b.rates)
+    chi = propagation._chi_arrays(terms, Workspace())
     got = chi.transpose(0, 2, 1, 3).reshape(4, dp.size, -1)   # (freq, node-major column)
     want = _reference_chi(b, prof, dp, om, 0, b.medium.n_z)
     assert got[0].tobytes() == want[0].tobytes() and got[3].tobytes() == want[3].tobytes()
@@ -619,7 +647,7 @@ def test_uniform_profile_takes_one_step(monkeypatch, name, mode):
     grids = []
 
     def counted(*args, **kwargs):
-        grids.append(args[0].shape)   # (node, row, step) of the profile
+        grids.append(args[0].oc.shape)   # (node, row, step) of the profile
         return response_chi(*args, **kwargs)
 
     response_chi = propagation._chi_arrays

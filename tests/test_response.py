@@ -47,6 +47,18 @@ def test_square_overflow_gives_far_detuned_limit_or_keyed_error():
         two_level_steady_state(1e200, 1.0, RATES)
 
 
+@pytest.mark.parametrize("omega_c, delta_c, rates", [
+    # den underflows to 0: the closed form gives |rho31| ~ 1e213
+    (9.6e-80, 0.0, RateTable(Gamma3_total=9.16e-293)),
+    # gamma31 < Gamma3_total / 4: |rho31| ~ 1.05, a coherence no state has
+    (11.0, 5.0, RateTable(gamma31=0.01)),
+])
+def test_state_beyond_physical_bounds_is_a_keyed_error(omega_c, delta_c, rates):
+    with pytest.raises(NumericalError, match=r"fields\.omega_c = .*rates\.Gamma3_total = "
+                       r".*rates\.gamma31 = .*leaves 0 <= rho33 <= 1/2, \|rho31\| <= 1/2"):
+        two_level_steady_state(omega_c, delta_c, rates)
+
+
 def test_steady_state_against_time_integration():
     # drive hard at the bright-MOT coupling point and integrate to t = 200/Gamma
     omega_c, delta_c = 11.0, 5.0
