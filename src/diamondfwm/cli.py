@@ -225,6 +225,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error (numerical): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError:
+        print("error (numerical): the grid does not fit in memory; lower medium.n_z, "
+              "pulse.n_freq or the sweep's rows (raise sweep.step)", file=sys.stderr)
+        return EXIT_NUMERICAL
     except OSError as exc:   # unreadable config, or an --out path that cannot be written
         print(f"error (io): {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -29,7 +29,7 @@ from typing import Optional, get_args, get_type_hints
 
 import yaml
 
-from .errors import ConfigParseError, ConfigValidationError, UnknownPresetError
+from .errors import ConfigParseError, ConfigValidationError, PulseGridError, UnknownPresetError
 
 GAMMA_HZ = 6.0e6                      # Gamma / 2pi
 GAMMA_RAD_PER_S = 2.0 * math.pi * GAMMA_HZ
@@ -39,6 +39,7 @@ TIME_UNIT_NS = 1e9 / GAMMA_RAD_PER_S  # one 1/Gamma in nanoseconds (26.526)
 DEFAULT_PULSE_DURATION = 200e-9 * GAMMA_RAD_PER_S
 # 5 MHz combined laser linewidth expressed in Gamma units
 DEFAULT_LINEWIDTH = 5.0 / 6.0
+MIN_SPAN_GAMMA = 40.0   # the pulse's frequency grid must reach at least +-40 Gamma
 
 _EPS = 1e-9
 
@@ -187,7 +188,8 @@ class MediumConfig:
         _require(self.alpha_p >= 0.0, "medium.alpha_p", "optical depth must be >= 0")
         _require(isinstance(self.n_z, int) and not isinstance(self.n_z, bool),
                  "medium.n_z", "must be an integer")
-        _require(self.n_z >= 2, "medium.n_z", f"needs at least 2 grid steps, got {self.n_z}")
+        _require(2 <= self.n_z <= MAX_MAGNITUDE, "medium.n_z",
+                 f"needs from 2 to {MAX_MAGNITUDE:g} grid steps, got {self.n_z}")
         for name in ("lambda_p", "lambda_c", "lambda_d", "lambda_s"):
             _require(getattr(self, name) > 0.0, f"medium.{name}", "wavelength must be > 0")
         # four-wave-mixing energy conservation: 1/lp + 1/ld = 1/lc + 1/ls
@@ -269,26 +271,49 @@ class SweepOptions:
                  f"must be one of {SWEEP_MODES}, got {self.mode!r}")
         _float_fields(self, "sweep")
         _require(self.step > 0.0, "sweep.step", "must be > 0")
+        # bounds the step count either way, so rows is a finite count
+        _require(abs(self.stop - self.start) <= self.step * MAX_MAGNITUDE, "sweep.step",
+                 f"more than {MAX_MAGNITUDE:g} steps from sweep.from to sweep.to")
+        _require(self.rows >= 1, "sweep.from", f"empty sweep range [{self.start}, {self.stop}]")
         if self.linewidth is not None:
             _require(self.linewidth > 0.0, "sweep.linewidth", "FWHM must be > 0")
+
+    @property
+    def rows(self) -> int:
+        """Number of probe detunings start, start + step, ... up to stop."""
+        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
 
 
 @dataclass(frozen=True)
 class PulseOptions:
-    shape: str = "square"
-    duration: float = DEFAULT_PULSE_DURATION   # in 1/Gamma
+    duration: float = DEFAULT_PULSE_DURATION   # in 1/Gamma; the pulse is square
     window: Optional[float] = None             # default 8 x duration
     n_freq: int = 4096
 
     def __post_init__(self):
-        _require(self.shape == "square", "pulse.shape",
-                 f"only 'square' is implemented, got {self.shape!r}")
         _float_fields(self, "pulse")
         _require(self.duration > 0.0, "pulse.duration", "must be > 0")
-        _require(isinstance(self.n_freq, int) and self.n_freq >= 16,
-                 "pulse.n_freq", "must be an integer >= 16")
+        _require(isinstance(self.n_freq, int) and 16 <= self.n_freq <= MAX_MAGNITUDE,
+                 "pulse.n_freq", f"must be an integer from 16 to {MAX_MAGNITUDE:g}")
         if self.window is not None:
             _require(self.window > 0.0, "pulse.window", "must be > 0")
+        window = self.synthesis_window
+        if window < 4.0 * self.duration:
+            raise PulseGridError(
+                "pulse.window",
+                f"window {window:g} is shorter than 4x the pulse duration {self.duration:g}; "
+                "the wrapped medium response would alias into the pulse")
+        omega_max = math.pi / (window / self.n_freq)
+        if omega_max < MIN_SPAN_GAMMA:
+            raise PulseGridError(
+                "pulse.n_freq",
+                f"frequency grid spans only +-{omega_max:.1f} Gamma; "
+                f"needs +-{MIN_SPAN_GAMMA:.0f} (raise n_freq or shrink window)")
+
+    @property
+    def synthesis_window(self) -> float:
+        """The synthesis window: ``window`` if set, else 8x the duration."""
+        return 8.0 * self.duration if self.window is None else self.window
 
 
 @dataclass(frozen=True)

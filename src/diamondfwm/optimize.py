@@ -252,9 +252,10 @@ def optimize_eta(od: float, bounds: Optional[Sequence] = None, starts: int = STA
     ``default_bounds()``.  The starts run in lockstep, one batched
     objective call per round; ``grid`` is passed to ``make_objective``.
     """
-    if not 0 <= od <= MAX_MAGNITUDE / 2:
-        raise BoundsError("optimize.od", "optical depth must be >= 0 and at most "
-                          f"{MAX_MAGNITUDE / 2:g} (alpha_p = 2 od), got {od}")
+    if (isinstance(od, bool) or not isinstance(od, (int, float))   # a number, as in config
+            or not 0 <= od <= MAX_MAGNITUDE / 2):
+        raise BoundsError("optimize.od", "must be a number >= 0 and at most "
+                          f"{MAX_MAGNITUDE / 2:g} (alpha_p = 2 od), got {od!r}")
     counts = {"seed": (seed, 0), "starts": (starts, 1), "max_evals": (max_evals, 1)}
     for key, (value, least) in counts.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:

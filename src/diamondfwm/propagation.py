@@ -730,11 +730,7 @@ def spectrum_sweep(mode: str, bundle: ConfigBundle, start: Optional[float] = Non
     given = (("start", start), ("stop", stop), ("step", step), ("linewidth", linewidth))
     # replace() re-runs SweepOptions validation on the mode and overrides
     sweep = replace(bundle.sweep, mode=mode, **{k: v for k, v in given if v is not None})
-    n_pts = int(math.floor((sweep.stop - sweep.start) / sweep.step + 1e-9)) + 1
-    if n_pts < 1:
-        raise ConfigValidationError("sweep.from",
-                                    f"empty sweep range [{sweep.start}, {sweep.stop}]")
-    delta_ps = sweep.start + sweep.step * np.arange(n_pts)
+    delta_ps = sweep.start + sweep.step * np.arange(sweep.rows)
 
     run = with_mode(bundle, mode)
     profile = coupling_profile(run)

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diamondfwm
+from diamondfwm import cli
 from diamondfwm.cli import build_parser, main
 from diamondfwm.manifest import read_csv, write_csv
 from diamondfwm.propagation import PASSIVITY_TOL
@@ -103,6 +105,15 @@ def test_spectrum_linewidth_and_si_columns(tmp_path):
     manifest, cols = read_csv(tmp_path / "spectrum_fwm.csv")
     assert "T_p_conv" in cols and "eta_s_conv" in cols
     assert manifest["arg_linewidth"] == 0.8
+
+
+def test_single_row_linewidth_columns_are_the_raw_ones(tmp_path):
+    assert run(["spectrum", "--preset", "fig3", "--from", 0, "--to", 0, "--linewidth",
+                "--out", tmp_path]) == 0
+    _, cols = read_csv(tmp_path / "spectrum_fwm.csv")
+    assert cols["delta_p_over_gamma"].tolist() == [0.0]
+    assert cols["T_p_conv"].tolist() == cols["T_p"].tolist()
+    assert cols["eta_s_conv"].tolist() == cols["eta_s"].tolist()
 
 
 def test_csv_roundtrip_precision(tmp_path):
@@ -283,6 +294,65 @@ def test_optimize_section_in_config_exit_3(tmp_path, capsys):
 def test_non_finite_flags_exit_3(tmp_path, capsys, argv, key):
     assert run(argv + ["--out", tmp_path]) == 3
     assert key in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+FIG3_FIELDS = "fields: {omega_c: 11, omega_d: 9, delta_p: -1, delta_c: 5, delta_d: -4}\n"
+
+
+@pytest.mark.parametrize("section, key", [
+    ("sweep: {from: 5, to: 4}", "sweep.from"),
+    ("pulse: {duration: 10, window: 30}", "pulse.window"),
+    ("pulse: {n_freq: 16}", "pulse.n_freq"),
+])
+@pytest.mark.parametrize("argv", [["spectrum", "--from", "-1", "--to", "1"], ["pulse"],
+                                  ["validate"]], ids=lambda argv: argv[0])
+def test_each_section_is_checked_whole_for_every_command(tmp_path, capsys, section, key, argv):
+    # a command that does not read a section, or overrides its keys by
+    # flags, still rejects it
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("medium: {od: 75}\n" + FIG3_FIELDS + section + "\n")
+    assert run(argv + ["--config", cfg, "--out", tmp_path]) == 3
+    assert f"{key}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv, n_z, key", [
+    (["spectrum", "--preset", "fig3", "--step", "1e-15"], None, "sweep.step"),
+    (["spectrum", "--preset", "fig3", "--step", "1e-300"], None, "sweep.step"),
+    (["pulse", "--preset", "fig3", "--n-freq", str(10 ** 20)], None, "pulse.n_freq"),
+    (["pulse", "--preset", "fig3", "--n-freq", str(10 ** 12)], None, "pulse.n_freq"),
+    (["spectrum"], "1.0e+20", "medium.n_z"),
+    (["spectrum"], "1.0e+12", "medium.n_z"),
+])
+def test_counts_beyond_domain_exit_3_before_allocating(tmp_path, capsys, argv, n_z, key):
+    if n_z is not None:
+        cfg = tmp_path / "n_z.yaml"
+        cfg.write_text(f"medium: {{od: 75, n_z: {n_z}}}\n" + FIG3_FIELDS)
+        argv = argv + ["--config", cfg]
+    tracemalloc.start()
+    try:
+        rc = run(argv + ["--out", tmp_path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert f"{key}: " in capsys.readouterr().err
+    assert peak < 2 ** 22   # bytes: nothing the size of a grid
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum", "--preset", "fig3"], "spectrum_sweep"),
+    (["pulse", "--preset", "fig3"], "propagate_pulse"),
+])
+def test_grid_beyond_memory_exit_4(tmp_path, capsys, monkeypatch, argv, name):
+    # a grid in the domain that does not fit in memory: no real allocation is tried
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, name, no_memory)
+    assert run(argv + ["--out", tmp_path]) == 4
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("medium.n_z", "sweep.step", "pulse.n_freq"))
     assert not list(tmp_path.iterdir())
 
 

@@ -43,6 +43,8 @@ def test_unknown_key_rejected():
     assert "rates.Gamma99" in str(err.value)
     with pytest.raises(ConfigValidationError):
         parse_config(MINIMAL + "nonsense:\n  a: 1\n")
+    with pytest.raises(ConfigValidationError, match="^rates: section must be a mapping"):
+        parse_config(MINIMAL + "rates: 5\n")
 
 
 def test_malformed_document_is_a_parse_error():
@@ -58,6 +60,9 @@ def test_missing_alpha_rejected():
     assert err.value.key == "medium.alpha_p"
     with pytest.raises(ConfigValidationError) as err:
         parse_config("medium:\n  alpha_p: 10\n  od: 5\n")
+    assert err.value.key == "medium.alpha_p"
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config("")   # the empty document
     assert err.value.key == "medium.alpha_p"
 
 
@@ -296,6 +301,31 @@ def test_exponent_floats_are_numbers(doc, section, name, want):
 def test_quoted_exponent_stays_a_string():
     with pytest.raises(ConfigValidationError, match=r"medium.od: must be a number, got '1e5'"):
         parse_config('medium:\n  od: "1e5"\n')
+
+
+# the count bounds' command-line cases are in test_cli.py
+@pytest.mark.parametrize("make, key", [
+    # (to - from) / step is -inf: the step bound comes before the empty-range rule
+    pytest.param(lambda: dfm.SweepOptions(start=5.0, stop=4.0, step=1e-320), "sweep.step",
+                 id="empty-step-1e-320"),
+    pytest.param(lambda: dfm.SweepOptions(start=5.0, stop=4.0), "sweep.from", id="empty"),
+    pytest.param(lambda: dfm.PulseOptions(duration=10.0, window=30.0), "pulse.window",
+                 id="window-under-4-durations"),
+    pytest.param(lambda: dfm.PulseOptions(n_freq=16), "pulse.n_freq", id="span-under-40")])
+def test_each_section_checks_its_own_grid(make, key):
+    with pytest.raises(ConfigValidationError) as err:
+        make()
+    assert err.value.key == key
+
+
+def test_sweep_rows_and_pulse_window_resolve_once():
+    assert dfm.SweepOptions().rows == 251
+    assert dfm.SweepOptions(start=0.0, stop=0.0).rows == 1
+    assert dfm.SweepOptions(start=0.0, stop=-1e-12, step=1.0).rows == 1   # round-off
+    pulse = dfm.PulseOptions(duration=5.0)
+    assert pulse.synthesis_window == 40.0
+    assert replace(pulse, duration=6.0).synthesis_window == 48.0
+    assert replace(pulse, window=30.0).synthesis_window == 30.0
 
 
 def test_readme_config_example_round_trips():

@@ -56,6 +56,20 @@ def test_bad_bounds_rejected():
         optimize_eta(10.0, bounds=[(-5.0, 5.0), *default_bounds()[1:]], starts=1)
 
 
+@pytest.mark.parametrize("od", ["75", None, True, math.nan])
+def test_od_is_a_number_in_the_domain(od):
+    with pytest.raises(BoundsError, match="^optimize.od: must be a number"):
+        optimize_eta(od, starts=1, max_evals=1)
+
+
+def test_zero_width_bound_keeps_its_parameter():
+    # no Rabi frequency is allowed: the initial simplex steps off the bound
+    # and the search clips it back
+    r = optimize_eta(75, bounds=default_bounds(0.0, 15.0), starts=2, max_evals=20)
+    assert r.params[:2] == (0.0, 0.0)
+    assert r.eta_s == 0.0
+
+
 def test_deterministic_for_fixed_seed():
     r1 = optimize_eta(20.0, starts=3, seed=11, max_evals=150, n_z=200)
     r2 = optimize_eta(20.0, starts=3, seed=11, max_evals=150, n_z=200)

@@ -253,6 +253,11 @@ def test_compositionality(fig3_small):
     assert np.max(np.abs(second @ first - full)) < 1e-8
 
 
+def test_span_beyond_the_medium_rejected(fig3):
+    with pytest.raises(ValueError, match=r"step range \(0, 512\) outside \[0, 256\]"):
+        transfer_matrix(0.0, fig3, zeta_span=(0, 2))
+
+
 def test_grid_convergence(fig3):
     obs = observables_at(fig3)
     fine = replace(fig3, medium=replace(fig3.medium, n_z=2 * fig3.medium.n_z))
