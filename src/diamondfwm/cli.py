@@ -36,6 +36,11 @@ EXIT_INVARIANT = 5
 
 MHZ_PER_GAMMA = GAMMA_HZ / 1e6   # detuning in MHz per Gamma unit
 
+# what a command's grid shrinks with, for its out-of-memory exit
+_LOWER_GRID = {"spectrum": "lower medium.n_z or raise sweep.step",
+               "pulse": "lower medium.n_z or pulse.n_freq",
+               "optimize": "lower --starts"}
+
 
 def _add_common(p, config: bool = True, threads: bool = True, si: bool = True):
     if config:
@@ -226,8 +231,8 @@ def main(argv=None) -> int:
         print(f"error (numerical): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError:
-        print("error (numerical): the grid does not fit in memory; lower medium.n_z, "
-              "pulse.n_freq or the sweep's rows (raise sweep.step)", file=sys.stderr)
+        print("error (numerical): the grid does not fit in memory; "
+              f"{_LOWER_GRID.get(args.command, 'lower medium.n_z')}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:   # unreadable config, or an --out path that cannot be written
         print(f"error (io): {exc}", file=sys.stderr)

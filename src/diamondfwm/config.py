@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
+import numpy as np
 import yaml
 
 from .errors import ConfigParseError, ConfigValidationError, PulseGridError, UnknownPresetError
@@ -43,13 +44,14 @@ MIN_SPAN_GAMMA = 40.0   # the pulse's frequency grid must reach at least +-40 Ga
 
 _EPS = 1e-9
 
-# The input domain: every configured number lies within +-MAX_MAGNITUDE,
+# The input domain: every number that enters the package lies within +-MAX_MAGNITUDE,
 # above the 795 nm carrier (about 6.3e7 Gamma) where a rotating-wave model
 # stops meaning anything; within it no square or product the model forms overflows
 MAX_MAGNITUDE = 1e8
 
 # Each config dataclass declares its document keys: a field's key is its
-# name unless the field carries the metadata {"key": ...}.
+# name unless the field carries the metadata {"key": ...}.  A number
+# field with the metadata {"low": ...} lies within [low, MAX_MAGNITUDE].
 
 
 def _require(cond, key, message):
@@ -57,24 +59,43 @@ def _require(cond, key, message):
         raise ConfigValidationError(key, message)
 
 
-def _require_number(value, key):
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), key,
-             f"must be a number, got {value!r}")
+def _check_numbers(key, value, low=-MAX_MAGNITUDE, high=MAX_MAGNITUDE, integer=False,
+                   scalar=True, error=ConfigValidationError) -> np.ndarray:
+    """The input domain's one check: ``value`` (a scalar if ``scalar``, else
+    any array) as an array of numbers, or integers if ``integer``, each in
+    [low, high], so not inf or nan; else ``error`` names ``key``.  Bools,
+    strings, None and complex values are not numbers; a Python int beyond
+    int64 (an object to numpy, also among floats) is an integer, out of range."""
+    v = np.asarray(value)
+    what, types = ("an integer", (int,)) if integer else ("a number", (int, float))
+    if (v.dtype.kind not in ("iu" if integer else "iuf")
+            and not (v.dtype == object and all(type(x) in types for x in v.flat))
+            or scalar and v.ndim):
+        raise error(key, f"must be {what if scalar else 'numbers'}, got {value!r}")
+    inside = np.asarray((low <= v) & (v <= high), dtype=bool)
+    if not inside.all():   # an entry's message, whatever array holds it
+        raise error(key, f"must be {what} within [{low:g}, {high:g}], "
+                         f"got {v[~inside].tolist()[0]!r}")
+    return v
 
 
-def _float_fields(config, section: str) -> None:
-    """Store each float field of a config (an Optional one when set) as a
-    float, after checking that it holds a number within +-MAX_MAGNITUDE;
-    an error names its document key.  Under ``from __future__ import
-    annotations`` a field's type is the annotation as written."""
+def _check_field(section: str, f, value, low=-MAX_MAGNITUDE, scalar=True) -> np.ndarray:
+    """``_check_numbers`` on a value of the number field ``f``: an integer if
+    ``f`` is an int, from its metadata "low" (default ``low``) up."""
+    return _check_numbers(f"{section}.{_key(f)}", value, low=f.metadata.get("low", low),
+                          integer=f.type == "int", scalar=scalar)
+
+
+def _number_fields(config, section: str, low=-MAX_MAGNITUDE) -> None:
+    """Check each float and int field of a config (an Optional one when
+    set) with ``_check_field``, and store it as its type.  Under ``from
+    __future__ import annotations`` a field's type is the annotation as
+    written."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type == "float" or (f.type == "Optional[float]" and value is not None):
-            key = f"{section}.{_key(f)}"
-            _require_number(value, key)
-            _require(abs(value) <= MAX_MAGNITUDE, key,
-                     f"must be finite and within +-{MAX_MAGNITUDE:g}, got {value}")
-            object.__setattr__(config, f.name, float(value))
+        if f.type in ("float", "int") or (f.type == "Optional[float]" and value is not None):
+            _check_field(section, f, value, low)
+            object.__setattr__(config, f.name, (int if f.type == "int" else float)(value))
 
 
 @dataclass(frozen=True)
@@ -109,7 +130,7 @@ class RateTable:
 
     def __post_init__(self):
         s = object.__setattr__
-        _float_fields(self, "rates")   # before the defaults are computed from them
+        _number_fields(self, "rates", low=0.0)   # so the defaults computed from them are >= 0
         if self.Gamma21 is None:
             s(self, "Gamma21", self.Gamma2_total)
         if self.Gamma31 is None:
@@ -128,9 +149,6 @@ class RateTable:
         for name, default in halfsum.items():
             if getattr(self, name) is None:
                 s(self, name, default + self.gamma_extra)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            _require(value >= 0.0, f"rates.{f.name}", f"must be >= 0, got {value}")
         _require(self.Gamma21 <= self.Gamma2_total + _EPS, "rates.Gamma21",
                  f"partial rate {self.Gamma21} exceeds rates.Gamma2_total = {self.Gamma2_total}")
         _require(self.Gamma31 <= self.Gamma3_total + _EPS, "rates.Gamma31",
@@ -147,16 +165,14 @@ class DriveConfig:
     The two-photon detuning is always derived: delta = delta_p + delta_d.
     """
 
-    omega_c: float = 0.0
-    omega_d: float = 0.0
+    omega_c: float = field(default=0.0, metadata={"low": 0.0})
+    omega_d: float = field(default=0.0, metadata={"low": 0.0})
     delta_p: float = 0.0
     delta_c: float = 0.0
     delta_d: float = 0.0
 
     def __post_init__(self):
-        _float_fields(self, "fields")
-        _require(self.omega_c >= 0.0, "fields.omega_c", "Rabi frequency must be >= 0")
-        _require(self.omega_d >= 0.0, "fields.omega_d", "Rabi frequency must be >= 0")
+        _number_fields(self, "fields")
 
     @property
     def delta(self) -> float:
@@ -176,20 +192,15 @@ class MediumConfig:
     (README, "Spatial grid"), so above OD ~300 raise n_z with the OD.
     """
 
-    alpha_p: float
+    alpha_p: float = field(metadata={"low": 0.0})
     lambda_p: float = 795.0
     lambda_c: float = 780.0
     lambda_d: float = 1324.0
     lambda_s: float = 1367.0
-    n_z: int = 256
+    n_z: int = field(default=256, metadata={"low": 2})
 
     def __post_init__(self):
-        _float_fields(self, "medium")
-        _require(self.alpha_p >= 0.0, "medium.alpha_p", "optical depth must be >= 0")
-        _require(isinstance(self.n_z, int) and not isinstance(self.n_z, bool),
-                 "medium.n_z", "must be an integer")
-        _require(2 <= self.n_z <= MAX_MAGNITUDE, "medium.n_z",
-                 f"needs from 2 to {MAX_MAGNITUDE:g} grid steps, got {self.n_z}")
+        _number_fields(self, "medium")
         for name in ("lambda_p", "lambda_c", "lambda_d", "lambda_s"):
             _require(getattr(self, name) > 0.0, f"medium.{name}", "wavelength must be > 0")
         # four-wave-mixing energy conservation: 1/lp + 1/ld = 1/lc + 1/ls
@@ -212,9 +223,7 @@ class MediumConfig:
         _require((alpha_p is None) != (od is None), "medium.alpha_p",
                  "specify exactly one of alpha_p or od")
         if alpha_p is None:
-            _require_number(od, "medium.od")
-            _require(0.0 <= od <= MAX_MAGNITUDE / 2.0, "medium.od", "must be >= 0 and at most "
-                     f"{MAX_MAGNITUDE / 2.0:g} (alpha_p = 2 od), got {od}")
+            _check_numbers("medium.od", od, 0.0, MAX_MAGNITUDE / 2.0)   # alpha_p = 2 od
             alpha_p = 2.0 * od
         medium = cls(alpha_p=alpha_p, **grid)
         absorptions(rates, medium)
@@ -269,7 +278,7 @@ class SweepOptions:
     def __post_init__(self):
         _require(self.mode in SWEEP_MODES, "sweep.mode",
                  f"must be one of {SWEEP_MODES}, got {self.mode!r}")
-        _float_fields(self, "sweep")
+        _number_fields(self, "sweep")
         _require(self.step > 0.0, "sweep.step", "must be > 0")
         # bounds the step count either way, so rows is a finite count
         _require(abs(self.stop - self.start) <= self.step * MAX_MAGNITUDE, "sweep.step",
@@ -288,13 +297,11 @@ class SweepOptions:
 class PulseOptions:
     duration: float = DEFAULT_PULSE_DURATION   # in 1/Gamma; the pulse is square
     window: Optional[float] = None             # default 8 x duration
-    n_freq: int = 4096
+    n_freq: int = field(default=4096, metadata={"low": 16})
 
     def __post_init__(self):
-        _float_fields(self, "pulse")
+        _number_fields(self, "pulse")
         _require(self.duration > 0.0, "pulse.duration", "must be > 0")
-        _require(isinstance(self.n_freq, int) and 16 <= self.n_freq <= MAX_MAGNITUDE,
-                 "pulse.n_freq", f"must be an integer from 16 to {MAX_MAGNITUDE:g}")
         if self.window is not None:
             _require(self.window > 0.0, "pulse.window", "must be > 0")
         window = self.synthesis_window
@@ -303,12 +310,21 @@ class PulseOptions:
                 "pulse.window",
                 f"window {window:g} is shorter than 4x the pulse duration {self.duration:g}; "
                 "the wrapped medium response would alias into the pulse")
-        omega_max = math.pi / (window / self.n_freq)
+        omega_max = math.pi * self.n_freq / window   # the sidebands' half-span
         if omega_max < MIN_SPAN_GAMMA:
             raise PulseGridError(
                 "pulse.n_freq",
                 f"frequency grid spans only +-{omega_max:.1f} Gamma; "
                 f"needs +-{MIN_SPAN_GAMMA:.0f} (raise n_freq or shrink window)")
+        if omega_max > MAX_MAGNITUDE:
+            raise PulseGridError("pulse.window", f"frequency grid spans +-{omega_max:g} Gamma, "
+                                 f"beyond the input domain +-{MAX_MAGNITUDE:g} (widen window)")
+        # PulseResult.plateau averages the samples in the last third of the pulse
+        if self.n_freq * self.duration <= 3.0 * window:
+            raise PulseGridError(
+                "pulse.n_freq",
+                f"the last third of the pulse holds no sample: needs n_freq * duration > "
+                f"3 * window, got {self.n_freq} * {self.duration:g} <= 3 * {window:g}")
 
     @property
     def synthesis_window(self) -> float:

@@ -21,7 +21,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import MAX_MAGNITUDE, ConfigBundle, DriveConfig, MediumConfig, RateTable
+from .config import (MAX_MAGNITUDE, ConfigBundle, DriveConfig, MediumConfig, RateTable,
+                     _check_numbers)
 from .errors import BoundsError, ObjectiveError, SimulationError
 from .propagation import DriveBatch, observables_at
 
@@ -81,13 +82,10 @@ class OptimizationResult:
 
 
 def _check_bounds(bounds) -> np.ndarray:
-    b = np.asarray(bounds, dtype=float)
+    b = _check_numbers("optimize.bounds", bounds, scalar=False, error=BoundsError).astype(float)
     if b.shape != (5, 2):
         raise BoundsError("optimize.bounds",
                           f"expected 5 (low, high) pairs for {PARAM_NAMES}, got shape {b.shape}")
-    if not np.all(np.abs(b) <= MAX_MAGNITUDE):
-        raise BoundsError("optimize.bounds",
-                          f"bounds must be finite and within +-{MAX_MAGNITUDE:g}")
     if np.any(b[:, 0] > b[:, 1]):
         raise BoundsError("optimize.bounds", "lower bounds exceed upper bounds")
     if np.any(b[:2, 0] < 0.0):
@@ -216,8 +214,8 @@ def make_objective(od: float, rates: Optional[RateTable] = None, **grid):
     A (K, 5) array gives K values from one ``observables_at`` call on a
     DriveBatch of its rows, each equal bit for bit to the value of its
     row alone; a (5,) point is a batch of one and gives a float.  The
-    DriveBatch checks the rows: the first one outside DriveConfig's
-    domain raises DriveConfig's keyed error.  ``grid`` sets ``n_z`` and
+    DriveBatch checks the rows field by field: an entry outside
+    DriveConfig's domain raises DriveConfig's keyed error.  ``grid`` sets ``n_z`` and
     the wavelengths as in ``MediumConfig.derive``.  Evaluation failures are
     re-raised with the offending parameter vector attached; in a batch,
     that of the first row that fails alone.
@@ -252,14 +250,11 @@ def optimize_eta(od: float, bounds: Optional[Sequence] = None, starts: int = STA
     ``default_bounds()``.  The starts run in lockstep, one batched
     objective call per round; ``grid`` is passed to ``make_objective``.
     """
-    if (isinstance(od, bool) or not isinstance(od, (int, float))   # a number, as in config
-            or not 0 <= od <= MAX_MAGNITUDE / 2):
-        raise BoundsError("optimize.od", "must be a number >= 0 and at most "
-                          f"{MAX_MAGNITUDE / 2:g} (alpha_p = 2 od), got {od!r}")
-    counts = {"seed": (seed, 0), "starts": (starts, 1), "max_evals": (max_evals, 1)}
-    for key, (value, least) in counts.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise BoundsError(f"optimize.{key}", f"must be an integer >= {least}, got {value!r}")
+    _check_numbers("optimize.od", od, 0.0, MAX_MAGNITUDE / 2.0, error=BoundsError)
+    # the seed is any int >= 0, as numpy's default_rng takes it
+    for key, value, low, high in (("seed", seed, 0, np.inf), ("starts", starts, 1, MAX_MAGNITUDE),
+                                  ("max_evals", max_evals, 1, MAX_MAGNITUDE)):
+        _check_numbers(f"optimize.{key}", value, low, high, integer=True, error=BoundsError)
     b = _check_bounds(bounds if bounds is not None else default_bounds())
     objective = make_objective(od, rates=rates, **grid)
     x0s = _latin_hypercube(b, starts, seed)

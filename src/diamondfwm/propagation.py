@@ -77,7 +77,8 @@ from typing import Optional
 
 import numpy as np
 
-from .config import MAX_MAGNITUDE, ConfigBundle, DriveConfig, absorptions, with_mode
+from .config import (ConfigBundle, DriveConfig, _check_field, _check_numbers, absorptions,
+                     with_mode)
 from .errors import ConfigValidationError, NumericalError
 from .response import (_UNPHYSICAL, Workspace, _chi_arrays, _chi_terms, _physical,
                        _two_level_arrays)
@@ -125,10 +126,11 @@ class DriveBatch:
     """K drive points solved side by side, one probe detuning each.
 
     Each field is a (K,) float array whose entry k is that field of
-    point k.  A field that is not a 1-D array of numbers (not bools) as
-    long as omega_c raises ConfigValidationError naming its ``fields.``
-    key, and the first point that breaks DriveConfig's rules raises
-    DriveConfig's keyed error.  A bundle with a DriveBatch as its drive
+    point k.  DriveConfig's fields are checked in its order, each with
+    its range, so a field with an entry outside the domain raises the
+    keyed error that DriveConfig gives for its first bad entry alone; one
+    that is not a 1-D array as long as omega_c raises ConfigValidationError
+    naming its ``fields.`` key.  A bundle with a DriveBatch as its drive
     gets one coupling-profile row per point, and ``_transfer_components``
     pairs point k with detuning k.
     """
@@ -140,18 +142,12 @@ class DriveBatch:
     delta_d: np.ndarray
 
     def __post_init__(self):
-        names = [f.name for f in fields(self)]
-        for name in names:
-            v = np.asarray(getattr(self, name))
-            if v.ndim != 1 or v.dtype.kind not in "iuf" or v.size != np.size(self.omega_c):
-                raise ConfigValidationError(
-                    f"fields.{name}", "must be a 1-D array of numbers as long as "
-                    f"fields.omega_c, got a {v.dtype} array of shape {v.shape}")
-            object.__setattr__(self, name, v.astype(float, copy=False))
-        X = np.array([getattr(self, name) for name in names])
-        bad = ~((np.abs(X) <= MAX_MAGNITUDE).all(axis=0) & (X[:2] >= 0.0).all(axis=0))
-        if bad.any():   # DriveConfig raises the keyed error for the first bad point
-            DriveConfig(**dict(zip(names, X[:, bad.argmax()].tolist())))
+        for f in fields(DriveConfig):
+            v = _check_field("fields", f, getattr(self, f.name), scalar=False)
+            if v.ndim != 1 or v.size != np.size(self.omega_c):
+                raise ConfigValidationError(f"fields.{f.name}", "must be a 1-D array as long as "
+                                            f"fields.omega_c, got shape {v.shape}")
+            object.__setattr__(self, f.name, v.astype(float, copy=False))
 
     @classmethod
     def stack(cls, drives) -> "DriveBatch":
@@ -498,10 +494,10 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     """Transfer-matrix entries for arrays of detuning pairs, as one
     (4, batch) array whose rows are a, b, c and d.
 
-    ``delta_p`` and ``omega`` (scalars or 1-D arrays of numbers;
-    ValueError names one of higher rank, and ConfigValidationError, keyed
-    fields.delta_p or omega, one of bools, of non-numbers or with a
-    non-finite entry) are broadcast to a common 1-D batch.  The sideband
+    ``delta_p`` and ``omega`` (scalars or 1-D arrays of numbers within
+    +-MAX_MAGNITUDE; ConfigValidationError, keyed fields.delta_p or omega,
+    names an entry outside that domain, and ValueError an array of higher
+    rank) are broadcast to a common 1-D batch.  The sideband
     frequency shifts every detuning of the response alike, so the kernel
     sees only delta_p + omega.  The bundle's drive, which its
     callers check is set, and ``profile``, its coupling profile with the
@@ -529,15 +525,11 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     tile passes ``_chi_arrays`` its frequencies' and drive rows' slice.
     """
     rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
-    detunings = {"fields.delta_p": np.asarray(delta_p), "omega": np.asarray(omega)}
+    detunings = {"fields.delta_p": delta_p, "omega": omega}
     for name, v in detunings.items():
-        if v.dtype.kind not in "iuf":   # numbers, not bools, as in DriveBatch
-            raise ConfigValidationError(name, f"must be numbers, got a {v.dtype} array")
+        v = detunings[name] = _check_numbers(name, v, scalar=False).astype(float, copy=False)
         if v.ndim > 1:
             raise ValueError(f"{name} must be a scalar or a 1-D array, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ConfigValidationError(name, f"must be finite, got {v[~np.isfinite(v)][0]}")
-        detunings[name] = v.astype(float, copy=False)
     x = np.add(*np.broadcast_arrays(*map(np.atleast_1d, detunings.values())))
     n = profile.n_steps
     i0, i1 = step_range if step_range is not None else (0, n)
@@ -695,7 +687,8 @@ def lorentzian_convolve(x: np.ndarray, y: np.ndarray, fwhm: float) -> np.ndarray
     so a constant input is returned unchanged at the edges.  On a
     uniform grid the kernel depends only on the index offset, so the
     weighted sum and its normalization are both FFT convolutions, in
-    O(N) memory.  Raises ValueError if ``x`` is not uniformly spaced.
+    O(N) memory.  Any FWHM > 0 gives finite values, a subnormal one
+    included.  Raises ValueError if ``x`` is not uniformly spaced.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -704,9 +697,14 @@ def lorentzian_convolve(x: np.ndarray, y: np.ndarray, fwhm: float) -> np.ndarray
     step = (x[-1] - x[0]) / (n - 1)
     if not np.allclose(np.diff(x), step, rtol=1e-6, atol=0.0):
         raise ValueError("lorentzian_convolve needs uniformly spaced x")
-    half = 0.5 * fwhm
-    offsets = step * np.arange(1 - n, n)
-    kernel = half / (offsets ** 2 + half ** 2)   # 1/pi absorbed by normalization
+    # offsets and half-width in units of 2^e ~ FWHM: exact, and cancelled by
+    # the normalization, so (FWHM/2)^2 does not underflow; an offset that
+    # overflows instead has a kernel weight below rounding, and gets 0
+    m, e = math.frexp(fwhm)
+    half = 0.5 * m
+    with np.errstate(over="ignore"):
+        offsets = np.ldexp(step * np.arange(1 - n, n), -e)
+        kernel = half / (offsets ** 2 + half ** 2)   # 1/pi absorbed by normalization
     size = 1 << (2 * n - 2).bit_length()   # >= 2n - 1: no wrap-around in the n sums kept
     kernel_f = np.fft.rfft(kernel, size)
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigBundle
+from .errors import NumericalError
 from .propagation import (PASSIVITY_TOL, coupling_profile, observables_at, transfer_matrix,
                           with_mode)
 from .response import _two_level_arrays, linear_response, liouvillian_steady_state, \
@@ -77,7 +78,8 @@ def check_oracle_agreement(bundle: ConfigBundle) -> CheckResult:
     The oracle deviates from the linearization by a physical O(probe^2)
     saturation term, so the probe amplitude PROBE is chosen small
     enough that the truncation floor sits well below the tolerance for
-    any parameter draw.
+    any parameter draw.  A draw whose two-level state leaves its physical
+    bounds fails the check, naming the draw.
     """
     rng = np.random.default_rng(ORACLE_SEED)
     rates = bundle.rates
@@ -87,7 +89,14 @@ def check_oracle_agreement(bundle: ConfigBundle) -> CheckResult:
                         omega_c=rng.uniform(1.0, 30.0), omega_d=rng.uniform(1.0, 30.0),
                         delta_p=rng.uniform(-15, 15), delta_c=rng.uniform(-15, 15),
                         delta_d=rng.uniform(-15, 15))
-        zeroth = two_level_steady_state(drive.omega_c, drive.delta_c, rates)
+        try:
+            zeroth = two_level_steady_state(drive.omega_c, drive.delta_c, rates)
+        except NumericalError:   # the rates leave this draw no physical state
+            return CheckResult("oracle_agreement", False,
+                               f"the two-level state leaves its bounds at the drawn omega_c = "
+                               f"{drive.omega_c:g}, delta_c = {drive.delta_c:g} "
+                               f"(rates.gamma31 = {rates.gamma31:g}, rates.Gamma3_total = "
+                               f"{rates.Gamma3_total:g})")
         chi = linear_response(0.0, drive, drive.omega_c, zeroth, rates)
         rho_p = liouvillian_steady_state(drive, drive.omega_c, rates, omega_p=PROBE)
         rho_s = liouvillian_steady_state(drive, drive.omega_c, rates, omega_s=PROBE)

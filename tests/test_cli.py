@@ -304,6 +304,8 @@ FIG3_FIELDS = "fields: {omega_c: 11, omega_d: 9, delta_p: -1, delta_c: 5, delta_
     ("sweep: {from: 5, to: 4}", "sweep.from"),
     ("pulse: {duration: 10, window: 30}", "pulse.window"),
     ("pulse: {n_freq: 16}", "pulse.n_freq"),
+    # the last third of the pulse, which the plateau averages, holds no sample
+    ("pulse: {duration: 0.1, n_freq: 16}", "pulse.n_freq"),
 ])
 @pytest.mark.parametrize("argv", [["spectrum", "--from", "-1", "--to", "1"], ["pulse"],
                                   ["validate"]], ids=lambda argv: argv[0])
@@ -324,6 +326,16 @@ def test_each_section_is_checked_whole_for_every_command(tmp_path, capsys, secti
     (["pulse", "--preset", "fig3", "--n-freq", str(10 ** 12)], None, "pulse.n_freq"),
     (["spectrum"], "1.0e+20", "medium.n_z"),
     (["spectrum"], "1.0e+12", "medium.n_z"),
+    # the sidebands would reach about 1e155 Gamma
+    (["pulse", "--preset", "fig3", "--duration", "1e-154", "--n-freq", "16"], None,
+     "pulse.window"),
+    (["pulse", "--preset", "fig3", "--duration", "0.1", "--n-freq", "16"], None, "pulse.n_freq"),
+    (["optimize", "--od", "75", "--starts", str(10 ** 20), "--max-evals", "10"], None,
+     "optimize.starts"),
+    (["optimize", "--od", "75", "--starts", str(10 ** 11), "--max-evals", "10"], None,
+     "optimize.starts"),
+    (["optimize", "--od", "75", "--starts", "1", "--max-evals", str(10 ** 20)], None,
+     "optimize.max_evals"),
 ])
 def test_counts_beyond_domain_exit_3_before_allocating(tmp_path, capsys, argv, n_z, key):
     if n_z is not None:
@@ -341,18 +353,27 @@ def test_counts_beyond_domain_exit_3_before_allocating(tmp_path, capsys, argv, n
     assert peak < 2 ** 22   # bytes: nothing the size of a grid
 
 
+# what each command's grid shrinks with
+_GRID_KEYS = {"spectrum_sweep": {"medium.n_z", "sweep.step"},
+              "propagate_pulse": {"medium.n_z", "pulse.n_freq"},
+              "optimize_eta": {"--starts"}}
+
+
 @pytest.mark.parametrize("argv, name", [
     (["spectrum", "--preset", "fig3"], "spectrum_sweep"),
     (["pulse", "--preset", "fig3"], "propagate_pulse"),
+    (["optimize", "--od", "75"], "optimize_eta"),
 ])
 def test_grid_beyond_memory_exit_4(tmp_path, capsys, monkeypatch, argv, name):
-    # a grid in the domain that does not fit in memory: no real allocation is tried
+    # a grid in the domain that does not fit in memory: no real allocation is
+    # tried; the message names what this command can lower, and nothing else
     def no_memory(*args, **kwargs):
         raise MemoryError
     monkeypatch.setattr(cli, name, no_memory)
     assert run(argv + ["--out", tmp_path]) == 4
     err = capsys.readouterr().err
-    assert all(key in err for key in ("medium.n_z", "sweep.step", "pulse.n_freq"))
+    others = set().union(*_GRID_KEYS.values()) - _GRID_KEYS[name]
+    assert all(key in err for key in _GRID_KEYS[name]) and not any(key in err for key in others)
     assert not list(tmp_path.iterdir())
 
 
@@ -494,8 +515,8 @@ def test_spectrum_field_beyond_domain_exit_3(tmp_path, capsys, key, value, rates
                    + "".join(f"  {k}: {v}\n" for k, v in fields.items()))
     assert run(["spectrum", "--config", cfg, "--from", -1, "--to", 1, "--step", 0.5,
                 "--out", tmp_path]) == 3
-    assert f"fields.{key}: must be finite and within +-1e+08, got {value}" \
-        in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"fields.{key}: must be a number within [" in err and f"1e+08], got {value}\n" in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -532,7 +553,7 @@ def test_spectrum_product_operand_beyond_domain_exit_3(tmp_path, capsys, rates, 
     fields = {"omega_c": 11, "omega_d": 6, "delta_c": 5, "delta_d": -4, **fields}
     cfg = _spectrum_doc(tmp_path, {"medium": {"od": 75.0}, "rates": rates, "fields": fields})
     assert _spectrum_strict(cfg, tmp_path) == 3
-    assert f"{want}: must be finite and within +-1e+08" in capsys.readouterr().err
+    assert f"{want}: must be a number within [" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -690,7 +711,8 @@ def test_spectrum_document_ends_clean_or_keyed(drawn):
 def test_optimize_rabi_bound_beyond_domain_exit_3(tmp_path, capsys):
     assert run(["optimize", "--od", 75, "--omega-max", 1e200, "--starts", 1,
                 "--max-evals", 10, "--out", tmp_path]) == 3
-    assert "optimize.bounds: bounds must be finite and within +-1e+08" in capsys.readouterr().err
+    assert "optimize.bounds: must be a number within [-1e+08, 1e+08], got 1e+200" \
+        in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
 
 
@@ -713,6 +735,22 @@ def test_validate_coarse_grid_exit_5(tmp_path, capsys):
     assert "[FAIL] grid_convergence" in out and "1 of 7 checks FAILED" in out
     doc = json.loads((tmp_path / "validate_report.json").read_text())
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["grid_convergence"]
+
+
+def test_validate_oracle_draw_without_physical_state_exit_5(tmp_path, capsys):
+    # gamma31 < Gamma3_total / 4 leaves the oracle's random draws no physical
+    # two-level state: the check fails naming the draw, not the document's fields
+    cfg = tmp_path / "dephased.yaml"
+    cfg.write_text("medium: {od: 75}\nrates: {gamma31: 0.2}\n"
+                   "fields: {omega_c: 0, omega_d: 9, delta_p: -1, delta_c: 5, delta_d: -4}\n")
+    assert run(["validate", "--config", cfg, "--out", tmp_path]) == 5
+    out = capsys.readouterr().out
+    assert "[FAIL] oracle_agreement: the two-level state leaves its bounds at the drawn " \
+        "omega_c = 20.5991, delta_c = 8.98398" in out
+    assert "2 of 7 checks FAILED" in out
+    doc = json.loads((tmp_path / "validate_report.json").read_text())
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == \
+        ["oracle_agreement", "zeroth_order_bounds"]
 
 
 def test_pulse_si_writes_time_in_ns(tmp_path):

@@ -830,6 +830,17 @@ def test_lorentzian_fine_sweep_completes():
     assert got.shape == x.shape and np.max(np.abs(got - 0.3)) < 1e-12
 
 
+@pytest.mark.parametrize("fwhm", [1e-160, 1e-300, 5e-324])
+def test_lorentzian_tiny_linewidth_returns_the_raw_column(fwhm):
+    # (FWHM/2)^2 underflows here: the kernel is a spike, and no warning is raised
+    x = -10.0 + 0.05 * np.arange(401)
+    y = np.random.default_rng(7).uniform(0.0, 1.0, x.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dfm.lorentzian_convolve(x, y, fwhm)
+    assert np.isfinite(got).all() and np.max(np.abs(got - y)) <= 1e-12
+
+
 def test_lorentzian_rejects_non_uniform_grid():
     x = np.array([0.0, 0.1, 0.3, 0.4])
     with pytest.raises(ValueError, match="uniformly spaced"):
@@ -945,6 +956,9 @@ def test_drive_batch_points_obey_drive_config(fig3_small):
     ({"delta_p": [-1.0, np.inf]}, "fields.delta_p"),
     ({"omega": np.inf}, "omega"),
     ({"omega": [0.0, np.nan]}, "omega"),
+    # finite, but beyond config.MAX_MAGNITUDE, as a document's fields.delta_p
+    ({"delta_p": 1e154}, "fields.delta_p"),
+    ({"omega": [0.0, 1e9]}, "omega"),
 ])
 def test_non_finite_detunings_rejected_by_key(fig3_small, kwargs, key):
     with pytest.raises(ConfigValidationError) as err:
