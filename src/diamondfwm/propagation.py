@@ -45,26 +45,28 @@ step.
 
 The transfer-matrix kernel (chi assembly, step propagators and their
 ordered product) runs over tiles of the detuning batch; one drive is a
-batch of one that all detunings share, and chi's terms of the
-frequencies alone or of the grid alone are computed once per call and
-sliced per tile, for a DriveBatch as for one drive.  A tile holds
-max(1, _TILE_ELEMENTS // (3 n)) frequencies on n
-steps (n_z, or 1 for a uniform medium), laid out as (entry, Gauss node,
-frequency, step): the four entries of each 2x2 matrix, or the three of
-a traceless part, are one block, so that one numpy call covers them and
-runs along the steps.  Every operation writes through ``out=`` into the
-calling thread's Workspace, a stack in one buffer from which each stage
-frees its scratch for the next; it grows only when a larger tile
-arrives, so no array of a tile's full size is allocated per tile.
-Plain expressions map and unmap their temporaries on every operation:
-on a 2-core x86_64 host at 16,384 elements per tile, a 1,001-row fig3
-sweep took 473 ms against 303 ms (59 k minor page faults against 5)
-and a one-thread 4,096-frequency pulse 2.2 s against 1.2 s (258 k
-faults); at 4,096 elements the sweep's faults vanish, but the
-two-thread pulse takes 2.8 s against 0.95 s, as such short numpy calls
-stop two threads from scaling.  The operations and their operand order
-are those of the plain expressions, so the results do not depend on
-the tile size or the thread count, bit for bit.
+batch of one that all detunings share.  chi's terms are computed once
+per call as two tuples, the columns of the frequencies and the arrays
+of the grid, and each tile passes chi its frequencies' slice of every
+column and its drive rows' slice of every grid array, for a DriveBatch
+as for one drive.  A tile holds max(1, _TILE_ELEMENTS // (3 n))
+frequencies on n steps (n_z, or 1 for a uniform medium), laid out as
+(entry, Gauss node, frequency, step): the four entries of each 2x2
+matrix, or the three of a traceless part, are one block, so that one
+numpy call covers them and runs along the steps.  Every operation
+writes through ``out=`` into the calling thread's Workspace, a stack in
+one buffer from which each stage frees its scratch for the next; it
+grows only when a larger tile arrives, so no array of a tile's full
+size is allocated per tile.  Plain expressions map and unmap their
+temporaries on every operation: on a 2-core x86_64 host at 16,384
+elements per tile, a 1,001-row fig3 sweep took 473 ms against 303 ms
+(59 k minor page faults against 5) and a one-thread 4,096-frequency
+pulse 2.2 s against 1.2 s (258 k faults); at 4,096 elements the sweep's
+faults vanish, but the two-thread pulse takes 2.8 s against 0.95 s, as
+such short numpy calls stop two threads from scaling.  The operations
+and their operand order are those of the plain expressions, so the
+results do not depend on the tile size or the thread count, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -77,8 +79,8 @@ from typing import Optional
 
 import numpy as np
 
-from .config import (ConfigBundle, DriveConfig, _check_field, _check_numbers, absorptions,
-                     with_mode)
+from .config import (MAX_MAGNITUDE, ConfigBundle, DriveConfig, _check_field, _check_numbers,
+                     absorptions, with_mode)
 from .errors import ConfigValidationError, NumericalError
 from .response import (_UNPHYSICAL, Workspace, _chi_arrays, _chi_terms, _physical,
                        _two_level_arrays)
@@ -481,6 +483,19 @@ def _diagonal_propagator(M, h, ws: Workspace):
     return R
 
 
+def _response_gain(M, h):
+    """The most column photon gain that the exact transfer of M (one
+    (4, node, 1, step) block as in ``_step_propagators``) can give:
+    e^(2 int lambda+) - 1, with lambda+ the largest eigenvalue of M's
+    Hermitian part where it is positive, since d|u|^2 <= 2 lambda |u|^2 dzeta.
+    Where M + M^H <= 0 at every node the exact transfer is a contraction,
+    and any gain is the steps' error."""
+    h11, h22 = M[0].real, M[3].real
+    lam = 0.5 * (h11 + h22) + np.hypot(0.5 * (h11 - h22), 0.5 * np.abs(M[1] + np.conj(M[2])))
+    lam = np.maximum(lam, 0.0)
+    return math.expm1(2.0 * h * float(np.sum(_W_OUTER * (lam[0] + lam[2]) + _W_MID * lam[1])))
+
+
 def _workspace() -> Workspace:
     """The calling thread's Workspace, made on its first use."""
     ws = getattr(_thread, "workspace", None)
@@ -521,8 +536,10 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
       (i1 - i0) / n_z, so each frequency needs 3 chi samples.
 
     A DriveBatch that mixes diagonal points with others takes the general
-    path for all of its rows.  ``_chi_terms`` runs once per call; each
-    tile passes ``_chi_arrays`` its frequencies' and drive rows' slice.
+    path for all of its rows.  ``_chi_terms`` runs once per call and
+    returns its terms as two tuples; each tile passes ``_chi_arrays`` its
+    frequencies' slice of every column and its drive rows' slice of every
+    grid array.
     """
     rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
     detunings = {"fields.delta_p": delta_p, "omega": omega}
@@ -569,7 +586,8 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     # an overflow shows as a non-finite or non-passive output, which the
     # guard below reports once; errstate is per thread, so each tile sets it
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = _chi_terms(wc, rho33, rho31, x[:, None], delta_c, delta_d, omega_d, rates)
+        columns, grid, no_loop = _chi_terms(wc, rho33, rho31, x[:, None], delta_c, delta_d,
+                                            omega_d, rates)
     scales = _comm_scales(h)
 
     def run_tile(sl):
@@ -577,7 +595,7 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
         ws.reset()
         rows = slice(None) if points == 1 else sl   # the tile's drive rows
         with np.errstate(over="ignore", invalid="ignore"):
-            M = _chi_arrays(terms.tile(sl, rows), ws)
+            M = _chi_arrays([c[sl] for c in columns], [a[:, rows] for a in grid], no_loop, ws)
             np.multiply(couplings, M, out=M)   # M = i c chi
             if diagonal:
                 out[:, sl] = _diagonal_propagator(M, h, ws)
@@ -594,13 +612,25 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     finite = np.isfinite(out).all()
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.abs(out.reshape(2, 2, -1)) ** 2   # (|a|^2, |b|^2), (|c|^2, |d|^2)
-        gain = np.max(rows[0] + rows[1], initial=1.0) - 1.0
+        column_sums = rows[0] + rows[1]
+        gain = np.max(column_sums, initial=1.0) - 1.0
     if not finite or gain > PASSIVITY_TOL:
         what = f"not passive (column photon gain {gain:.3g})" if finite else "not finite"
-        raise NumericalError(
-            f"transfer matrix is {what} at OD {medium.od:g} with medium.n_z = "
-            f"{medium.n_z}; the steps are too coarse for this optical depth "
-            "(raise medium.n_z)")
+        cause = "the steps are too coarse for this optical depth (raise medium.n_z)"
+        if finite:   # M at every node of the column of most gain
+            k = int(np.argmax(column_sums)) % x.size
+            r = slice(k, k + 1) if points > 1 else slice(0, 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                M = couplings * _chi_arrays(*_chi_terms(
+                    wc[:, r], rho33[:, r], rho31[:, r], x[k:k + 1, None], delta_c[r],
+                    delta_d[r], omega_d[r], rates), Workspace())
+            bound = _response_gain(M, h)
+            if bound > PASSIVITY_TOL:
+                cause = (f"the medium's own response has gain, up to {bound:.3g}, which no grid "
+                         "removes (check the rates: a coherence rate below half the sum of its "
+                         "levels' decay rates, or dephased far beyond the others, lets it amplify)")
+        raise NumericalError(f"transfer matrix is {what} at OD {medium.od:g} with "
+                             f"medium.n_z = {medium.n_z}; {cause}")
     return out
 
 
@@ -724,7 +754,9 @@ def spectrum_sweep(mode: str, bundle: ConfigBundle, start: Optional[float] = Non
     the configured drive.  When ``linewidth`` (or the config's
     sweep.linewidth) is set, T_p and eta_s are additionally convolved
     with a Lorentzian of that FWHM and emitted as extra columns.
+    ``threads`` worker threads, an integer from 1 to 1e8, share the tiles.
     """
+    _check_numbers("threads", threads, 1, MAX_MAGNITUDE, integer=True)
     given = (("start", start), ("stop", stop), ("step", step), ("linewidth", linewidth))
     # replace() re-runs SweepOptions validation on the mode and overrides
     sweep = replace(bundle.sweep, mode=mode, **{k: v for k, v in given if v is not None})

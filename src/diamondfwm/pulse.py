@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigBundle
+from .config import MAX_MAGNITUDE, ConfigBundle, _check_numbers
 from .propagation import _transfer_components, coupling_profile
 
 
@@ -56,7 +56,9 @@ def propagate_pulse(bundle: ConfigBundle, duration: Optional[float] = None,
     The synthesis window defaults to 8x the pulse duration with the
     pulse switched on at window/8, leaving most of the window for the
     causal medium response to ring down before it wraps around.
+    ``threads`` worker threads, an integer from 1 to 1e8, share the tiles.
     """
+    _check_numbers("threads", threads, 1, MAX_MAGNITUDE, integer=True)
     given = {"duration": duration, "window": window, "n_freq": n_freq}
     # replace() re-runs PulseOptions validation, grid rules included, on the overrides
     opts = replace(bundle.pulse, **{k: v for k, v in given.items() if v is not None})

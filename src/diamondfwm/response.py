@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,79 +160,46 @@ class Workspace:
         self._top = 0
 
 
-@dataclass(frozen=True)
-class _ChiTerms:
-    """The terms of ``_chi_arrays`` below its full shape, which
-    ``_chi_terms`` computes once per call for every tile: columns of the
-    detunings and the drive (d1...d4, the products d1 d2 and d3 d4, v, -v,
-    -w, e = w v, |omega_d| and 1 + |d1| + |d2| + |d3| + |d4|), each with
-    the shape of x, and arrays of the grid (oc, occ, g = oc occ,
-    |omega_c|, bp = -(i/2)(rho11, rho13) and bq = -(i/2)(rho31, rho33)).
-    ``loopless`` marks omega_d = 0 at every point: no FWM loop.
+def _chi_terms(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates):
+    """The terms of ``_chi_arrays`` below its full shape, from the
+    two-level state (``omega_c``, ``rho33`` and ``rho31``, arrays of the
+    grid's shape) and the frequencies x with the drive: ``delta_c``,
+    ``delta_d`` and ``omega_d`` are scalars, or per-drive arrays that
+    broadcast like x.  rho11 = 1 - rho33 and rho13 = conj(rho31) are
+    formed here.
+
+    Returns (columns, grid, no_loop).  ``columns`` holds the terms with
+    the shape of x: d1...d4, the products d12 = d1 d2 and d34 = d3 d4,
+    v, -v, -w, e = w v, |omega_d| and d_sum = 1 + |d1| + |d2| + |d3| + |d4|.
+    ``grid`` holds those with the grid's shape: oc, occ, g = oc occ,
+    |omega_c|, bp = -(i/2)(rho11, rho13) and bq = -(i/2)(rho31, rho33).
+    ``no_loop`` is whether omega_d = 0 at every point: no FWM loop.
     """
-
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
-    d4: np.ndarray
-    d12: np.ndarray
-    d34: np.ndarray
-    v: np.ndarray
-    neg_v: np.ndarray
-    neg_w: np.ndarray
-    e: np.ndarray
-    wd_abs: np.ndarray
-    d_sum: np.ndarray
-    oc: np.ndarray
-    occ: np.ndarray
-    g: np.ndarray
-    wc_abs: np.ndarray
-    bp1: np.ndarray
-    bp2: np.ndarray
-    bq1: np.ndarray
-    bq2: np.ndarray
-    loopless: bool
-
-    def tile(self, sl, rows):
-        """These terms at the frequencies ``sl`` (the first axis of x) and
-        the grid rows ``rows`` (its second axis)."""
-        columns = ("d1", "d2", "d3", "d4", "d12", "d34", "v", "neg_v", "neg_w", "e", "wd_abs",
-                   "d_sum")
-        grid = ("oc", "occ", "g", "wc_abs", "bp1", "bp2", "bq1", "bq2")
-        return replace(self, **{name: getattr(self, name)[sl] for name in columns},
-                       **{name: getattr(self, name)[:, rows] for name in grid})
-
-
-def _chi_terms(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates) -> _ChiTerms:
-    """The _ChiTerms of the two-level state (``omega_c``, ``rho33`` and
-    ``rho31``, arrays of the grid's shape) and of the frequencies x with
-    the drive: ``delta_c``, ``delta_d`` and ``omega_d`` are scalars, or
-    per-drive arrays that broadcast like x.  rho11 = 1 - rho33 and
-    rho13 = conj(rho31) are formed here."""
     mul = np.multiply
     xd = x + delta_d
     d1 = 1j * x - rates.gamma21
     d2 = 1j * (x - delta_c) - rates.gamma23
     d3 = 1j * xd - rates.gamma41
     d4 = 1j * (xd - delta_c) - rates.gamma43
-    # one entry per frequency, so that tile() slices every column alike
+    # one entry per frequency, so that a tile slices every column alike
     omega_d = np.broadcast_to(omega_d, np.shape(d4))
     w = 0.5j * np.conj(omega_d)   # couples P=(r21,r23) to Q=(r41,r43)
     v = 0.5j * omega_d
     # oc = -0.5j omega_c, occ = -0.5j conj(omega_c): upper off-diagonals
     # of the 2x2 blocks
     oc, occ = mul(-0.5j, omega_c), mul(-0.5j, np.conj(omega_c))
-    return _ChiTerms(
-        d1=d1, d2=d2, d3=d3, d4=d4, d12=d1 * d2, d34=d3 * d4, v=v, neg_v=-v, neg_w=-w,
-        e=w * v,   # = -|omega_d|^2 / 4
-        wd_abs=np.abs(omega_d), d_sum=1.0 + np.abs(d1) + np.abs(d2) + np.abs(d3) + np.abs(d4),
-        oc=oc, occ=occ, g=oc * occ,   # = -|omega_c|^2 / 4
-        wc_abs=np.abs(omega_c), bp1=mul(-0.5j, 1.0 - rho33), bp2=mul(-0.5j, np.conj(rho31)),
-        bq1=mul(-0.5j, rho31), bq2=mul(-0.5j, rho33), loopless=not np.any(omega_d))
+    columns = (d1, d2, d3, d4, d1 * d2, d3 * d4, v, -v, -w,
+               w * v,   # e = -|omega_d|^2 / 4
+               np.abs(omega_d), 1.0 + np.abs(d1) + np.abs(d2) + np.abs(d3) + np.abs(d4))
+    grid = (oc, occ, oc * occ,   # g = -|omega_c|^2 / 4
+            np.abs(omega_c), mul(-0.5j, 1.0 - rho33), mul(-0.5j, np.conj(rho31)),
+            mul(-0.5j, rho31), mul(-0.5j, rho33))
+    return columns, grid, not np.any(omega_d)
 
 
-def _chi_arrays(t: _ChiTerms, ws: Workspace):
-    """Susceptibility coefficients from the terms ``t`` of ``_chi_terms``.
+def _chi_arrays(columns, grid, no_loop, ws: Workspace):
+    """Susceptibility coefficients from the terms ``columns``, ``grid`` and
+    ``no_loop`` of ``_chi_terms``.
 
     Solves the steady-state system for the first-order coherences
     X = (rho_21, rho_23, rho_41, rho_43) of a weak-field component at
@@ -254,26 +221,27 @@ def _chi_arrays(t: _ChiTerms, ws: Workspace):
 
     The full shape is the grid's broadcast against x.  A caller that
     splits a batch into tiles computes the terms once and passes each
-    tile ``_ChiTerms.tile`` of them.  Every array of the full shape is
-    taken from ``ws``.  The result, one (4,) + full block of chi_pp,
-    chi_ps, chi_sp and chi_ss, stays taken; the scratch is free again on
-    return.  Each step is the numpy operation of the formula in the
+    tile its frequencies' slice of every column and its drive rows'
+    slice (the second axis) of every grid array.  Every array of the
+    full shape is taken from ``ws``.  The result, one (4,) + full block
+    of chi_pp, chi_ps, chi_sp and chi_ss, stays taken; the scratch is
+    free again on return.  Each step is the numpy operation of the formula in the
     comments, on the same operands in the same order, so the result does
     not depend on how the frequencies are split into tiles, bit for bit.
     """
-    grid = np.shape(t.oc)
-    full = np.broadcast_shapes(grid, np.shape(t.d1))
+    d1, d2, d3, d4, d12, d34, v, neg_v, neg_w, e, wd_abs, d_sum = columns
+    oc, occ, g, wc_abs, bp1, bp2, bq1, bq2 = grid
+    full = np.broadcast_shapes(np.shape(oc), np.shape(d1))
     mul, add, sub = np.multiply, np.add, np.subtract
     chi = ws.take((4,) + full)
     chi_pp, chi_ps, chi_sp, chi_ss = (chi[k, ...] for k in range(4))   # arrays even if full is ()
 
     with ws.frame():
-        oc, occ, g = t.oc, t.occ, t.g
         tmp, inv_q, inv_p = (ws.take(full) for _ in range(3))
         # threshold = _DET_TOL (1 + |d1| + |d2| + |d3| + |d4| + |omega_c| + |omega_d|)^2
         threshold, mag = ws.take(full, np.float64), ws.take(full, np.float64)
-        add(t.d_sum, t.wc_abs, out=threshold)
-        add(threshold, t.wd_abs, out=threshold)
+        add(d_sum, wc_abs, out=threshold)
+        add(threshold, wd_abs, out=threshold)
         np.square(threshold, out=threshold)
         mul(_DET_TOL, threshold, out=threshold)
         below = ws.take(full, np.bool_)
@@ -286,16 +254,16 @@ def _chi_arrays(t: _ChiTerms, ws: Workspace):
                     f"{rates_named} vanish against the detunings)")
             np.divide(1.0, det, out=det)
 
-        sub(t.d34, g, out=inv_q)   # det_q
+        sub(d34, g, out=inv_q)   # det_q
         invert(inv_q, "lower coherence block", "rates.gamma41 and rates.gamma43")
         probe_block = ("reduced probe block", "rates.gamma21 and rates.gamma23")
 
-        if t.loopless:
+        if no_loop:
             # chi_pp = (d2 bp1 - oc bp2) inv_p, det_p = d1 d2 - g;
             # chi_ss = (d3 bq2 - occ bq1) inv_q
-            invert(sub(t.d12, g, out=inv_p), *probe_block)
-            for out, d, b1, off, b2, inv in ((chi_pp, t.d2, t.bp1, oc, t.bp2, inv_p),
-                                             (chi_ss, t.d3, t.bq2, occ, t.bq1, inv_q)):
+            invert(sub(d12, g, out=inv_p), *probe_block)
+            for out, d, b1, off, b2, inv in ((chi_pp, d2, bp1, oc, bp2, inv_p),
+                                             (chi_ss, d3, bq2, occ, bq1, inv_q)):
                 mul(d, b1, out=out)
                 sub(out, mul(off, b2, out=tmp), out=out)
                 mul(out, inv, out=out)
@@ -308,9 +276,9 @@ def _chi_arrays(t: _ChiTerms, ws: Workspace):
             # Schur complement of the Q block: S = Dp - e Dq^{-1}, with
             # f = e inv_q: s11 = d1 - f d4, s22 = d2 - f d3, fac = 1 + f,
             # off-diagonals oc fac and occ fac
-            fac = f = mul(t.e, inv_q, out=ws.take(full))
-            sub(t.d1, mul(f, t.d4, out=s11), out=s11)
-            sub(t.d2, mul(f, t.d3, out=s22), out=s22)
+            fac = f = mul(e, inv_q, out=ws.take(full))
+            sub(d1, mul(f, d4, out=s11), out=s11)
+            sub(d2, mul(f, d3, out=s22), out=s22)
             add(1.0, f, out=fac)
             mul(oc, fac, out=oc_fac)
             mul(occ, fac, out=occ_fac)
@@ -327,28 +295,27 @@ def _chi_arrays(t: _ChiTerms, ws: Workspace):
                 mul(out, inv_p, out=out)
 
         # probe source: bp = -(i/2)(rho11, rho13), bq = 0
-        solve_p(t.bp1, t.bp2, chi_pp, p2)
+        solve_p(bp1, bp2, chi_pp, p2)
         # chi_sp = -v (d3 p2 - occ chi_pp) inv_q
-        mul(t.d3, p2, out=chi_sp)
+        mul(d3, p2, out=chi_sp)
         sub(chi_sp, mul(occ, chi_pp, out=tmp), out=chi_sp)
-        mul(t.neg_v, chi_sp, out=chi_sp)
+        mul(neg_v, chi_sp, out=chi_sp)
         mul(chi_sp, inv_q, out=chi_sp)
 
         # signal source: bp = 0, bq = -(i/2)(rho31, rho33);
         # rp1 = -w (d4 bq1 - oc bq2) inv_q, rp2 = -w (d3 bq2 - occ bq1) inv_q
-        bq1, bq2 = t.bq1, t.bq2
         with ws.frame():
-            rp1, rp2, off_b = ws.take(full), ws.take(full), ws.take(grid)
-            for out, d, x, off, y in ((rp1, t.d4, bq1, oc, bq2), (rp2, t.d3, bq2, occ, bq1)):
+            rp1, rp2, off_b = ws.take(full), ws.take(full), ws.take(np.shape(oc))
+            for out, d, x, off, y in ((rp1, d4, bq1, oc, bq2), (rp2, d3, bq2, occ, bq1)):
                 mul(d, x, out=out)
                 sub(out, mul(off, y, out=off_b), out=out)
-                mul(t.neg_w, out, out=out)
+                mul(neg_w, out, out=out)
                 mul(out, inv_q, out=out)
             solve_p(rp1, rp2, chi_ps, p2)
         # chi_ss = (d3 (bq2 - v p2) - occ (bq1 - v chi_ps)) inv_q
-        sub(bq2, mul(t.v, p2, out=p2), out=p2)
-        mul(t.d3, p2, out=chi_ss)
-        sub(bq1, mul(t.v, chi_ps, out=tmp), out=tmp)
+        sub(bq2, mul(v, p2, out=p2), out=p2)
+        mul(d3, p2, out=chi_ss)
+        sub(bq1, mul(v, chi_ps, out=tmp), out=tmp)
         sub(chi_ss, mul(occ, tmp, out=tmp), out=chi_ss)
         mul(chi_ss, inv_q, out=chi_ss)
     return chi
@@ -359,10 +326,9 @@ def linear_response(omega: float, drive: DriveConfig, omega_c_local: complex,
     """First-order response of the four weak-field coherences at sideband
     frequency ``omega``, for the given local coupling Rabi frequency and
     the zeroth-order state consistent with it."""
-    terms = _chi_terms(np.complex128(omega_c_local), zeroth.rho33, zeroth.rho31,
-                       float(drive.delta_p) + float(omega), drive.delta_c, drive.delta_d,
-                       drive.omega_d, rates)
-    chi = _chi_arrays(terms, Workspace())
+    chi = _chi_arrays(*_chi_terms(np.complex128(omega_c_local), zeroth.rho33, zeroth.rho31,
+                                  float(drive.delta_p) + float(omega), drive.delta_c,
+                                  drive.delta_d, drive.omega_d, rates), Workspace())
     return ResponseMatrix(*(complex(c) for c in chi))
 
 

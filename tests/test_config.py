@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diamondfwm as dfm
-from diamondfwm import (ConfigValidationError, ConfigParseError, RateTable,
+from diamondfwm import (ConfigValidationError, ConfigParseError, NumericalError, RateTable,
                         UnknownPresetError, bundle_hash, dump_config, parse_config)
 
 MINIMAL = "medium:\n  alpha_p: 75\n"
@@ -218,22 +218,28 @@ FUZZ_KEYS = {
     "fields": {"omega_c": rabis, "omega_d": rabis, "delta_p": detunings,
                "delta_c": detunings, "delta_d": detunings},
     "sweep": {"step": st.floats(0.01, 1.0), "linewidth": st.floats(0.1, 5.0)},
-    "pulse": {"duration": st.floats(1.0, 50.0), "window": st.floats(10.0, 400.0)},
+    # any of these, with the other absent or either default, is a valid pulse:
+    # window >= 4 duration, the 4096-sample grid spans +-40 Gamma
+    "pulse": {"duration": st.floats(1.0, 25.0), "window": st.floats(100.0, 300.0)},
 }
+FUZZ_KEY_NAMES = [(section, key) for section, keys in FUZZ_KEYS.items() for key in keys]
 
 
 @st.composite
 def fuzz_documents(draw):
-    """YAML documents whose numbers are finite draws, inf/-inf/nan, or absent;
-    returns (text, whether any value is non-finite)."""
+    """YAML documents whose numbers are finite draws or absent, with one key
+    inf, -inf or nan in about one document of four, so that most documents
+    parse and reach the physics; returns (text, whether a value is non-finite)."""
     doc = {"medium": {"od": 75.0, "n_z": 100}}
-    special = False
     for section, keys in FUZZ_KEYS.items():
         for key, values in keys.items():
-            value = draw(st.one_of(st.none(), SPECIAL, values))
+            value = draw(st.one_of(st.none(), values))
             if value is not None:
                 doc.setdefault(section, {})[key] = value
-                special |= not math.isfinite(value)
+    special = draw(st.integers(0, 3)) == 0
+    if special:
+        section, key = draw(st.sampled_from(FUZZ_KEY_NAMES))
+        doc.setdefault(section, {})[key] = draw(SPECIAL)
     return yaml.safe_dump(doc), special
 
 
@@ -247,7 +253,15 @@ def test_config_is_rejected_or_gives_finite_observables(drawn):
         return
     assert not special, "a non-finite value passed validation"
     if bundle.drive is not None:
-        obs = dfm.observables_at(bundle)
+        try:
+            obs = dfm.observables_at(bundle)
+        except NumericalError as err:
+            # the documented exit 4 of these documents: a drawn gamma31 that no
+            # master equation has, below a quarter of Gamma3_total (no physical
+            # two-level state at some coupling strength) or out of step with
+            # the other rates (the medium amplifies); each names the rates
+            assert "gamma31:" in text and "rates" in str(err)
+            return
         assert all(math.isfinite(v) for v in (obs.T_p, obs.eta_s, obs.T_s, obs.eta_p))
 
 

@@ -296,6 +296,26 @@ def test_finite_photon_gain_raises(fig3):
     assert observables_at(b, delta_p=0.0).T_p < 1e-30   # passive points still pass
 
 
+@pytest.mark.parametrize("rates, drive", [
+    # gamma31 below Gamma3_total / 2: the signal channel gains 20% at OD 75
+    pytest.param(RateTable(Gamma2_total=1.478, Gamma3_total=2.0, gamma31=0.8),
+                 dfm.DriveConfig(omega_c=5.418, delta_c=5.418, delta_d=5.418),
+                 id="gamma31-below-half-sum"),
+    # gamma31 dephased far beyond gamma41 and gamma43: a gain of 1.6e-6
+    pytest.param(RateTable(Gamma3_total=2.1226, Gamma4_total=0.05, gamma31=2.4329,
+                           gamma_extra=0.2254),
+                 dfm.DriveConfig(omega_c=2.1226, delta_p=6.2014, delta_c=-13.9001),
+                 id="gamma31-dephased-alone")])
+def test_amplifying_rates_are_named_not_the_grid(rates, drive):
+    # the local response has gain, so no grid makes the medium passive
+    for n_z in (100, 2000):
+        b = dfm.ConfigBundle(rates=rates, drive=drive,
+                             medium=dfm.MediumConfig.derive(rates, od=75.0, n_z=n_z))
+        with pytest.raises(NumericalError, match=r"not passive .* own response has gain") as err:
+            observables_at(b)
+        assert "check the rates" in str(err.value) and "raise medium.n_z" not in str(err.value)
+
+
 def test_optical_depth_too_high_for_grid_is_silent_on_threads(fig3):
     # numpy's error state is per thread, so the pool threads need their own
     b = replace(fig3, medium=dfm.MediumConfig.derive(RATES, od=1e5))
@@ -562,7 +582,7 @@ def test_loopless_chi_is_the_elimination_at_zero_omega_d(mode):
     d = b.drive
     terms = propagation._chi_terms(prof.omega_c, prof.rho33, prof.rho31, (dp + om)[:, None],
                                    d.delta_c, d.delta_d, d.omega_d, b.rates)
-    chi = propagation._chi_arrays(terms, Workspace())
+    chi = propagation._chi_arrays(*terms, Workspace())
     got = chi.transpose(0, 2, 1, 3).reshape(4, dp.size, -1)   # (freq, node-major column)
     want = _reference_chi(b, prof, dp, om, 0, b.medium.n_z)
     assert got[0].tobytes() == want[0].tobytes() and got[3].tobytes() == want[3].tobytes()
@@ -652,7 +672,7 @@ def test_uniform_profile_takes_one_step(monkeypatch, name, mode):
     grids = []
 
     def counted(*args, **kwargs):
-        grids.append(args[0].oc.shape)   # (node, row, step) of the profile
+        grids.append(args[1][0].shape)   # oc: (node, row, step) of the profile
         return response_chi(*args, **kwargs)
 
     response_chi = propagation._chi_arrays
@@ -851,6 +871,17 @@ def test_sweep_threads_match_serial(fig3_small):
     serial = spectrum_sweep("fwm", fig3_small, start=-5, stop=5, step=0.05)
     threaded = spectrum_sweep("fwm", fig3_small, start=-5, stop=5, step=0.05, threads=4)
     assert np.array_equal(serial.eta_s, threaded.eta_s)
+
+
+@pytest.mark.parametrize("threads", [0, -3, True, 1.7, "2", None])
+def test_threads_outside_the_domain_are_rejected_by_key(fig3, threads):
+    # threads is an integer within [1, 1e8] in the Python API as on the CLI:
+    # 0, -3 and True ran serially, 1.7 started two threads, "2" and None
+    # ended in a bare TypeError
+    for run in (lambda: spectrum_sweep("fwm", fig3, step=0.5, threads=threads),
+                lambda: dfm.propagate_pulse(fig3, n_freq=64, threads=threads)):
+        with pytest.raises(ConfigValidationError, match="^threads: must be an integer"):
+            run()
 
 
 @pytest.mark.parametrize("name", ["fig3", "fig4"])

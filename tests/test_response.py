@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ import diamondfwm as dfm
 from diamondfwm import (DriveConfig, NoUniqueSteadyStateError, NumericalError, RateTable,
                         SingularResponseError, linear_response,
                         liouvillian_steady_state, two_level_steady_state)
+from diamondfwm.response import Workspace, ZerothOrderState, _chi_arrays, _chi_terms
 from conftest import rk4_integrate_affine
 
 RATES = RateTable()
@@ -270,3 +273,29 @@ def test_oracle_matches_linear_response_with_pure_dephasing(extra):
     for got, want in ((rho_p[1, 0] / eps, chi.chi_pp), (rho_p[3, 2] / eps, chi.chi_sp),
                       (rho_s[1, 0] / eps, chi.chi_ps), (rho_s[3, 2] / eps, chi.chi_ss)):
         assert abs(got - want) / abs(want) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_linear_response_matches_the_kernel_chi(name):
+    # one set of terms and one elimination serve a point and a batch; but
+    # linear_response runs it on 0-d values, where numpy takes its scalar
+    # path, and the kernel on arrays, where it takes its array loops, and the
+    # two may differ in the last bit: agreement to round-off (6.1e-15 at
+    # most here), not bit for bit
+    b = dfm.preset(name)
+    d, prof = b.drive, dfm.coupling_profile(b)
+    omegas = np.array([-40.0, -3.0, 0.0, 2.5, 40.0])
+    x = d.delta_p + omegas
+    chi = _chi_arrays(*_chi_terms(prof.omega_c, prof.rho33, prof.rho31, x[:, None], d.delta_c,
+                                  d.delta_d, d.omega_d, b.rates), Workspace())
+    worst = 0.0
+    for step in (0, prof.n_steps // 2, prof.n_steps - 1):
+        for node in range(3):
+            wc = complex(prof.omega_c[node, 0, step])
+            zeroth = ZerothOrderState(float(prof.rho33[node, 0, step]),
+                                      complex(prof.rho31[node, 0, step]))
+            for k, om in enumerate(omegas):
+                got = np.array(dataclasses.astuple(linear_response(om, d, wc, zeroth, b.rates)))
+                want = chi[:, node, k, step]
+                worst = max(worst, np.max(np.abs(got - want) / np.abs(want)))
+    assert worst <= 1e-14
