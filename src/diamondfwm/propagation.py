@@ -80,7 +80,7 @@ from typing import Optional
 import numpy as np
 
 from .config import (MAX_MAGNITUDE, ConfigBundle, DriveConfig, _check_field, _check_numbers,
-                     absorptions, with_mode)
+                     _require, absorptions, with_mode)
 from .errors import ConfigValidationError, NumericalError
 from .response import (_UNPHYSICAL, Workspace, _chi_arrays, _chi_terms, _physical,
                        _two_level_arrays)
@@ -539,7 +539,7 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     path for all of its rows.  ``_chi_terms`` runs once per call and
     returns its terms as two tuples; each tile passes ``_chi_arrays`` its
     frequencies' slice of every column and its drive rows' slice of every
-    grid array.
+    grid array, as does the passivity guard at the column of most gain.
     """
     rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
     detunings = {"fields.delta_p": delta_p, "omega": omega}
@@ -590,13 +590,17 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
                                             omega_d, rates)
     scales = _comm_scales(h)
 
+    def coupling_matrix(sl, ws):
+        """M = i c chi at the frequencies ``sl`` and their drive rows, taken from ``ws``."""
+        rows = slice(None) if points == 1 else sl
+        M = _chi_arrays([c[sl] for c in columns], [a[:, rows] for a in grid], no_loop, ws)
+        return np.multiply(couplings, M, out=M)
+
     def run_tile(sl):
         ws = _workspace()
         ws.reset()
-        rows = slice(None) if points == 1 else sl   # the tile's drive rows
         with np.errstate(over="ignore", invalid="ignore"):
-            M = _chi_arrays([c[sl] for c in columns], [a[:, rows] for a in grid], no_loop, ws)
-            np.multiply(couplings, M, out=M)   # M = i c chi
+            M = coupling_matrix(sl, ws)
             if diagonal:
                 out[:, sl] = _diagonal_propagator(M, h, ws)
             else:
@@ -619,12 +623,8 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
         cause = "the steps are too coarse for this optical depth (raise medium.n_z)"
         if finite:   # M at every node of the column of most gain
             k = int(np.argmax(column_sums)) % x.size
-            r = slice(k, k + 1) if points > 1 else slice(0, 1)
             with np.errstate(over="ignore", invalid="ignore"):
-                M = couplings * _chi_arrays(*_chi_terms(
-                    wc[:, r], rho33[:, r], rho31[:, r], x[k:k + 1, None], delta_c[r],
-                    delta_d[r], omega_d[r], rates), Workspace())
-            bound = _response_gain(M, h)
+                bound = _response_gain(coupling_matrix(slice(k, k + 1), Workspace()), h)
             if bound > PASSIVITY_TOL:
                 cause = (f"the medium's own response has gain, up to {bound:.3g}, which no grid "
                          "removes (check the rates: a coherence rate below half the sum of its "
@@ -718,8 +718,11 @@ def lorentzian_convolve(x: np.ndarray, y: np.ndarray, fwhm: float) -> np.ndarray
     uniform grid the kernel depends only on the index offset, so the
     weighted sum and its normalization are both FFT convolutions, in
     O(N) memory.  Any FWHM > 0 gives finite values, a subnormal one
-    included.  Raises ValueError if ``x`` is not uniformly spaced.
+    included.  ConfigValidationError, keyed fwhm, names an FWHM that is
+    not a number in (0, MAX_MAGNITUDE]; ValueError an ``x`` that is not
+    uniformly spaced.
     """
+    _require(_check_numbers("fwhm", fwhm, 0.0, MAX_MAGNITUDE) > 0.0, "fwhm", "FWHM must be > 0")
     x = np.asarray(x, dtype=float)
     n = x.size
     if n < 2:

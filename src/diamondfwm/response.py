@@ -197,6 +197,17 @@ def _chi_terms(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates):
     return columns, grid, not np.any(omega_d)
 
 
+def _cross(out, a, x, b, y, inv, tmp, scale=None):
+    """out = (a x - b y) inv, or ((a x - b y) scale) inv: one entry of a
+    2x2 solve by the adjugate, with inv = 1 / det.  ``tmp`` holds b y and
+    may be ``y``; it has the shape of b y."""
+    np.multiply(a, x, out=out)
+    np.subtract(out, np.multiply(b, y, out=tmp), out=out)
+    if scale is not None:
+        np.multiply(scale, out, out=out)
+    np.multiply(out, inv, out=out)
+
+
 def _chi_arrays(columns, grid, no_loop, ws: Workspace):
     """Susceptibility coefficients from the terms ``columns``, ``grid`` and
     ``no_loop`` of ``_chi_terms``.
@@ -214,7 +225,9 @@ def _chi_arrays(columns, grid, no_loop, ws: Workspace):
     The system splits into 2x2 blocks coupled by scalar multiples of the
     identity ((i/2) Wd), so it is eliminated in closed form; this is
     exact dense elimination specialized to the block structure and
-    vectorizes over position and frequency.  Where omega_d = 0 at every
+    vectorizes over position and frequency.  Each step, as its comment
+    gives it, is one 2x2 block solve with Dp, Dq or the Schur complement
+    S, and each entry of one is a ``_cross``.  Where omega_d = 0 at every
     point the blocks decouple: chi_ps = chi_sp = 0, and chi_pp and chi_ss
     are each one block's solve, the operations the elimination performs
     on them when omega_d = 0, so the values are the same.
@@ -259,16 +272,12 @@ def _chi_arrays(columns, grid, no_loop, ws: Workspace):
         probe_block = ("reduced probe block", "rates.gamma21 and rates.gamma23")
 
         if no_loop:
-            # chi_pp = (d2 bp1 - oc bp2) inv_p, det_p = d1 d2 - g;
-            # chi_ss = (d3 bq2 - occ bq1) inv_q
+            # one block each: chi_pp = [Dp^{-1} bp]_1 with det_p = d1 d2 - g,
+            # chi_ss = [Dq^{-1} bq]_2
             invert(sub(d12, g, out=inv_p), *probe_block)
-            for out, d, b1, off, b2, inv in ((chi_pp, d2, bp1, oc, bp2, inv_p),
-                                             (chi_ss, d3, bq2, occ, bq1, inv_q)):
-                mul(d, b1, out=out)
-                sub(out, mul(off, b2, out=tmp), out=out)
-                mul(out, inv, out=out)
-            chi_ps[...] = 0.0
-            chi_sp[...] = 0.0
+            _cross(chi_pp, d2, bp1, oc, bp2, inv_p, tmp)
+            _cross(chi_ss, d3, bq2, occ, bq1, inv_q, tmp)
+            chi[1:3] = 0.0   # chi_ps, chi_sp
             return chi
 
         s11, s22, oc_fac, occ_fac, p2 = (ws.take(full) for _ in range(5))
@@ -287,37 +296,25 @@ def _chi_arrays(columns, grid, no_loop, ws: Workspace):
             sub(inv_p, mul(mul(g, fac, out=tmp), fac, out=tmp), out=inv_p)
             invert(inv_p, *probe_block)
 
-        def solve_p(x1, x2, out1, out2):
-            """(out1, out2) = ((s22 x1 - oc fac x2) inv_p, (s11 x2 - occ fac x1) inv_p)"""
-            for out, s, x, y, off in ((out1, s22, x1, x2, oc_fac), (out2, s11, x2, x1, occ_fac)):
-                mul(s, x, out=out)
-                sub(out, mul(off, y, out=tmp), out=out)
-                mul(out, inv_p, out=out)
+        # probe source, bp = -(i/2)(rho11, rho13) and bq = 0:
+        # (chi_pp, p2) = S^{-1} bp, chi_sp = -v [Dq^{-1} (chi_pp, p2)]_2
+        _cross(chi_pp, s22, bp1, oc_fac, bp2, inv_p, tmp)
+        _cross(p2, s11, bp2, occ_fac, bp1, inv_p, tmp)
+        _cross(chi_sp, d3, p2, occ, chi_pp, inv_q, tmp, scale=neg_v)
 
-        # probe source: bp = -(i/2)(rho11, rho13), bq = 0
-        solve_p(bp1, bp2, chi_pp, p2)
-        # chi_sp = -v (d3 p2 - occ chi_pp) inv_q
-        mul(d3, p2, out=chi_sp)
-        sub(chi_sp, mul(occ, chi_pp, out=tmp), out=chi_sp)
-        mul(neg_v, chi_sp, out=chi_sp)
-        mul(chi_sp, inv_q, out=chi_sp)
-
-        # signal source: bp = 0, bq = -(i/2)(rho31, rho33);
-        # rp1 = -w (d4 bq1 - oc bq2) inv_q, rp2 = -w (d3 bq2 - occ bq1) inv_q
+        # signal source, bp = 0 and bq = -(i/2)(rho31, rho33):
+        # rp = -w Dq^{-1} bq, (chi_ps, p2) = S^{-1} rp,
+        # chi_ss = [Dq^{-1} (bq - v (chi_ps, p2))]_2
         with ws.frame():
             rp1, rp2, off_b = ws.take(full), ws.take(full), ws.take(np.shape(oc))
-            for out, d, x, off, y in ((rp1, d4, bq1, oc, bq2), (rp2, d3, bq2, occ, bq1)):
-                mul(d, x, out=out)
-                sub(out, mul(off, y, out=off_b), out=out)
-                mul(neg_w, out, out=out)
-                mul(out, inv_q, out=out)
-            solve_p(rp1, rp2, chi_ps, p2)
-        # chi_ss = (d3 (bq2 - v p2) - occ (bq1 - v chi_ps)) inv_q
+            # oc bq2 and occ bq1 have the grid's shape: off_b holds them
+            _cross(rp1, d4, bq1, oc, bq2, inv_q, off_b, scale=neg_w)
+            _cross(rp2, d3, bq2, occ, bq1, inv_q, off_b, scale=neg_w)
+            _cross(chi_ps, s22, rp1, oc_fac, rp2, inv_p, tmp)
+            _cross(p2, s11, rp2, occ_fac, rp1, inv_p, tmp)
         sub(bq2, mul(v, p2, out=p2), out=p2)
-        mul(d3, p2, out=chi_ss)
         sub(bq1, mul(v, chi_ps, out=tmp), out=tmp)
-        sub(chi_ss, mul(occ, tmp, out=tmp), out=chi_ss)
-        mul(chi_ss, inv_q, out=chi_ss)
+        _cross(chi_ss, d3, p2, occ, tmp, inv_q, tmp)
     return chi
 
 
@@ -339,10 +336,12 @@ def liouvillian_generator(omega_p: complex, omega_s: complex, omega_c: complex,
 
     Coherent part from the rotating-frame Hamiltonian above; relaxation
     from the four population decay channels as Lindblad dissipators plus
-    a uniform ``gamma_extra`` dephasing of every coherence.  With the
-    default rate table (partials summing to totals, coherence rates at
-    their half-sum defaults) this reproduces exactly the gamma_jk used
-    by the linear response.
+    pure dephasing, so that every coherence the rate table holds decays
+    at its rate there, gamma21...gamma43, as in the linear response.  The
+    dissipators give coherence a-b the half-sum (out_a + out_b) / 2 of
+    the channel rates out of its levels, and the dephasing adds the
+    excess of the table's rate over it; coherence 4-2, which the table
+    does not hold, takes the half-sum plus ``gamma_extra``.
     """
     delta = delta_p + delta_d
     H = np.zeros((4, 4), dtype=np.complex128)
@@ -363,11 +362,12 @@ def liouvillian_generator(omega_p: complex, omega_s: complex, omega_c: complex,
         c[k, j] = 1.0
         cc = c.T @ c
         gen += rate * (np.kron(c, c.conj()) - 0.5 * np.kron(cc, eye) - 0.5 * np.kron(eye, cc.T))
-    if rates.gamma_extra:
-        for a in range(4):
-            for b in range(4):
-                if a != b:
-                    gen[4 * a + b, 4 * a + b] -= rates.gamma_extra
+    out = (0.0, rates.Gamma21, rates.Gamma31, rates.Gamma42 + rates.Gamma43)
+    for a, b, rate in ((1, 0, rates.gamma21), (1, 2, rates.gamma23), (2, 0, rates.gamma31),
+                       (3, 0, rates.gamma41), (3, 2, rates.gamma43), (3, 1, None)):
+        excess = rates.gamma_extra if rate is None else rate - 0.5 * (out[a] + out[b])
+        gen[4 * a + b, 4 * a + b] -= excess
+        gen[4 * b + a, 4 * b + a] -= excess
     return gen
 
 

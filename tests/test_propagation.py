@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -314,6 +315,29 @@ def test_amplifying_rates_are_named_not_the_grid(rates, drive):
         with pytest.raises(NumericalError, match=r"not passive .* own response has gain") as err:
             observables_at(b)
         assert "check the rates" in str(err.value) and "raise medium.n_z" not in str(err.value)
+
+
+@pytest.mark.parametrize("rates, drive, od, cause", [
+    pytest.param(RateTable(Gamma2_total=1.478, Gamma3_total=2.0, gamma31=0.8),
+                 dfm.DriveConfig(omega_c=5.418, delta_c=5.418, delta_d=5.418), 75.0,
+                 "own response has gain, up to 0.201", id="gamma31-below-half-sum"),
+    pytest.param(RateTable(Gamma3_total=2.1226, Gamma4_total=0.05, gamma31=2.4329,
+                           gamma_extra=0.2254),
+                 dfm.DriveConfig(omega_c=2.1226, delta_p=6.2014, delta_c=-13.9001), 75.0,
+                 "own response has gain, up to 1.57e-06", id="gamma31-dephased-alone"),
+    pytest.param(RATES, replace(dfm.preset("fig3").drive, delta_p=-2.8), 1e4,
+                 "raise medium.n_z", id="fig3-od10000")])
+def test_passivity_guard_reuses_the_call_chi_terms(monkeypatch, rates, drive, od, cause):
+    # the guard's diagnosis slices M out of the terms the kernel built
+    calls = []
+    chi_terms = propagation._chi_terms
+    monkeypatch.setattr(propagation, "_chi_terms",
+                        lambda *args: calls.append(1) or chi_terms(*args))
+    b = dfm.ConfigBundle(rates=rates, drive=drive,
+                         medium=dfm.MediumConfig.derive(rates, od=od, n_z=256))
+    with pytest.raises(NumericalError, match=r"not passive .*" + re.escape(cause)):
+        observables_at(b)
+    assert len(calls) == 1
 
 
 def test_optical_depth_too_high_for_grid_is_silent_on_threads(fig3):
@@ -859,6 +883,14 @@ def test_lorentzian_tiny_linewidth_returns_the_raw_column(fwhm):
         warnings.simplefilter("error")
         got = dfm.lorentzian_convolve(x, y, fwhm)
     assert np.isfinite(got).all() and np.max(np.abs(got - y)) <= 1e-12
+
+
+@pytest.mark.parametrize("fwhm", [0.0, -1.0, math.inf, math.nan, True, 2e8])
+def test_lorentzian_rejects_fwhm_outside_the_domain(fwhm):
+    x = -10.0 + 0.05 * np.arange(401)
+    with pytest.raises(ConfigValidationError, match="^fwhm: ") as err:
+        dfm.lorentzian_convolve(x, np.ones(x.size), fwhm)
+    assert err.value.key == "fwhm"
 
 
 def test_lorentzian_rejects_non_uniform_grid():

@@ -275,6 +275,30 @@ def test_oracle_matches_linear_response_with_pure_dephasing(extra):
         assert abs(got - want) / abs(want) < 1e-6
 
 
+@pytest.mark.parametrize("coherence", [
+    pytest.param({"gamma21": 0.9}, id="gamma21-above"),
+    pytest.param({"gamma23": 0.5}, id="gamma23-below"),
+    pytest.param({"gamma31": 1.5}, id="gamma31-above"),
+    pytest.param({"gamma31": 0.3}, id="gamma31-below"),
+    pytest.param({"gamma41": 0.6}, id="gamma41-above"),
+    pytest.param({"gamma43": 1.2}, id="gamma43-above"),
+    pytest.param({"gamma43": 0.5, "gamma_extra": 0.2}, id="gamma43-below-with-extra")])
+def test_oracle_takes_explicit_coherence_rates(coherence):
+    # a coherence rate set above or below its half-sum default decays at
+    # that rate in the master equation too
+    rates = RateTable(**coherence)
+    drive = dfm.preset("fig3").drive
+    zeroth = two_level_steady_state(drive.omega_c, drive.delta_c, rates)
+    chi = linear_response(0.0, drive, drive.omega_c, zeroth, rates)
+    eps = 2.5e-4
+    rho_p = liouvillian_steady_state(drive, drive.omega_c, rates, omega_p=eps)
+    rho_s = liouvillian_steady_state(drive, drive.omega_c, rates, omega_s=eps)
+    assert abs(rho_p[2, 0] - zeroth.rho31) < 1e-8
+    for got, want in ((rho_p[1, 0] / eps, chi.chi_pp), (rho_p[3, 2] / eps, chi.chi_sp),
+                      (rho_s[1, 0] / eps, chi.chi_ps), (rho_s[3, 2] / eps, chi.chi_ss)):
+        assert abs(got - want) / abs(want) < 1e-6
+
+
 @pytest.mark.parametrize("name", ["fig3", "fig4"])
 def test_linear_response_matches_the_kernel_chi(name):
     # one set of terms and one elimination serve a point and a batch; but
