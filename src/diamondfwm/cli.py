@@ -10,6 +10,7 @@ frequencies on the command line and in output files are in Gamma units
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from pathlib import Path
@@ -42,6 +43,16 @@ _LOWER_GRID = {"spectrum": "lower medium.n_z or raise sweep.step",
                "optimize": "lower --starts"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each of its subparsers, that reads a negative
+    number in exponent form (``--from -1e1``) as a flag's value: argparse's own
+    pattern takes only -1 and -1.5 as numbers, and -1e1 as an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
 def _add_common(p, config: bool = True, threads: bool = True, si: bool = True):
     if config:
         src = p.add_mutually_exclusive_group()
@@ -65,7 +76,7 @@ def _load_bundle(args, default_preset=None):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diamondfwm",
         description="Telecom frequency conversion in a diamond-type atomic "
                     "ensemble: spectra, pulse conversion and drive optimization.")

@@ -20,11 +20,13 @@ by their quoted OD.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Optional, get_args, get_type_hints
 
 import numpy as np
@@ -48,10 +50,13 @@ _EPS = 1e-9
 # above the 795 nm carrier (about 6.3e7 Gamma) where a rotating-wave model
 # stops meaning anything; within it no square or product the model forms overflows
 MAX_MAGNITUDE = 1e8
+# The least positive double: a double x is > 0 exactly when x >= POSITIVE
+POSITIVE = math.ulp(0.0)
 
-# Each config dataclass declares its document keys: a field's key is its
-# name unless the field carries the metadata {"key": ...}.  A number
-# field with the metadata {"low": ...} lies within [low, MAX_MAGNITUDE].
+# Each config dataclass declares its document keys in its fields, which only
+# ``_schema`` reads: a key is its field's name unless the field carries the
+# metadata {"key": ...}, and a number lies within [low, MAX_MAGNITUDE], low its
+# metadata {"low": ...} (POSITIVE for "> 0") or else its section's.
 
 
 def _require(cond, key, message):
@@ -63,39 +68,36 @@ def _check_numbers(key, value, low=-MAX_MAGNITUDE, high=MAX_MAGNITUDE, integer=F
                    scalar=True, error=ConfigValidationError) -> np.ndarray:
     """The input domain's one check: ``value`` (a scalar if ``scalar``, else
     any array) as an array of numbers, or integers if ``integer``, each in
-    [low, high], so not inf or nan; else ``error`` names ``key``.  Bools,
-    strings, None and complex values are not numbers; a Python int beyond
-    int64 (an object to numpy, also among floats) is an integer, out of range."""
+    [low, high] (printed (0, high] if low is POSITIVE), so not inf or nan;
+    else ``error`` names ``key``.  Bools, strings, None and complex values
+    are not numbers; a Python int beyond int64 (an object to numpy, also
+    among floats) is an integer, out of range."""
     v = np.asarray(value)
     what, types = ("an integer", (int,)) if integer else ("a number", (int, float))
     if (v.dtype.kind not in ("iu" if integer else "iuf")
             and not (v.dtype == object and all(type(x) in types for x in v.flat))
-            or scalar and v.ndim):
+            or scalar and v.ndim
+            or v.ndim and not isinstance(value, np.ndarray)   # numpy reads [True, 1] as ints
+            and any(isinstance(x, (bool, np.bool_)) for x in np.asarray(value, object).flat)):
         raise error(key, f"must be {what if scalar else 'numbers'}, got {value!r}")
     inside = np.asarray((low <= v) & (v <= high), dtype=bool)
     if not inside.all():   # an entry's message, whatever array holds it
-        raise error(key, f"must be {what} within [{low:g}, {high:g}], "
+        lower = "(0" if low == POSITIVE else f"[{low:g}"
+        raise error(key, f"must be {what} within {lower}, {high:g}], "
                          f"got {v[~inside].tolist()[0]!r}")
     return v
 
 
-def _check_field(section: str, f, value, low=-MAX_MAGNITUDE, scalar=True) -> np.ndarray:
-    """``_check_numbers`` on a value of the number field ``f``: an integer if
-    ``f`` is an int, from its metadata "low" (default ``low``) up."""
-    return _check_numbers(f"{section}.{_key(f)}", value, low=f.metadata.get("low", low),
-                          integer=f.type == "int", scalar=scalar)
-
-
 def _number_fields(config, section: str, low=-MAX_MAGNITUDE) -> None:
-    """Check each float and int field of a config (an Optional one when
-    set) with ``_check_field``, and store it as its type.  Under ``from
-    __future__ import annotations`` a field's type is the annotation as
-    written."""
-    for f in fields(config):
+    """Check each int and float field of a config (an Optional one when
+    set) with ``_check_numbers`` within its declared bounds (see
+    ``_schema``), keyed ``section.key``, and store it as its type."""
+    for key, (f, want, optional) in _schema(type(config)).items():
         value = getattr(config, f.name)
-        if f.type in ("float", "int") or (f.type == "Optional[float]" and value is not None):
-            _check_field(section, f, value, low)
-            object.__setattr__(config, f.name, (int if f.type == "int" else float)(value))
+        if want in (int, float) and not (optional and value is None):
+            _check_numbers(f"{section}.{key}", value, f.metadata.get("low", low),
+                           integer=want is int)
+            object.__setattr__(config, f.name, want(value))
 
 
 @dataclass(frozen=True)
@@ -193,16 +195,14 @@ class MediumConfig:
     """
 
     alpha_p: float = field(metadata={"low": 0.0})
-    lambda_p: float = 795.0
-    lambda_c: float = 780.0
-    lambda_d: float = 1324.0
-    lambda_s: float = 1367.0
+    lambda_p: float = field(default=795.0, metadata={"low": POSITIVE})
+    lambda_c: float = field(default=780.0, metadata={"low": POSITIVE})
+    lambda_d: float = field(default=1324.0, metadata={"low": POSITIVE})
+    lambda_s: float = field(default=1367.0, metadata={"low": POSITIVE})
     n_z: int = field(default=256, metadata={"low": 2})
 
     def __post_init__(self):
         _number_fields(self, "medium")
-        for name in ("lambda_p", "lambda_c", "lambda_d", "lambda_s"):
-            _require(getattr(self, name) > 0.0, f"medium.{name}", "wavelength must be > 0")
         # four-wave-mixing energy conservation: 1/lp + 1/ld = 1/lc + 1/ls
         lhs = 1.0 / self.lambda_p + 1.0 / self.lambda_d
         rhs = 1.0 / self.lambda_c + 1.0 / self.lambda_s
@@ -272,20 +272,18 @@ class SweepOptions:
     mode: str = "fwm"
     start: float = field(default=-10.0, metadata={"key": "from"})
     stop: float = field(default=15.0, metadata={"key": "to"})
-    step: float = 0.1
-    linewidth: Optional[float] = None   # Lorentzian FWHM for the convolved columns
+    step: float = field(default=0.1, metadata={"low": POSITIVE})
+    # Lorentzian FWHM for the convolved columns
+    linewidth: Optional[float] = field(default=None, metadata={"low": POSITIVE})
 
     def __post_init__(self):
         _require(self.mode in SWEEP_MODES, "sweep.mode",
                  f"must be one of {SWEEP_MODES}, got {self.mode!r}")
         _number_fields(self, "sweep")
-        _require(self.step > 0.0, "sweep.step", "must be > 0")
         # bounds the step count either way, so rows is a finite count
         _require(abs(self.stop - self.start) <= self.step * MAX_MAGNITUDE, "sweep.step",
                  f"more than {MAX_MAGNITUDE:g} steps from sweep.from to sweep.to")
         _require(self.rows >= 1, "sweep.from", f"empty sweep range [{self.start}, {self.stop}]")
-        if self.linewidth is not None:
-            _require(self.linewidth > 0.0, "sweep.linewidth", "FWHM must be > 0")
 
     @property
     def rows(self) -> int:
@@ -295,15 +293,13 @@ class SweepOptions:
 
 @dataclass(frozen=True)
 class PulseOptions:
-    duration: float = DEFAULT_PULSE_DURATION   # in 1/Gamma; the pulse is square
-    window: Optional[float] = None             # default 8 x duration
+    # in 1/Gamma; the pulse is square, and the window defaults to 8 x duration
+    duration: float = field(default=DEFAULT_PULSE_DURATION, metadata={"low": POSITIVE})
+    window: Optional[float] = field(default=None, metadata={"low": POSITIVE})
     n_freq: int = field(default=4096, metadata={"low": 16})
 
     def __post_init__(self):
         _number_fields(self, "pulse")
-        _require(self.duration > 0.0, "pulse.duration", "must be > 0")
-        if self.window is not None:
-            _require(self.window > 0.0, "pulse.window", "must be > 0")
         window = self.synthesis_window
         if window < 4.0 * self.duration:
             raise PulseGridError(
@@ -350,21 +346,21 @@ def _key(f) -> str:
     return f.metadata.get("key", f.name)
 
 
+@functools.cache
 def _schema(cls) -> dict:
-    """Document key -> (field name, value type) of a config dataclass.
-
-    Types come from the field annotations; an Optional[T] field takes a T.
-    """
+    """Document key -> (field, value type, optional) of a config dataclass,
+    from its resolved annotations however spelled (``Optional[T]``, ``T |
+    None``, a string): the one reading of its declarations, cached, so read-only."""
     hints = get_type_hints(cls)
     schema = {}
     for f in fields(cls):
-        want = hints[f.name]
-        want = next((t for t in get_args(want) if t is not type(None)), want)
-        schema[_key(f)] = (f.name, want)
-    return schema
+        args = get_args(hints[f.name])
+        want = next((t for t in args if t is not type(None)), hints[f.name])
+        schema[_key(f)] = (f, want, type(None) in args)
+    return MappingProxyType(schema)
 
 
-_SECTIONS = _schema(ConfigBundle)   # section -> (bundle field, config dataclass)
+_SECTIONS = _schema(ConfigBundle)   # section -> (bundle field, config dataclass, optional)
 
 
 class _Loader(yaml.SafeLoader):
@@ -392,7 +388,7 @@ def _checked_section(doc, section, **aliases):
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigValidationError(section, "section must be a mapping of scalar keys")
-    schema = _schema(_SECTIONS[section][1])
+    schema = {key: (f.name, want) for key, (f, want, _) in _schema(_SECTIONS[section][1]).items()}
     schema.update((key, (key, want)) for key, want in aliases.items())
     out = {}
     for key, value in raw.items():

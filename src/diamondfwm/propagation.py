@@ -79,8 +79,8 @@ from typing import Optional
 
 import numpy as np
 
-from .config import (MAX_MAGNITUDE, ConfigBundle, DriveConfig, _check_field, _check_numbers,
-                     _require, absorptions, with_mode)
+from .config import (MAX_MAGNITUDE, POSITIVE, ConfigBundle, DriveConfig, _check_numbers,
+                     _require, _schema, absorptions, with_mode)
 from .errors import ConfigValidationError, NumericalError
 from .response import (_UNPHYSICAL, Workspace, _chi_arrays, _chi_terms, _physical,
                        _two_level_arrays)
@@ -144,10 +144,11 @@ class DriveBatch:
     delta_d: np.ndarray
 
     def __post_init__(self):
-        for f in fields(DriveConfig):
-            v = _check_field("fields", f, getattr(self, f.name), scalar=False)
+        for key, (f, _, _) in _schema(DriveConfig).items():
+            v = _check_numbers(f"fields.{key}", getattr(self, f.name),
+                               f.metadata.get("low", -MAX_MAGNITUDE), scalar=False)
             if v.ndim != 1 or v.size != np.size(self.omega_c):
-                raise ConfigValidationError(f"fields.{f.name}", "must be a 1-D array as long as "
+                raise ConfigValidationError(f"fields.{key}", "must be a 1-D array as long as "
                                             f"fields.omega_c, got shape {v.shape}")
             object.__setattr__(self, f.name, v.astype(float, copy=False))
 
@@ -640,14 +641,17 @@ def transfer_matrix(omega: float, bundle: ConfigBundle,
                     zeta_span=(0.0, 1.0)) -> TransferMatrix:
     """Transfer matrix at one sideband frequency.
 
-    ``zeta_span`` is snapped to the nearest step boundaries; the
-    default covers the whole medium.
+    ``zeta_span``, two numbers in the input domain (else
+    ConfigValidationError, keyed zeta_span), is snapped to the nearest
+    step boundaries; the default covers the whole medium.
     """
+    span = _check_numbers("zeta_span", zeta_span, scalar=False)
+    _require(span.shape == (2,), "zeta_span", f"must be two numbers, got {zeta_span!r}")
     if profile is None or bundle.drive is None:
         profile = coupling_profile(bundle)   # raises for a drive-less bundle
     if delta_p is None:
         delta_p = bundle.drive.delta_p
-    steps = tuple(round(z * profile.n_steps) for z in zeta_span)
+    steps = tuple(round(z * profile.n_steps) for z in span.tolist())
     out = _transfer_components(bundle, profile, [delta_p], [omega], step_range=steps)
     return TransferMatrix(float(omega), *(complex(v) for v in out[:, 0]))
 
@@ -722,7 +726,7 @@ def lorentzian_convolve(x: np.ndarray, y: np.ndarray, fwhm: float) -> np.ndarray
     not a number in (0, MAX_MAGNITUDE]; ValueError an ``x`` that is not
     uniformly spaced.
     """
-    _require(_check_numbers("fwhm", fwhm, 0.0, MAX_MAGNITUDE) > 0.0, "fwhm", "FWHM must be > 0")
+    _check_numbers("fwhm", fwhm, POSITIVE, MAX_MAGNITUDE)
     x = np.asarray(x, dtype=float)
     n = x.size
     if n < 2:

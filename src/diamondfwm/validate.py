@@ -25,14 +25,14 @@ from .config import ConfigBundle
 from .errors import NumericalError
 from .propagation import (PASSIVITY_TOL, coupling_profile, observables_at, transfer_matrix,
                           with_mode)
-from .response import _two_level_arrays, linear_response, liouvillian_steady_state, \
+from .response import _physical, _two_level_arrays, linear_response, liouvillian_steady_state, \
     two_level_steady_state
 
 # grid sizes, oracle draws and tolerances of the checks; passivity's is PASSIVITY_TOL
 N_DELTA, N_OMEGA = 50, 10
 ORACLE_DRAWS, ORACLE_SEED, PROBE = 5, 2024, 2.5e-4   # PROBE: the oracle's weak-field amplitude
 SYMMETRY_TOL, ORACLE_TOL, CONVERGENCE_TOL, BEER_TOL = 1e-9, 1e-6, 1e-6, 1e-6
-COMPOSITION_TOL, ZEROTH_TOL = 1e-8, 1e-9
+COMPOSITION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,8 @@ def check_zeroth_order(bundle: ConfigBundle) -> CheckResult:
     wc = np.linspace(0.0, 30.0, 31)
     rho33, rho31 = _two_level_arrays(wc, bundle.drive.delta_c,
                                      bundle.rates.gamma31, bundle.rates.Gamma3_total)
-    ok = np.all(rho33 >= -ZEROTH_TOL) and np.all(rho33 <= 0.5 + ZEROTH_TOL) \
-        and np.all(np.abs(rho31) <= 0.5 + ZEROTH_TOL)
-    return CheckResult("zeroth_order_bounds", bool(ok),
+    # the bounds that coupling_profile and two_level_steady_state enforce
+    return CheckResult("zeroth_order_bounds", bool(np.all(_physical(rho33, rho31))),
                        f"rho33 in [0, 1/2], |rho31| <= 1/2 over {wc.size} drive strengths")
 
 

@@ -1,7 +1,10 @@
+from __future__ import annotations   # the annotations below are strings, as in config.py
+
 import math
 import re
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Optional
 
 import pytest
 import yaml
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 import diamondfwm as dfm
 from diamondfwm import (ConfigValidationError, ConfigParseError, NumericalError, RateTable,
                         UnknownPresetError, bundle_hash, dump_config, parse_config)
+from diamondfwm.config import _number_fields
 
 MINIMAL = "medium:\n  alpha_p: 75\n"
 
@@ -348,3 +352,48 @@ def test_readme_config_example_round_trips():
     b = parse_config(block.group(1))
     assert b.drive is not None
     assert parse_config(dump_config(b)) == b
+
+
+@dataclass(frozen=True)
+class _Spelled:
+    """Number fields spelled two ways a config class may spell an optional one."""
+
+    a: Optional[int] = field(default=None, metadata={"low": 1})
+    b: float | None = None
+
+    def __post_init__(self):
+        _number_fields(self, "spelled")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("a", "abc"), ("a", -5), ("a", 0), ("a", math.nan), ("a", 1.5),
+    ("b", "abc"), ("b", -1e9), ("b", math.nan), ("b", math.inf)])
+def test_every_declared_field_is_checked_however_spelled(key, value):
+    with pytest.raises(ConfigValidationError, match=rf"^spelled\.{key}: must be an? ") as err:
+        _Spelled(**{key: value})
+    assert err.value.key == f"spelled.{key}"
+
+
+def test_declared_optional_fields_store_their_type():
+    assert _Spelled() == _Spelled(None, None)
+    got = _Spelled(a=3, b=2)
+    assert (got.a, got.b) == (3, 2.0) and type(got.b) is float
+
+
+WAVELENGTHS = ("lambda_p", "lambda_c", "lambda_d", "lambda_s")
+
+
+@pytest.mark.parametrize("make, key", [
+    pytest.param(lambda v, name=name: parse_config(f"medium: {{od: 75, {name}: {v}}}\n"),
+                 f"medium.{name}", id=name) for name in WAVELENGTHS] + [
+    pytest.param(lambda v: dfm.SweepOptions(step=v), "sweep.step", id="step"),
+    pytest.param(lambda v: dfm.SweepOptions(linewidth=v), "sweep.linewidth", id="linewidth"),
+    pytest.param(lambda v: dfm.PulseOptions(duration=v), "pulse.duration", id="duration"),
+    pytest.param(lambda v: dfm.PulseOptions(window=v), "pulse.window", id="window"),
+    pytest.param(lambda v: dfm.lorentzian_convolve([0.0, 1.0], [1.0, 1.0], v), "fwhm",
+                 id="fwhm")])
+@pytest.mark.parametrize("value", [0.0, -0.0, -5e-324])
+def test_positive_keys_reject_zero_with_their_bound(make, key, value):
+    with pytest.raises(ConfigValidationError,
+                       match=rf"^{re.escape(key)}: must be a number within \(0, 1e\+08\], "):
+        make(value)

@@ -259,6 +259,14 @@ def test_span_beyond_the_medium_rejected(fig3):
         transfer_matrix(0.0, fig3, zeta_span=(0, 2))
 
 
+@pytest.mark.parametrize("span", [(math.nan, 1.0), (0.0, math.inf), ("a", 1), (True, 1),
+                                  (0.0,), (0.0, 0.5, 1.0), 0.5, (0.0, 2e8)])
+def test_span_outside_the_domain_names_zeta_span(fig3, span):
+    with pytest.raises(ConfigValidationError, match="^zeta_span: must be ") as err:
+        transfer_matrix(0.0, fig3, zeta_span=span)
+    assert err.value.key == "zeta_span"
+
+
 def test_grid_convergence(fig3):
     obs = observables_at(fig3)
     fine = replace(fig3, medium=replace(fig3.medium, n_z=2 * fig3.medium.n_z))
