@@ -45,11 +45,10 @@ step.
 
 The transfer-matrix kernel (chi assembly, step propagators and their
 ordered product) runs over tiles of the detuning batch; one drive is a
-batch of one that all detunings share.  chi's terms are computed once
-per call as two tuples, the columns of the frequencies and the arrays
-of the grid, and each tile passes chi its frequencies' slice of every
-column and its drive rows' slice of every grid array, for a DriveBatch
-as for one drive.  A tile holds max(1, _TILE_ELEMENTS // (3 n))
+batch of one that all detunings share.  Each tile passes chi its
+frequencies and its drive rows' slice of the profile and of the drive,
+for a DriveBatch as for one drive, and chi forms its terms from them, so
+no array of the batch's size outlives a tile.  A tile holds max(1, _TILE_ELEMENTS // (3 n))
 frequencies on n steps (n_z, or 1 for a uniform medium), laid out as
 (entry, Gauss node, frequency, step): the four entries of each 2x2
 matrix, or the three of a traceless part, are one block, so that one
@@ -82,8 +81,7 @@ import numpy as np
 from .config import (MAX_MAGNITUDE, POSITIVE, ConfigBundle, DriveConfig, _check_numbers,
                      _require, _schema, absorptions, with_mode)
 from .errors import ConfigValidationError, NumericalError
-from .response import (_UNPHYSICAL, Workspace, _chi_arrays, _chi_terms, _physical,
-                       _two_level_arrays)
+from .response import _UNPHYSICAL, Workspace, _chi_arrays, _physical, _two_level_arrays
 
 # chi samples x frequencies per tile; see the module docstring
 _TILE_ELEMENTS = 16384
@@ -537,10 +535,11 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
       (i1 - i0) / n_z, so each frequency needs 3 chi samples.
 
     A DriveBatch that mixes diagonal points with others takes the general
-    path for all of its rows.  ``_chi_terms`` runs once per call and
-    returns its terms as two tuples; each tile passes ``_chi_arrays`` its
-    frequencies' slice of every column and its drive rows' slice of every
-    grid array, as does the passivity guard at the column of most gain.
+    path for all of its rows, and whether chi has an FWM loop is decided
+    once per call, so that every tile takes the same branch.  Each tile
+    passes ``_chi_arrays`` its frequencies and its drive rows' slice of
+    the profile and of the drive, as does the passivity guard at the
+    column of most gain.
     """
     rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
     detunings = {"fields.delta_p": delta_p, "omega": omega}
@@ -584,22 +583,21 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     per_tile = max(1, _TILE_ELEMENTS // (3 * (i1 - i0)))
     slices = [slice(k, min(k + per_tile, x.size)) for k in range(0, x.size, per_tile)]
     out = np.empty((4,) + x.shape, dtype=np.complex128)
-    # an overflow shows as a non-finite or non-passive output, which the
-    # guard below reports once; errstate is per thread, so each tile sets it
-    with np.errstate(over="ignore", invalid="ignore"):
-        columns, grid, no_loop = _chi_terms(wc, rho33, rho31, x[:, None], delta_c, delta_d,
-                                            omega_d, rates)
+    no_loop = not np.any(omega_d)   # one chi branch for every tile
     scales = _comm_scales(h)
 
     def coupling_matrix(sl, ws):
         """M = i c chi at the frequencies ``sl`` and their drive rows, taken from ``ws``."""
         rows = slice(None) if points == 1 else sl
-        M = _chi_arrays([c[sl] for c in columns], [a[:, rows] for a in grid], no_loop, ws)
+        M = _chi_arrays(wc[:, rows], rho33[:, rows], rho31[:, rows], x[sl, None], delta_c[rows],
+                        delta_d[rows], omega_d[rows], rates, no_loop, ws)
         return np.multiply(couplings, M, out=M)
 
     def run_tile(sl):
         ws = _workspace()
         ws.reset()
+        # an overflow shows as a non-finite or non-passive output, which the
+        # guard below reports once; errstate is per thread, so each tile sets it
         with np.errstate(over="ignore", invalid="ignore"):
             M = coupling_matrix(sl, ws)
             if diagonal:

@@ -160,43 +160,6 @@ class Workspace:
         self._top = 0
 
 
-def _chi_terms(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates):
-    """The terms of ``_chi_arrays`` below its full shape, from the
-    two-level state (``omega_c``, ``rho33`` and ``rho31``, arrays of the
-    grid's shape) and the frequencies x with the drive: ``delta_c``,
-    ``delta_d`` and ``omega_d`` are scalars, or per-drive arrays that
-    broadcast like x.  rho11 = 1 - rho33 and rho13 = conj(rho31) are
-    formed here.
-
-    Returns (columns, grid, no_loop).  ``columns`` holds the terms with
-    the shape of x: d1...d4, the products d12 = d1 d2 and d34 = d3 d4,
-    v, -v, -w, e = w v, |omega_d| and d_sum = 1 + |d1| + |d2| + |d3| + |d4|.
-    ``grid`` holds those with the grid's shape: oc, occ, g = oc occ,
-    |omega_c|, bp = -(i/2)(rho11, rho13) and bq = -(i/2)(rho31, rho33).
-    ``no_loop`` is whether omega_d = 0 at every point: no FWM loop.
-    """
-    mul = np.multiply
-    xd = x + delta_d
-    d1 = 1j * x - rates.gamma21
-    d2 = 1j * (x - delta_c) - rates.gamma23
-    d3 = 1j * xd - rates.gamma41
-    d4 = 1j * (xd - delta_c) - rates.gamma43
-    # one entry per frequency, so that a tile slices every column alike
-    omega_d = np.broadcast_to(omega_d, np.shape(d4))
-    w = 0.5j * np.conj(omega_d)   # couples P=(r21,r23) to Q=(r41,r43)
-    v = 0.5j * omega_d
-    # oc = -0.5j omega_c, occ = -0.5j conj(omega_c): upper off-diagonals
-    # of the 2x2 blocks
-    oc, occ = mul(-0.5j, omega_c), mul(-0.5j, np.conj(omega_c))
-    columns = (d1, d2, d3, d4, d1 * d2, d3 * d4, v, -v, -w,
-               w * v,   # e = -|omega_d|^2 / 4
-               np.abs(omega_d), 1.0 + np.abs(d1) + np.abs(d2) + np.abs(d3) + np.abs(d4))
-    grid = (oc, occ, oc * occ,   # g = -|omega_c|^2 / 4
-            np.abs(omega_c), mul(-0.5j, 1.0 - rho33), mul(-0.5j, np.conj(rho31)),
-            mul(-0.5j, rho31), mul(-0.5j, rho33))
-    return columns, grid, not np.any(omega_d)
-
-
 def _cross(out, a, x, b, y, inv, tmp, scale=None):
     """out = (a x - b y) inv, or ((a x - b y) scale) inv: one entry of a
     2x2 solve by the adjugate, with inv = 1 / det.  ``tmp`` holds b y and
@@ -208,9 +171,13 @@ def _cross(out, a, x, b, y, inv, tmp, scale=None):
     np.multiply(out, inv, out=out)
 
 
-def _chi_arrays(columns, grid, no_loop, ws: Workspace):
-    """Susceptibility coefficients from the terms ``columns``, ``grid`` and
-    ``no_loop`` of ``_chi_terms``.
+def _chi_arrays(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, no_loop,
+                ws: Workspace):
+    """Susceptibility coefficients at the frequencies x of a drive, from
+    the two-level state: ``omega_c``, ``rho33`` and ``rho31`` are arrays
+    of the grid's shape, and ``delta_c``, ``delta_d`` and ``omega_d`` are
+    scalars, or per-drive arrays that broadcast like x.  ``no_loop`` is
+    whether omega_d = 0 at every point of the caller's drive: no FWM loop.
 
     Solves the steady-state system for the first-order coherences
     X = (rho_21, rho_23, rho_41, rho_43) of a weak-field component at
@@ -232,20 +199,32 @@ def _chi_arrays(columns, grid, no_loop, ws: Workspace):
     are each one block's solve, the operations the elimination performs
     on them when omega_d = 0, so the values are the same.
 
-    The full shape is the grid's broadcast against x.  A caller that
-    splits a batch into tiles computes the terms once and passes each
-    tile its frequencies' slice of every column and its drive rows'
-    slice (the second axis) of every grid array.  Every array of the
-    full shape is taken from ``ws``.  The result, one (4,) + full block
-    of chi_pp, chi_ps, chi_sp and chi_ss, stays taken; the scratch is
-    free again on return.  Each step is the numpy operation of the formula in the
-    comments, on the same operands in the same order, so the result does
-    not depend on how the frequencies are split into tiles, bit for bit.
+    The full shape is the grid's broadcast against x.  The terms below it
+    (the diagonals d1...d4, the couplings and the sources) are formed
+    from the inputs as plain expressions, so they last one call; every
+    array of the full shape is taken from ``ws``.  The result, one
+    (4,) + full block of chi_pp, chi_ps, chi_sp and chi_ss, stays taken;
+    the scratch is free again on return.  Each step is the numpy
+    operation of the formula in the comments, on the same operands in
+    the same order, so the result does not depend on how a caller splits
+    its frequencies and drive rows into calls, bit for bit.
     """
-    d1, d2, d3, d4, d12, d34, v, neg_v, neg_w, e, wd_abs, d_sum = columns
-    oc, occ, g, wc_abs, bp1, bp2, bq1, bq2 = grid
-    full = np.broadcast_shapes(np.shape(oc), np.shape(d1))
     mul, add, sub = np.multiply, np.add, np.subtract
+    xd = x + delta_d
+    d1 = 1j * x - rates.gamma21
+    d2 = 1j * (x - delta_c) - rates.gamma23
+    d3 = 1j * xd - rates.gamma41
+    d4 = 1j * (xd - delta_c) - rates.gamma43
+    w = 0.5j * np.conj(omega_d)   # couples P=(r21,r23) to Q=(r41,r43)
+    v = 0.5j * omega_d
+    # oc = -0.5j omega_c, occ = -0.5j conj(omega_c): upper off-diagonals
+    # of the 2x2 blocks; g = oc occ = -|omega_c|^2 / 4
+    oc, occ = mul(-0.5j, omega_c), mul(-0.5j, np.conj(omega_c))
+    g = oc * occ
+    # sources bp = -(i/2)(rho11, rho13) and bq = -(i/2)(rho31, rho33)
+    bp1, bp2 = mul(-0.5j, 1.0 - rho33), mul(-0.5j, np.conj(rho31))
+    bq1, bq2 = mul(-0.5j, rho31), mul(-0.5j, rho33)
+    full = np.broadcast_shapes(np.shape(oc), np.shape(d1))
     chi = ws.take((4,) + full)
     chi_pp, chi_ps, chi_sp, chi_ss = (chi[k, ...] for k in range(4))   # arrays even if full is ()
 
@@ -253,8 +232,9 @@ def _chi_arrays(columns, grid, no_loop, ws: Workspace):
         tmp, inv_q, inv_p = (ws.take(full) for _ in range(3))
         # threshold = _DET_TOL (1 + |d1| + |d2| + |d3| + |d4| + |omega_c| + |omega_d|)^2
         threshold, mag = ws.take(full, np.float64), ws.take(full, np.float64)
-        add(d_sum, wc_abs, out=threshold)
-        add(threshold, wd_abs, out=threshold)
+        add(1.0 + np.abs(d1) + np.abs(d2) + np.abs(d3) + np.abs(d4), np.abs(omega_c),
+            out=threshold)
+        add(threshold, np.abs(omega_d), out=threshold)
         np.square(threshold, out=threshold)
         mul(_DET_TOL, threshold, out=threshold)
         below = ws.take(full, np.bool_)
@@ -267,14 +247,14 @@ def _chi_arrays(columns, grid, no_loop, ws: Workspace):
                     f"{rates_named} vanish against the detunings)")
             np.divide(1.0, det, out=det)
 
-        sub(d34, g, out=inv_q)   # det_q
+        sub(d3 * d4, g, out=inv_q)   # det_q
         invert(inv_q, "lower coherence block", "rates.gamma41 and rates.gamma43")
         probe_block = ("reduced probe block", "rates.gamma21 and rates.gamma23")
 
         if no_loop:
             # one block each: chi_pp = [Dp^{-1} bp]_1 with det_p = d1 d2 - g,
             # chi_ss = [Dq^{-1} bq]_2
-            invert(sub(d12, g, out=inv_p), *probe_block)
+            invert(sub(d1 * d2, g, out=inv_p), *probe_block)
             _cross(chi_pp, d2, bp1, oc, bp2, inv_p, tmp)
             _cross(chi_ss, d3, bq2, occ, bq1, inv_q, tmp)
             chi[1:3] = 0.0   # chi_ps, chi_sp
@@ -285,7 +265,7 @@ def _chi_arrays(columns, grid, no_loop, ws: Workspace):
             # Schur complement of the Q block: S = Dp - e Dq^{-1}, with
             # f = e inv_q: s11 = d1 - f d4, s22 = d2 - f d3, fac = 1 + f,
             # off-diagonals oc fac and occ fac
-            fac = f = mul(e, inv_q, out=ws.take(full))
+            fac = f = mul(w * v, inv_q, out=ws.take(full))   # e = w v = -|omega_d|^2 / 4
             sub(d1, mul(f, d4, out=s11), out=s11)
             sub(d2, mul(f, d3, out=s22), out=s22)
             add(1.0, f, out=fac)
@@ -300,7 +280,7 @@ def _chi_arrays(columns, grid, no_loop, ws: Workspace):
         # (chi_pp, p2) = S^{-1} bp, chi_sp = -v [Dq^{-1} (chi_pp, p2)]_2
         _cross(chi_pp, s22, bp1, oc_fac, bp2, inv_p, tmp)
         _cross(p2, s11, bp2, occ_fac, bp1, inv_p, tmp)
-        _cross(chi_sp, d3, p2, occ, chi_pp, inv_q, tmp, scale=neg_v)
+        _cross(chi_sp, d3, p2, occ, chi_pp, inv_q, tmp, scale=-v)
 
         # signal source, bp = 0 and bq = -(i/2)(rho31, rho33):
         # rp = -w Dq^{-1} bq, (chi_ps, p2) = S^{-1} rp,
@@ -308,8 +288,8 @@ def _chi_arrays(columns, grid, no_loop, ws: Workspace):
         with ws.frame():
             rp1, rp2, off_b = ws.take(full), ws.take(full), ws.take(np.shape(oc))
             # oc bq2 and occ bq1 have the grid's shape: off_b holds them
-            _cross(rp1, d4, bq1, oc, bq2, inv_q, off_b, scale=neg_w)
-            _cross(rp2, d3, bq2, occ, bq1, inv_q, off_b, scale=neg_w)
+            _cross(rp1, d4, bq1, oc, bq2, inv_q, off_b, scale=-w)
+            _cross(rp2, d3, bq2, occ, bq1, inv_q, off_b, scale=-w)
             _cross(chi_ps, s22, rp1, oc_fac, rp2, inv_p, tmp)
             _cross(p2, s11, rp2, occ_fac, rp1, inv_p, tmp)
         sub(bq2, mul(v, p2, out=p2), out=p2)
@@ -323,9 +303,9 @@ def linear_response(omega: float, drive: DriveConfig, omega_c_local: complex,
     """First-order response of the four weak-field coherences at sideband
     frequency ``omega``, for the given local coupling Rabi frequency and
     the zeroth-order state consistent with it."""
-    chi = _chi_arrays(*_chi_terms(np.complex128(omega_c_local), zeroth.rho33, zeroth.rho31,
-                                  float(drive.delta_p) + float(omega), drive.delta_c,
-                                  drive.delta_d, drive.omega_d, rates), Workspace())
+    chi = _chi_arrays(np.complex128(omega_c_local), zeroth.rho33, zeroth.rho31,
+                      float(drive.delta_p) + float(omega), drive.delta_c, drive.delta_d,
+                      drive.omega_d, rates, not drive.omega_d, Workspace())
     return ResponseMatrix(*(complex(c) for c in chi))
 
 

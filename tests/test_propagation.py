@@ -336,16 +336,16 @@ def test_amplifying_rates_are_named_not_the_grid(rates, drive):
     pytest.param(RATES, replace(dfm.preset("fig3").drive, delta_p=-2.8), 1e4,
                  "raise medium.n_z", id="fig3-od10000")])
 def test_passivity_guard_reuses_the_call_chi_terms(monkeypatch, rates, drive, od, cause):
-    # the guard's diagnosis slices M out of the terms the kernel built
+    # the guard's diagnosis solves chi at its one column, as a tile does
     calls = []
-    chi_terms = propagation._chi_terms
-    monkeypatch.setattr(propagation, "_chi_terms",
-                        lambda *args: calls.append(1) or chi_terms(*args))
+    chi_arrays = propagation._chi_arrays
+    monkeypatch.setattr(propagation, "_chi_arrays",
+                        lambda *args: calls.append(args[3].shape) or chi_arrays(*args))
     b = dfm.ConfigBundle(rates=rates, drive=drive,
                          medium=dfm.MediumConfig.derive(rates, od=od, n_z=256))
     with pytest.raises(NumericalError, match=r"not passive .*" + re.escape(cause)):
         observables_at(b)
-    assert len(calls) == 1
+    assert calls == [(1, 1)] * 2   # the call's one tile, then the guard's column
 
 
 def test_optical_depth_too_high_for_grid_is_silent_on_threads(fig3):
@@ -528,7 +528,7 @@ def test_drive_batch_of_one_drive_matches_shared_drive_bitwise(monkeypatch, per_
 @pytest.mark.parametrize("per_tile", [1, 67])
 @pytest.mark.parametrize("batched", [False, True])
 def test_chi_terms_are_built_once_per_call(monkeypatch, batched, per_tile, threads):
-    # a shared drive and a DriveBatch alike: every tile slices the one set of terms
+    # a shared drive and a DriveBatch alike: one chi call per tile, from its own slices
     b = dfm.preset("fig3")
     if batched:
         b = replace(b, drive=propagation.DriveBatch.stack([b.drive] * 67))
@@ -536,19 +536,32 @@ def test_chi_terms_are_built_once_per_call(monkeypatch, batched, per_tile, threa
     rng = np.random.default_rng(67)
     dp, om = rng.uniform(-10, 15, 67), rng.uniform(-40, 40, 67)
     monkeypatch.setattr(propagation, "_TILE_ELEMENTS", per_tile * 3 * b.medium.n_z)
-    calls = {"_chi_terms": [], "_chi_arrays": []}   # list.append is atomic across threads
-
-    def counting(name, f):
-        def counted(*args, **kwargs):
-            calls[name].append(name)
-            return f(*args, **kwargs)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(propagation, name, counting(name, getattr(propagation, name)))
+    calls = []   # list.append is atomic across threads
+    chi_arrays = propagation._chi_arrays
+    monkeypatch.setattr(propagation, "_chi_arrays",
+                        lambda *args: calls.append(1) or chi_arrays(*args))
     propagation._transfer_components(b, prof, dp, om, threads=threads)
-    assert {name: len(v) for name, v in calls.items()} == {"_chi_terms": 1,
-                                                           "_chi_arrays": 67 // per_tile}
+    assert len(calls) == 67 // per_tile
+
+
+def test_warm_batch_call_peak_does_not_grow_with_the_batch():
+    # chi's terms last one tile, so a DriveBatch's scratch is one tile's
+    def peak(k):
+        rng = np.random.default_rng(k)
+        batch = propagation.DriveBatch(*(rng.uniform(lo, hi, k) for lo, hi in
+                                         ((1, 30), (1, 30), (-10, 10), (-10, 10), (-10, 10))))
+        b = bundle_for(od=200.0, drive=batch, n_z=256)
+        prof = coupling_profile(b)
+        propagation._transfer_components(b, prof, batch.delta_p, 0.0)
+        tracemalloc.start()
+        try:
+            propagation._transfer_components(b, prof, batch.delta_p, 0.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(60), peak(200)
+    assert large <= 1.1 * small and large < 3 << 20
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -612,9 +625,9 @@ def test_loopless_chi_is_the_elimination_at_zero_omega_d(mode):
     rng = np.random.default_rng(3)
     dp, om = rng.uniform(-10, 15, 67), rng.uniform(-40, 40, 67)
     d = b.drive
-    terms = propagation._chi_terms(prof.omega_c, prof.rho33, prof.rho31, (dp + om)[:, None],
-                                   d.delta_c, d.delta_d, d.omega_d, b.rates)
-    chi = propagation._chi_arrays(*terms, Workspace())
+    chi = propagation._chi_arrays(prof.omega_c, prof.rho33, prof.rho31, (dp + om)[:, None],
+                                  d.delta_c, d.delta_d, d.omega_d, b.rates,
+                                  not d.omega_d, Workspace())
     got = chi.transpose(0, 2, 1, 3).reshape(4, dp.size, -1)   # (freq, node-major column)
     want = _reference_chi(b, prof, dp, om, 0, b.medium.n_z)
     assert got[0].tobytes() == want[0].tobytes() and got[3].tobytes() == want[3].tobytes()
@@ -704,7 +717,7 @@ def test_uniform_profile_takes_one_step(monkeypatch, name, mode):
     grids = []
 
     def counted(*args, **kwargs):
-        grids.append(args[1][0].shape)   # oc: (node, row, step) of the profile
+        grids.append(args[0].shape)   # omega_c: (node, row, step) of the profile
         return response_chi(*args, **kwargs)
 
     response_chi = propagation._chi_arrays

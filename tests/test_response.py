@@ -9,7 +9,7 @@ import diamondfwm as dfm
 from diamondfwm import (DriveConfig, NoUniqueSteadyStateError, NumericalError, RateTable,
                         SingularResponseError, linear_response,
                         liouvillian_steady_state, two_level_steady_state)
-from diamondfwm.response import Workspace, ZerothOrderState, _chi_arrays, _chi_terms
+from diamondfwm.response import Workspace, ZerothOrderState, _chi_arrays
 from conftest import rk4_integrate_affine
 
 RATES = RateTable()
@@ -301,7 +301,7 @@ def test_oracle_takes_explicit_coherence_rates(coherence):
 
 @pytest.mark.parametrize("name", ["fig3", "fig4"])
 def test_linear_response_matches_the_kernel_chi(name):
-    # one set of terms and one elimination serve a point and a batch; but
+    # one chi kernel serves a point and a batch; but
     # linear_response runs it on 0-d values, where numpy takes its scalar
     # path, and the kernel on arrays, where it takes its array loops, and the
     # two may differ in the last bit: agreement to round-off (6.1e-15 at
@@ -310,8 +310,8 @@ def test_linear_response_matches_the_kernel_chi(name):
     d, prof = b.drive, dfm.coupling_profile(b)
     omegas = np.array([-40.0, -3.0, 0.0, 2.5, 40.0])
     x = d.delta_p + omegas
-    chi = _chi_arrays(*_chi_terms(prof.omega_c, prof.rho33, prof.rho31, x[:, None], d.delta_c,
-                                  d.delta_d, d.omega_d, b.rates), Workspace())
+    chi = _chi_arrays(prof.omega_c, prof.rho33, prof.rho31, x[:, None], d.delta_c, d.delta_d,
+                      d.omega_d, b.rates, False, Workspace())
     worst = 0.0
     for step in (0, prof.n_steps // 2, prof.n_steps - 1):
         for node in range(3):
