@@ -45,12 +45,14 @@ _LOWER_GRID = {"spectrum": "lower medium.n_z or raise sweep.step",
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and so each of its subparsers, that reads a negative
-    number in exponent form (``--from -1e1``) as a flag's value: argparse's own
-    pattern takes only -1 and -1.5 as numbers, and -1e1 as an unknown option."""
+    number in exponent form (``--from -1e1``), and -inf, -infinity and -nan in
+    any case, as a flag's value: argparse's own pattern takes only -1 and -1.5
+    as numbers, and the others as unknown options."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
 
 
 def _add_common(p, config: bool = True, threads: bool = True, si: bool = True):

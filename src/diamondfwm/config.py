@@ -70,17 +70,21 @@ def _check_numbers(key, value, low=-MAX_MAGNITUDE, high=MAX_MAGNITUDE, integer=F
     any array) as an array of numbers, or integers if ``integer``, each in
     [low, high] (printed (0, high] if low is POSITIVE), so not inf or nan;
     else ``error`` names ``key``.  Bools, strings, None and complex values
-    are not numbers; a Python int beyond int64 (an object to numpy, also
-    among floats) is an integer, out of range."""
-    v = np.asarray(value)
+    are not numbers, nor is a ragged sequence; a Python int beyond int64
+    (an object to numpy, also among floats) is an integer, out of range."""
+    try:
+        v = np.asarray(value)
+    except ValueError:   # a ragged sequence, which numpy takes as no array
+        v = None
     what, types = ("an integer", (int,)) if integer else ("a number", (int, float))
-    if (v.dtype.kind not in ("iu" if integer else "iuf")
+    if (v is None or v.dtype.kind not in ("iu" if integer else "iuf")
             and not (v.dtype == object and all(type(x) in types for x in v.flat))
             or scalar and v.ndim
             or v.ndim and not isinstance(value, np.ndarray)   # numpy reads [True, 1] as ints
             and any(isinstance(x, (bool, np.bool_)) for x in np.asarray(value, object).flat)):
         raise error(key, f"must be {what if scalar else 'numbers'}, got {value!r}")
-    inside = np.asarray((low <= v) & (v <= high), dtype=bool)
+    with np.errstate(invalid="ignore"):   # nan among objects compares as outside, silently
+        inside = np.asarray((low <= v) & (v <= high), dtype=bool)
     if not inside.all():   # an entry's message, whatever array holds it
         lower = "(0" if low == POSITIVE else f"[{low:g}"
         raise error(key, f"must be {what} within {lower}, {high:g}], "

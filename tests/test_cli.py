@@ -719,13 +719,19 @@ def test_optimize_rabi_bound_beyond_domain_exit_3(tmp_path, capsys):
 @pytest.mark.parametrize("argv, code", [
     (["pulse", "--preset", "fig3", "--delta-p", "-1E0", "--n-freq", "1024"], 0),
     (["spectrum", "--preset", "fig3", "--from", "-1e1", "--to", "1.5e1", "--step", "0.5"], 0),
-    (["optimize", "--od", "-1e1"], 3)])
+    (["optimize", "--od", "-1e1"], 3),
+    (["spectrum", "--preset", "fig3", "--from", "-inf"], 3),
+    (["spectrum", "--preset", "fig3", "--from", "-Infinity"], 3),
+    (["spectrum", "--preset", "fig3", "--from", "-nan"], 3)])
 def test_negative_flag_values_in_exponent_form(tmp_path, capsys, argv, code):
-    # argparse alone reads -1e1 as an unknown option, and exits 2
+    # argparse alone reads -1e1, -inf and -nan as unknown options, and exits 2
     assert run(argv + ["--out", tmp_path]) == code
     if code:
-        assert "optimize.od: must be a number within [0, 5e+07], got -10.0" \
-            in capsys.readouterr().err
+        want = {"-1e1": "optimize.od: must be a number within [0, 5e+07], got -10.0",
+                "-inf": "sweep.from: must be a number within [-1e+08, 1e+08], got -inf",
+                "-Infinity": "sweep.from: must be a number within [-1e+08, 1e+08], got -inf",
+                "-nan": "sweep.from: must be a number within [-1e+08, 1e+08], got nan"}
+        assert want[argv[-1]] in capsys.readouterr().err
 
 
 def test_unwritable_out_exit_2(tmp_path, capsys):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import diamondfwm as dfm
 from diamondfwm import (ConfigValidationError, ConfigParseError, NumericalError, RateTable,
                         UnknownPresetError, bundle_hash, dump_config, parse_config)
-from diamondfwm.config import _number_fields
+from diamondfwm.config import _check_numbers, _number_fields
 
 MINIMAL = "medium:\n  alpha_p: 75\n"
 
@@ -301,6 +301,26 @@ def test_python_api_rejects_wrong_types_by_key(make, key):
     # the config classes directly
     with pytest.raises(ConfigValidationError, match=f"^{re.escape(key)}: must be a number"):
         make()
+
+
+@pytest.mark.parametrize("make, key", [
+    pytest.param(lambda: dfm.observables_at(dfm.preset("fig3"), delta_p=[[1, 2], 3]),
+                 "fields.delta_p", id="delta_p"),
+    pytest.param(lambda: dfm.transfer_matrix(0.0, dfm.preset("fig3"), zeta_span=((0, 1), 2)),
+                 "zeta_span", id="zeta_span"),
+    pytest.param(lambda: _check_numbers("k", [[1, 2], [3]], integer=True, scalar=False), "k",
+                 id="integers")])
+def test_ragged_sequence_names_its_key(make, key):
+    # numpy takes a ragged sequence as no array, with a bare ValueError
+    with pytest.raises(ConfigValidationError, match=f"^{re.escape(key)}: must be numbers, got"):
+        make()
+
+
+def test_nan_among_objects_names_its_key_without_a_warning():
+    # an int beyond int64 makes an object array, whose nan numpy compares with
+    # a RuntimeWarning: an error under this suite's settings
+    with pytest.raises(ConfigValidationError, match=r"^k: must be a number within .* got nan"):
+        _check_numbers("k", [float("nan"), 10**30], scalar=False)
 
 
 @pytest.mark.parametrize("doc, section, name, want", [
