@@ -47,8 +47,8 @@ The transfer-matrix kernel (chi assembly, step propagators and their
 ordered product) runs over tiles of the detuning batch; one drive is a
 batch of one that all detunings share.  Each tile passes chi its
 frequencies and its drive rows' slice of the profile and of the drive,
-for a DriveBatch as for one drive, and chi forms its terms from them, so
-no array of the batch's size outlives a tile.  A tile holds max(1, _TILE_ELEMENTS // (3 n))
+for a DriveBatch as for one drive; chi forms its terms from them, so
+they last one tile.  A tile holds max(1, _TILE_ELEMENTS // (3 n))
 frequencies on n steps (n_z, or 1 for a uniform medium), laid out as
 (entry, Gauss node, frequency, step): the four entries of each 2x2
 matrix, or the three of a traceless part, are one block, so that one
