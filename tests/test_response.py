@@ -311,7 +311,7 @@ def test_linear_response_matches_the_kernel_chi(name):
     omegas = np.array([-40.0, -3.0, 0.0, 2.5, 40.0])
     x = d.delta_p + omegas
     chi = _chi_arrays(prof.omega_c, prof.rho33, prof.rho31, x[:, None], d.delta_c, d.delta_d,
-                      d.omega_d, b.rates, False, Workspace())
+                      d.omega_d, b.rates, not d.omega_d, Workspace())
     worst = 0.0
     for step in (0, prof.n_steps // 2, prof.n_steps - 1):
         for node in range(3):
