@@ -163,10 +163,13 @@ def cmd_pulse(args) -> int:
     rel = abs(plateau - cw) / cw if cw > 0 else abs(plateau - cw)
     status = "converged" if rel <= 0.01 else "not converged"
     manifest = make_manifest("pulse", bundle, preset=preset_name, started=started,
-                             results={"converged": rel <= 0.01, "relative_gap": rel},
+                             results={"converged": rel <= 0.01, "relative_gap": rel,
+                                      "kernel_frequencies": result.kernel_frequencies,
+                                      "fit_err": result.fit_err},
                              delta_p=result.delta_p, duration=result.duration)
     path = write_csv(args.out / "pulse.csv", columns, manifest)
-    print(f"wrote {path} ({result.n_freq} samples over {result.window:.2f}/Gamma)")
+    print(f"wrote {path} ({result.n_freq} samples over {result.window:.2f}/Gamma; "
+          f"kernel at {result.kernel_frequencies}, fit error {result.fit_err:.2g})")
     print(f"signal plateau = {plateau:.4f}, cw eta_s = {cw:.4f} -> {status} "
           f"(relative gap {rel:.2%})")
     return EXIT_OK

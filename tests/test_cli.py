@@ -140,6 +140,8 @@ def test_pulse_fig3(tmp_path, capsys):
     assert 0.0 <= manifest["relative_gap"] <= 0.01
     assert f"(relative gap {manifest['relative_gap']:.2%})" in out
     assert manifest["arg_delta_p"] == -1.0
+    assert 0 < manifest["kernel_frequencies"] < 2048 and 0.0 < manifest["fit_err"] <= 1e-13
+    assert f"kernel at {manifest['kernel_frequencies']}," in out
 
 
 def test_pulse_fig4_plateau(tmp_path, capsys):
