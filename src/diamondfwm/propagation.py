@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -94,7 +93,7 @@ _W_OUTER, _W_MID = 5.0 / 18.0, 4.0 / 9.0
 # passive; the tolerance of `diamondfwm validate`
 PASSIVITY_TOL = 1e-9
 
-_thread = threading.local()   # holds each thread's Workspace
+_thread = threading.local()   # holds each thread's Workspaces; see _workspaces
 
 
 @dataclass(frozen=True)
@@ -495,12 +494,14 @@ def _response_gain(M, h):
     return math.expm1(2.0 * h * float(np.sum(_W_OUTER * (lam[0] + lam[2]) + _W_MID * lam[1])))
 
 
-def _workspace() -> Workspace:
-    """The calling thread's Workspace, made on its first use."""
-    ws = getattr(_thread, "workspace", None)
-    if ws is None:
-        ws = _thread.workspace = Workspace()
-    return ws
+def _workspaces(count: int) -> list:
+    """The calling thread's own Workspace, then one for each of the
+    ``count`` - 1 helper threads of its call.  Each is made on first use
+    and kept in the thread's local state, so the thread's next call
+    reuses them and no other thread's call shares them."""
+    kept = _thread.__dict__.setdefault("workspaces", [])
+    kept.extend(Workspace() for _ in range(count - len(kept)))
+    return kept[:count]
 
 
 def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
@@ -593,8 +594,7 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
                         delta_d[rows], omega_d[rows], rates, no_loop, ws)
         return np.multiply(couplings, M, out=M)
 
-    def run_tile(sl):
-        ws = _workspace()
+    def run_tile(sl, ws):
         ws.reset()
         # an overflow shows as a non-finite or non-passive output, which the
         # guard below reports once; errstate is per thread, so each tile sets it
@@ -606,12 +606,36 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
                 R, phase = _step_propagators(M, h, scales, ws)
                 np.multiply(_ordered_product(R, ws=ws), phase, out=out[:, sl])
 
-    if threads > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_tile, slices))
-    else:
-        for sl in slices:
-            run_tile(sl)
+    # each worker takes the next tile in order until none is left or a tile
+    # has raised, so every tile below a failing one runs and the lowest
+    # failing tile's exception is the one raised
+    tiles, lock, failed = iter(range(len(slices))), threading.Lock(), {}
+
+    def work(ws):
+        while True:
+            with lock:
+                k = None if failed else next(tiles, None)
+            if k is None:
+                return
+            try:
+                run_tile(slices[k], ws)
+            except BaseException as exc:   # raised below, once every worker is done
+                failed[k] = exc
+
+    # worker 0 is the calling thread; workers 1..w-1 are started for this call
+    own, *kept = _workspaces(max(1, min(threads, len(slices))))
+    helpers = []
+    try:
+        for ws in kept:
+            t = threading.Thread(target=work, args=(ws,))
+            t.start()
+            helpers.append(t)
+        work(own)
+    finally:
+        for t in helpers:
+            t.join()
+    if failed:
+        raise failed[min(failed)]
     finite = np.isfinite(out).all()
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.abs(out.reshape(2, 2, -1)) ** 2   # (|a|^2, |b|^2), (|c|^2, |d|^2)

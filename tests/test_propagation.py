@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -675,6 +676,104 @@ def test_warm_transfer_call_allocates_under_1mb(fig3):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_warm_two_thread_call_allocates_under_1mb(fig3):
+    # the helper's workspace is kept by the calling thread, so a warm call
+    # on two workers grows none (a fresh pool grew two per call, 9.5 MB)
+    prof = coupling_profile(fig3)
+    dp = np.linspace(-10.0, 15.0, 200)   # 10 tiles
+    propagation._transfer_components(fig3, prof, dp, 0.0, threads=2)
+    tracemalloc.start()
+    try:
+        propagation._transfer_components(fig3, prof, dp, 0.0, threads=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("threads, tiles", [(1, 7), (2, 7), (8, 3), (4, 1)])
+def test_a_call_starts_one_helper_fewer_than_its_workers(monkeypatch, fig3, threads, tiles):
+    # the calling thread is worker 0 of min(threads, tiles)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(propagation.threading, "Thread", Counted)
+    monkeypatch.setattr(propagation, "_TILE_ELEMENTS", 3 * fig3.medium.n_z)   # 1 per tile
+    propagation._transfer_components(fig3, coupling_profile(fig3), np.linspace(-1.0, 1.0, tiles),
+                                     0.0, threads=threads)
+    assert len(started) == min(threads, tiles) - 1
+    assert not any(t.is_alive() for t in started)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_lowest_failing_tile_raises(monkeypatch, fig3, threads):
+    # the second and fourth tiles raise: the second's error comes through
+    # whichever worker ran it, after every helper is joined
+    dp = np.linspace(-1.0, 1.0, 7)
+    chi_arrays = propagation._chi_arrays
+
+    def failing(*args):
+        k = int(np.flatnonzero(dp == args[3][0, 0])[0])   # x of a 1-frequency tile
+        if k in (1, 3):
+            raise RuntimeError(f"tile {k}")
+        return chi_arrays(*args)
+
+    monkeypatch.setattr(propagation, "_chi_arrays", failing)
+    monkeypatch.setattr(propagation, "_TILE_ELEMENTS", 3 * fig3.medium.n_z)   # 1 per tile
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^tile 1$"):
+        propagation._transfer_components(fig3, coupling_profile(fig3), dp, 0.0, threads=threads)
+    assert threading.active_count() == before
+
+
+def test_a_helpers_exception_reaches_the_caller(monkeypatch, fig3):
+    # the caller's tiles wait until a helper's tile has raised, so the
+    # exception must cross from the helper thread
+    caller, raised = threading.get_ident(), threading.Event()
+    chi_arrays = propagation._chi_arrays
+
+    def failing(*args):
+        if threading.get_ident() != caller:
+            raised.set()
+            raise RuntimeError("helper tile")
+        assert raised.wait(60)
+        return chi_arrays(*args)
+
+    monkeypatch.setattr(propagation, "_chi_arrays", failing)
+    monkeypatch.setattr(propagation, "_TILE_ELEMENTS", 3 * fig3.medium.n_z)   # 1 per tile
+    with pytest.raises(RuntimeError, match="helper tile"):
+        propagation._transfer_components(fig3, coupling_profile(fig3), np.linspace(-1.0, 1.0, 7),
+                                         0.0, threads=2)
+
+
+def test_two_calling_threads_keep_their_own_workspaces(monkeypatch, fig3):
+    # each calling thread's helpers write into workspaces that thread keeps,
+    # so two threads' concurrent two-worker calls match serial calls bit for bit
+    prof = coupling_profile(fig3)
+    monkeypatch.setattr(propagation, "_TILE_ELEMENTS", 4 * 3 * fig3.medium.n_z)   # 4 per tile
+    grids = [np.linspace(-10.0, 15.0, 41), np.linspace(-3.0, 2.0, 37)]
+    want = [propagation._transfer_components(fig3, prof, dp, 0.0) for dp in grids]
+    got, kept = [[], []], [None, None]
+
+    def caller(i):
+        for _ in range(5):
+            got[i].append(propagation._transfer_components(fig3, prof, grids[i], 0.0, threads=2))
+        kept[i] = propagation._workspaces(2)
+
+    callers = [threading.Thread(target=caller, args=(i,)) for i in (0, 1)]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join()
+    for i in (0, 1):
+        assert len(got[i]) == 5 and all(g.tobytes() == want[i].tobytes() for g in got[i])
+    assert len({id(ws) for ws in kept[0] + kept[1]}) == 4
 
 
 # ---------------------------------------------------------------------------
