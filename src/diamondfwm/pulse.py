@@ -33,9 +33,9 @@ exceed the tolerance, the kernel runs too.
 
 The output holds the kernel's own values wherever it ran and the last
 round's interpolant elsewhere.  The fig3 pulse (n_freq 4096, window
-60.3/Gamma, delta_p -1) runs the kernel at 396 frequencies in 6 calls,
-and its entries lie within 2.2e-14 of the every-frequency kernel; over
-delta_p from -1.1 to -0.9 the largest gap was 5.5e-14, since the tests
+60.3/Gamma, delta_p -1) runs the kernel at 350 frequencies in 7 calls,
+and its entries lie within 2.8e-14 of the every-frequency kernel; over
+delta_p from -1.1 to -0.9 the largest gap was 3.6e-14, since the tests
 bound the error only where they run.  When the fit stops paying, the
 kernel runs at every remaining frequency in one call, so the outputs
 equal the every-frequency synthesis bit for bit: when the fit needs more
@@ -66,7 +66,7 @@ from .propagation import PASSIVITY_TOL, _transfer_components, coupling_profile
 
 _FIT_TOL = 3e-14       # interpolant error allowed, relative to max |entry|
 _START = 32            # evenly spaced kernel frequencies of the first round
-_FILL_WIDTH = 32       # a failing gap this narrow (grid steps) is filled by the kernel
+_FILL_WIDTH = 16       # a failing gap this narrow (grid steps) is filled by the kernel
 _MAX_SUPPORT = 64      # a fit that needs more support points takes the fallback
 _MAX_SHARE = 0.5       # so does a grid on which the kernel has run this often
 _DOUBLET = 1e-11       # residue, relative to max |entry|, below which a pole is spurious

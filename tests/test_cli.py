@@ -450,6 +450,18 @@ def test_cli_import_leaves_out_scipy_optimize_and_stats():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_out_concurrent_futures():
+    # the kernel starts its helper threads itself; concurrent.futures and
+    # the logging it imports took 5.6 ms of a fresh interpreter's set-up
+    src = str(Path(diamondfwm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = "import sys, diamondfwm.cli\nprint('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_and_first_observables_load_no_scipy():
     # scipy is a test dependency only; the real Wright omega is in-package
     src = str(Path(diamondfwm.__file__).resolve().parents[1])
