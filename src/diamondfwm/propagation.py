@@ -53,19 +53,23 @@ frequencies on n steps (n_z, or 1 for a uniform medium), laid out as
 (entry, Gauss node, frequency, step): the four entries of each 2x2
 matrix, or the three of a traceless part, are one block, so that one
 numpy call covers them and runs along the steps.  Every operation
-writes through ``out=`` into the calling thread's Workspace, a stack in
-one buffer from which each stage frees its scratch for the next; it
-grows only when a larger tile arrives, so no array of a tile's full
-size is allocated per tile.  Plain expressions map and unmap their
-temporaries on every operation: on a 2-core x86_64 host at 16,384
-elements per tile, a 1,001-row fig3 sweep took 473 ms against 303 ms
-(59 k minor page faults against 5) and a one-thread 4,096-frequency
-pulse 2.2 s against 1.2 s (258 k faults); at 4,096 elements the sweep's
-faults vanish, but the two-thread pulse takes 2.8 s against 0.95 s, as
-such short numpy calls stop two threads from scaling.  The operations
-and their operand order are those of the plain expressions, so the
-results do not depend on the tile size or the thread count, bit for
-bit.
+writes through ``out=`` into its worker's Workspace, a stack in one
+buffer from which each stage frees its scratch for the next; it grows
+only when a larger tile arrives, so no array of a tile's full size is
+allocated per tile.  A call runs its tiles on min(threads, tiles)
+workers: the calling thread, with its own Workspace, and helper threads
+started for the call, each writing into a Workspace that the calling
+thread keeps for its next call (4.56 MB each at the default grid), so
+that a warm call on two workers allocates under 1 MB.  Plain
+expressions map and unmap their temporaries on every operation: on a
+2-core x86_64 host at 16,384 elements per tile, a 1,001-row fig3 sweep
+took 473 ms against 303 ms (59 k minor page faults against 5) and a
+one-thread 4,096-frequency pulse 2.2 s against 1.2 s (258 k faults); at
+4,096 elements the sweep's faults vanish, but the two-thread pulse
+takes 2.8 s against 0.95 s, as such short numpy calls stop two threads
+from scaling.  The operations and their operand order are those of the
+plain expressions, so the results do not depend on the tile size or
+the thread count, bit for bit.
 """
 
 from __future__ import annotations
@@ -541,6 +545,14 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     passes ``_chi_arrays`` its frequencies and its drive rows' slice of
     the profile and of the drive, as does the passivity guard at the
     column of most gain.
+
+    The tiles run on w = min(``threads``, tiles) workers.  Worker 0 is
+    the calling thread, in its own Workspace; workers 1..w-1 are threads
+    started for the call, in Workspaces that the calling thread keeps for
+    its next call (``_workspaces``), so no two calling threads share one.
+    Each worker takes the next tile in order.  Every helper is joined
+    before the call returns; if tiles raise, no further tile starts, and
+    the lowest failing tile's exception is raised.
     """
     rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
     detunings = {"fields.delta_p": delta_p, "omega": omega}
@@ -619,7 +631,7 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
                 return
             try:
                 run_tile(slices[k], ws)
-            except BaseException as exc:   # raised below, once every worker is done
+            except Exception as exc:   # raised below, once every helper is joined
                 failed[k] = exc
 
     # worker 0 is the calling thread; workers 1..w-1 are started for this call
@@ -632,6 +644,7 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
             helpers.append(t)
         work(own)
     finally:
+        tiles = iter(())   # after an interrupt in the calling thread, no tile starts
         for t in helpers:
             t.join()
     if failed:

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -753,27 +754,40 @@ def test_a_helpers_exception_reaches_the_caller(monkeypatch, fig3):
 
 
 def test_two_calling_threads_keep_their_own_workspaces(monkeypatch, fig3):
-    # each calling thread's helpers write into workspaces that thread keeps,
-    # so two threads' concurrent two-worker calls match serial calls bit for bit
+    # each calling thread's helpers write into workspaces that thread keeps:
+    # two threads' concurrent four-worker calls, eight workers on fewer
+    # cores and a short switch interval, each run every tile once and match
+    # serial calls bit for bit
     prof = coupling_profile(fig3)
     monkeypatch.setattr(propagation, "_TILE_ELEMENTS", 4 * 3 * fig3.medium.n_z)   # 4 per tile
-    grids = [np.linspace(-10.0, 15.0, 41), np.linspace(-3.0, 2.0, 37)]
+    grids = [np.linspace(-10.0, 15.0, 41), np.linspace(-3.0, 2.0, 37)]   # 11 and 10 tiles
     want = [propagation._transfer_components(fig3, prof, dp, 0.0) for dp in grids]
+    calls = []   # list.append is atomic across threads
+    chi_arrays = propagation._chi_arrays
+    monkeypatch.setattr(propagation, "_chi_arrays",
+                        lambda *args: calls.append(1) or chi_arrays(*args))
     got, kept = [[], []], [None, None]
 
     def caller(i):
         for _ in range(5):
-            got[i].append(propagation._transfer_components(fig3, prof, grids[i], 0.0, threads=2))
-        kept[i] = propagation._workspaces(2)
+            got[i].append(propagation._transfer_components(fig3, prof, grids[i], 0.0, threads=4))
+        kept[i] = propagation._workspaces(4)
 
-    callers = [threading.Thread(target=caller, args=(i,)) for i in (0, 1)]
-    for t in callers:
-        t.start()
-    for t in callers:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller, args=(i,)) for i in (0, 1)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
     for i in (0, 1):
         assert len(got[i]) == 5 and all(g.tobytes() == want[i].tobytes() for g in got[i])
-    assert len({id(ws) for ws in kept[0] + kept[1]}) == 4
+    assert len(calls) == 5 * (11 + 10)
+    assert len({id(ws) for ws in kept[0] + kept[1]}) == 8
 
 
 # ---------------------------------------------------------------------------
