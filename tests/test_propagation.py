@@ -680,8 +680,8 @@ def test_warm_transfer_call_allocates_under_1mb(fig3):
 
 
 def test_warm_two_thread_call_allocates_under_1mb(fig3):
-    # the helper's workspace is kept by the calling thread, so a warm call
-    # on two workers grows none (a fresh pool grew two per call, 9.5 MB)
+    # the calling thread keeps its helper's workspace, so a warm call on two
+    # workers allocates no workspace
     prof = coupling_profile(fig3)
     dp = np.linspace(-10.0, 15.0, 200)   # 10 tiles
     propagation._transfer_components(fig3, prof, dp, 0.0, threads=2)
