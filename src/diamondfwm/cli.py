@@ -62,7 +62,8 @@ def _add_common(p, config: bool = True, threads: bool = True, si: bool = True):
         src.add_argument("--preset", choices=PRESET_NAMES, help="built-in operating point")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     if threads:
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and unused: the kernel runs on the calling thread")
     if si:
         p.add_argument("--si", action="store_true",
                        help="append SI columns (MHz, ns) using Gamma = 2*pi*6 MHz")

@@ -53,23 +53,21 @@ frequencies on n steps (n_z, or 1 for a uniform medium), laid out as
 (entry, Gauss node, frequency, step): the four entries of each 2x2
 matrix, or the three of a traceless part, are one block, so that one
 numpy call covers them and runs along the steps.  Every operation
-writes through ``out=`` into its worker's Workspace, a stack in one
-buffer from which each stage frees its scratch for the next; it grows
-only when a larger tile arrives, so no array of a tile's full size is
-allocated per tile.  A call runs its tiles on min(threads, tiles)
-workers: the calling thread, with its own Workspace, and helper threads
-started for the call, each writing into a Workspace that the calling
-thread keeps for its next call (4.56 MB each at the default grid), so
-that a warm call on two workers allocates under 1 MB.  Plain
-expressions map and unmap their temporaries on every operation: on a
-2-core x86_64 host at 16,384 elements per tile, a 1,001-row fig3 sweep
-took 473 ms against 303 ms (59 k minor page faults against 5) and a
-one-thread 4,096-frequency pulse 2.2 s against 1.2 s (258 k faults); at
-4,096 elements the sweep's faults vanish, but the two-thread pulse
-takes 2.8 s against 0.95 s, as such short numpy calls stop two threads
-from scaling.  The operations and their operand order are those of the
-plain expressions, so the results do not depend on the tile size or
-the thread count, bit for bit.
+writes through ``out=`` into the calling thread's Workspace, a stack in
+one buffer from which each stage frees its scratch for the next; it
+grows only when a larger tile arrives, so no array of a tile's full
+size is allocated per tile.  A call runs its tiles in order on the
+calling thread, in that one Workspace (4.56 MB at the default grid), so
+a warm call allocates under 1 MB; ``threads`` starts no thread, as two
+threads no longer beat one on the sampled pulse.  Plain expressions map
+and unmap their temporaries on every operation: on a 2-core x86_64
+host at 16,384 elements per tile, a 1,001-row fig3 sweep took 473 ms
+against 303 ms (59 k minor page faults against 5) and a one-thread
+4,096-frequency pulse 2.2 s against 1.2 s (258 k faults); at 4,096
+elements the sweep's faults vanish, but a two-thread pulse took 2.8 s
+against 0.95 s.  The operations and their operand order are those of
+the plain expressions, so the results do not depend on the tile size,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ _W_OUTER, _W_MID = 5.0 / 18.0, 4.0 / 9.0
 # passive; the tolerance of `diamondfwm validate`
 PASSIVITY_TOL = 1e-9
 
-_thread = threading.local()   # holds each thread's Workspaces; see _workspaces
+_thread = threading.local()   # holds each thread's Workspace
 
 
 @dataclass(frozen=True)
@@ -498,14 +496,12 @@ def _response_gain(M, h):
     return math.expm1(2.0 * h * float(np.sum(_W_OUTER * (lam[0] + lam[2]) + _W_MID * lam[1])))
 
 
-def _workspaces(count: int) -> list:
-    """The calling thread's own Workspace, then one for each of the
-    ``count`` - 1 helper threads of its call.  Each is made on first use
-    and kept in the thread's local state, so the thread's next call
-    reuses them and no other thread's call shares them."""
-    kept = _thread.__dict__.setdefault("workspaces", [])
-    kept.extend(Workspace() for _ in range(count - len(kept)))
-    return kept[:count]
+def _workspace() -> Workspace:
+    """The calling thread's Workspace, made on its first use."""
+    ws = getattr(_thread, "workspace", None)
+    if ws is None:
+        ws = _thread.workspace = Workspace()
+    return ws
 
 
 def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
@@ -546,13 +542,9 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     the profile and of the drive, as does the passivity guard at the
     column of most gain.
 
-    The tiles run on w = min(``threads``, tiles) workers.  Worker 0 is
-    the calling thread, in its own Workspace; workers 1..w-1 are threads
-    started for the call, in Workspaces that the calling thread keeps for
-    its next call (``_workspaces``), so no two calling threads share one.
-    Each worker takes the next tile in order.  Every helper is joined
-    before the call returns; if tiles raise, no further tile starts, and
-    the lowest failing tile's exception is raised.
+    The tiles run in order on the calling thread, in its Workspace, and
+    the first tile that raises ends the call.  ``threads`` starts no
+    thread and changes nothing; the CLI's ``--threads`` passes it.
     """
     rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
     detunings = {"fields.delta_p": delta_p, "omega": omega}
@@ -606,49 +598,18 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
                         delta_d[rows], omega_d[rows], rates, no_loop, ws)
         return np.multiply(couplings, M, out=M)
 
-    def run_tile(sl, ws):
-        ws.reset()
-        # an overflow shows as a non-finite or non-passive output, which the
-        # guard below reports once; errstate is per thread, so each tile sets it
-        with np.errstate(over="ignore", invalid="ignore"):
+    ws = _workspace()
+    # an overflow shows as a non-finite or non-passive output, which the
+    # guard below reports once
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sl in slices:
+            ws.reset()
             M = coupling_matrix(sl, ws)
             if diagonal:
                 out[:, sl] = _diagonal_propagator(M, h, ws)
             else:
                 R, phase = _step_propagators(M, h, scales, ws)
                 np.multiply(_ordered_product(R, ws=ws), phase, out=out[:, sl])
-
-    # each worker takes the next tile in order until none is left or a tile
-    # has raised, so every tile below a failing one runs and the lowest
-    # failing tile's exception is the one raised
-    tiles, lock, failed = iter(range(len(slices))), threading.Lock(), {}
-
-    def work(ws):
-        while True:
-            with lock:
-                k = None if failed else next(tiles, None)
-            if k is None:
-                return
-            try:
-                run_tile(slices[k], ws)
-            except Exception as exc:   # raised below, once every helper is joined
-                failed[k] = exc
-
-    # worker 0 is the calling thread; workers 1..w-1 are started for this call
-    own, *kept = _workspaces(max(1, min(threads, len(slices))))
-    helpers = []
-    try:
-        for ws in kept:
-            t = threading.Thread(target=work, args=(ws,))
-            t.start()
-            helpers.append(t)
-        work(own)
-    finally:
-        tiles = iter(())   # after an interrupt in the calling thread, no tile starts
-        for t in helpers:
-            t.join()
-    if failed:
-        raise failed[min(failed)]
     finite = np.isfinite(out).all()
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.abs(out.reshape(2, 2, -1)) ** 2   # (|a|^2, |b|^2), (|c|^2, |d|^2)
@@ -796,7 +757,8 @@ def spectrum_sweep(mode: str, bundle: ConfigBundle, start: Optional[float] = Non
     the configured drive.  When ``linewidth`` (or the config's
     sweep.linewidth) is set, T_p and eta_s are additionally convolved
     with a Lorentzian of that FWHM and emitted as extra columns.
-    ``threads`` worker threads, an integer from 1 to 1e8, share the tiles.
+    ``threads``, an integer from 1 to 1e8, changes nothing: the tiles run
+    on the calling thread.
     """
     _check_numbers("threads", threads, 1, MAX_MAGNITUDE, integer=True)
     given = (("start", start), ("stop", stop), ("step", step), ("linewidth", linewidth))

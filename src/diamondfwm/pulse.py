@@ -264,10 +264,9 @@ def propagate_pulse(bundle: ConfigBundle, duration: Optional[float] = None,
     The synthesis window defaults to 8x the pulse duration with the
     pulse switched on at window/8, leaving most of the window for the
     causal medium response to ring down before it wraps around.
-    ``threads`` worker threads, an integer from 1 to 1e8, share the
-    tiles of each kernel call.  The transfer-matrix entries are sampled
-    as the module docstring describes; the outputs do not depend on
-    ``threads``, bit for bit.
+    ``threads``, an integer from 1 to 1e8, changes nothing: each kernel
+    call runs its tiles on the calling thread.  The transfer-matrix
+    entries are sampled as the module docstring describes.
     """
     _check_numbers("threads", threads, 1, MAX_MAGNITUDE, integer=True)
     given = {"duration": duration, "window": window, "n_freq": n_freq}

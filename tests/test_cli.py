@@ -451,8 +451,8 @@ def test_cli_import_leaves_out_scipy_optimize_and_stats():
 
 
 def test_cli_import_leaves_out_concurrent_futures():
-    # the kernel starts its helper threads itself; concurrent.futures and
-    # the logging it imports took 5.6 ms of a fresh interpreter's set-up
+    # the kernel starts no thread; concurrent.futures and the logging it
+    # imports took 5.6 ms of a fresh interpreter's set-up
     src = str(Path(diamondfwm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}

@@ -351,7 +351,7 @@ def test_passivity_guard_reuses_the_call_chi_terms(monkeypatch, rates, drive, od
 
 
 def test_optical_depth_too_high_for_grid_is_silent_on_threads(fig3):
-    # numpy's error state is per thread, so the pool threads need their own
+    # the tiles' overflows are silenced; the guard reports them once
     b = replace(fig3, medium=dfm.MediumConfig.derive(RATES, od=1e5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -680,8 +680,7 @@ def test_warm_transfer_call_allocates_under_1mb(fig3):
 
 
 def test_warm_two_thread_call_allocates_under_1mb(fig3):
-    # the calling thread keeps its helper's workspace, so a warm call on two
-    # workers allocates no workspace
+    # threads=2 starts no thread, so a warm call allocates no workspace
     prof = coupling_profile(fig3)
     dp = np.linspace(-10.0, 15.0, 200)   # 10 tiles
     propagation._transfer_components(fig3, prof, dp, 0.0, threads=2)
@@ -694,84 +693,56 @@ def test_warm_two_thread_call_allocates_under_1mb(fig3):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("threads, tiles", [(1, 7), (2, 7), (8, 3), (4, 1)])
-def test_a_call_starts_one_helper_fewer_than_its_workers(monkeypatch, fig3, threads, tiles):
-    # the calling thread is worker 0 of min(threads, tiles)
-    started = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(propagation.threading, "Thread", Counted)
-    monkeypatch.setattr(propagation, "_TILE_ELEMENTS", 3 * fig3.medium.n_z)   # 1 per tile
-    propagation._transfer_components(fig3, coupling_profile(fig3), np.linspace(-1.0, 1.0, tiles),
-                                     0.0, threads=threads)
-    assert len(started) == min(threads, tiles) - 1
-    assert not any(t.is_alive() for t in started)
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_the_lowest_failing_tile_raises(monkeypatch, fig3, threads):
-    # the second and fourth tiles raise: the second's error comes through
-    # whichever worker ran it, after every helper is joined
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_a_call_runs_its_tiles_in_order_on_the_calling_thread(monkeypatch, fig3, threads):
     dp = np.linspace(-1.0, 1.0, 7)
+    ran = []
     chi_arrays = propagation._chi_arrays
 
-    def failing(*args):
-        k = int(np.flatnonzero(dp == args[3][0, 0])[0])   # x of a 1-frequency tile
-        if k in (1, 3):
-            raise RuntimeError(f"tile {k}")
+    def recorded(*args):
+        ran.append((threading.get_ident(), threading.active_count(), args[3][0, 0]))
         return chi_arrays(*args)
 
-    monkeypatch.setattr(propagation, "_chi_arrays", failing)
+    monkeypatch.setattr(propagation, "_chi_arrays", recorded)
     monkeypatch.setattr(propagation, "_TILE_ELEMENTS", 3 * fig3.medium.n_z)   # 1 per tile
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="^tile 1$"):
-        propagation._transfer_components(fig3, coupling_profile(fig3), dp, 0.0, threads=threads)
-    assert threading.active_count() == before
+    propagation._transfer_components(fig3, coupling_profile(fig3), dp, 0.0, threads=threads)
+    assert ran == [(threading.get_ident(), before, x) for x in dp]
 
 
-def test_a_helpers_exception_reaches_the_caller(monkeypatch, fig3):
-    # the caller's tiles wait until a helper's tile has raised, so the
-    # exception must cross from the helper thread
-    caller, raised = threading.get_ident(), threading.Event()
+def test_a_failing_tile_ends_the_call(monkeypatch, fig3):
+    # the second tile raises: its error reaches the caller and no later tile runs
+    dp = np.linspace(-1.0, 1.0, 7)
+    ran = []
     chi_arrays = propagation._chi_arrays
 
     def failing(*args):
-        if threading.get_ident() != caller:
-            raised.set()
-            raise RuntimeError("helper tile")
-        assert raised.wait(60)
+        ran.append(args[3][0, 0])
+        if len(ran) == 2:
+            raise RuntimeError("tile 1")
         return chi_arrays(*args)
 
     monkeypatch.setattr(propagation, "_chi_arrays", failing)
     monkeypatch.setattr(propagation, "_TILE_ELEMENTS", 3 * fig3.medium.n_z)   # 1 per tile
-    with pytest.raises(RuntimeError, match="helper tile"):
-        propagation._transfer_components(fig3, coupling_profile(fig3), np.linspace(-1.0, 1.0, 7),
-                                         0.0, threads=2)
+    with pytest.raises(RuntimeError, match="^tile 1$"):
+        propagation._transfer_components(fig3, coupling_profile(fig3), dp, 0.0, threads=2)
+    assert ran == list(dp[:2])
 
 
 def test_two_calling_threads_keep_their_own_workspaces(monkeypatch, fig3):
-    # each calling thread's helpers write into workspaces that thread keeps:
-    # two threads' concurrent four-worker calls, eight workers on fewer
-    # cores and a short switch interval, each run every tile once and match
-    # serial calls bit for bit
+    # each calling thread writes into its own workspace: two threads'
+    # concurrent calls, on a short switch interval, match serial calls bit
+    # for bit
     prof = coupling_profile(fig3)
     monkeypatch.setattr(propagation, "_TILE_ELEMENTS", 4 * 3 * fig3.medium.n_z)   # 4 per tile
     grids = [np.linspace(-10.0, 15.0, 41), np.linspace(-3.0, 2.0, 37)]   # 11 and 10 tiles
     want = [propagation._transfer_components(fig3, prof, dp, 0.0) for dp in grids]
-    calls = []   # list.append is atomic across threads
-    chi_arrays = propagation._chi_arrays
-    monkeypatch.setattr(propagation, "_chi_arrays",
-                        lambda *args: calls.append(1) or chi_arrays(*args))
     got, kept = [[], []], [None, None]
 
     def caller(i):
         for _ in range(5):
-            got[i].append(propagation._transfer_components(fig3, prof, grids[i], 0.0, threads=4))
-        kept[i] = propagation._workspaces(4)
+            got[i].append(propagation._transfer_components(fig3, prof, grids[i], 0.0, threads=2))
+        kept[i] = propagation._workspace()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -786,8 +757,7 @@ def test_two_calling_threads_keep_their_own_workspaces(monkeypatch, fig3):
     assert not any(t.is_alive() for t in callers)
     for i in (0, 1):
         assert len(got[i]) == 5 and all(g.tobytes() == want[i].tobytes() for g in got[i])
-    assert len(calls) == 5 * (11 + 10)
-    assert len({id(ws) for ws in kept[0] + kept[1]}) == 8
+    assert len({id(ws) for ws in kept + [propagation._workspace()]}) == 3
 
 
 # ---------------------------------------------------------------------------
