@@ -10,6 +10,8 @@ frequencies on the command line and in output files are in Gamma units
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import re
 import sys
 import time
@@ -231,7 +233,25 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _keep_freed_pages() -> None:
+    """Have glibc's malloc serve arrays below 64 MB from its heap and keep
+    up to 256 MB of freed heap, so that the transfer-matrix kernel's
+    per-tile temporaries (a few hundred KB each) reuse pages instead of
+    being mapped and returned to the system on every operation.  This is
+    per-process allocator state, so the CLI sets it and the library does
+    not.  A C library without mallopt (musl, macOS) is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):   # no mallopt, or no C library handle
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 64 << 20)    # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_pages()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -52,28 +52,23 @@ they last one tile.  A tile holds max(1, _TILE_ELEMENTS // (3 n))
 frequencies on n steps (n_z, or 1 for a uniform medium), laid out as
 (entry, Gauss node, frequency, step): the four entries of each 2x2
 matrix, or the three of a traceless part, are one block, so that one
-numpy call covers them and runs along the steps.  Every operation
-writes through ``out=`` into the calling thread's Workspace, a stack in
-one buffer from which each stage frees its scratch for the next; it
-grows only when a larger tile arrives, so no array of a tile's full
-size is allocated per tile.  A call runs its tiles in order on the
-calling thread, in that one Workspace (4.56 MB at the default grid), so
-a warm call allocates under 1 MB; ``threads`` starts no thread, as two
-threads no longer beat one on the sampled pulse.  Plain expressions map
-and unmap their temporaries on every operation: on a 2-core x86_64
-host at 16,384 elements per tile, a 1,001-row fig3 sweep took 473 ms
-against 303 ms (59 k minor page faults against 5) and a one-thread
-4,096-frequency pulse 2.2 s against 1.2 s (258 k faults); at 4,096
-elements the sweep's faults vanish, but a two-thread pulse took 2.8 s
-against 0.95 s.  The operations and their operand order are those of
-the plain expressions, so the results do not depend on the tile size,
-bit for bit.
+numpy call covers them and runs along the steps.  A call runs its tiles
+in order on the calling thread; ``threads`` starts no thread, as two
+threads no longer beat one on the sampled pulse.  Each stage is numpy
+expressions whose temporaries last one operation, each of up to a
+tile's size (256 KB at 16,384 elements); chi's four entries and each
+commutator's three components are written into one block.  glibc's
+malloc maps such blocks afresh and returns them on every operation
+unless its mmap and trim thresholds are raised, as ``cli.main`` does:
+on a 2-core x86_64 host a warm 1,001-row fig3 sweep took 191-213 ms
+and 31,006 minor page faults without the setting, and 125-169 ms and
+6-15 faults with it.  The operations and their operand order are fixed,
+so the results do not depend on the tile size, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -82,9 +77,10 @@ import numpy as np
 from .config import (MAX_MAGNITUDE, POSITIVE, ConfigBundle, DriveConfig, _check_numbers,
                      _require, _schema, absorptions, with_mode)
 from .errors import ConfigValidationError, NumericalError
-from .response import _UNPHYSICAL, Workspace, _chi_arrays, _physical, _two_level_arrays
+from .response import _UNPHYSICAL, _chi_arrays, _physical, _two_level_arrays
 
-# chi samples x frequencies per tile; see the module docstring
+# chi samples x frequencies per tile; see the module docstring.  8,192 cut
+# the bench's peak RSS by 3-4 MB but made `spectra` slower in 9 of 10 pairs
 _TILE_ELEMENTS = 16384
 
 # Gauss-Legendre nodes of one step, as fractions of it, and their weights
@@ -94,8 +90,6 @@ _W_OUTER, _W_MID = 5.0 / 18.0, 4.0 / 9.0
 # largest column photon gain |a|^2 + |c|^2 or |b|^2 + |d|^2 accepted as
 # passive; the tolerance of `diamondfwm validate`
 PASSIVITY_TOL = 1e-9
-
-_thread = threading.local()   # holds each thread's Workspace
 
 
 @dataclass(frozen=True)
@@ -269,33 +263,28 @@ def coupling_profile(bundle: ConfigBundle) -> CouplingProfile:
                            _uniform=not k.any())
 
 
-def _mat_mul(a, b, out, tmp):
-    """out = a @ b for 2x2 matrices held as (2, 2, ...) arrays:
-    out[i, j] = a[i, 0] b[0, j] + a[i, 1] b[1, j].
-
-    ``out`` must not share memory with ``a`` or ``b``; ``tmp`` has the
-    shape of ``out``.
-    """
-    np.multiply(a[:, :1], b[:1], out=out)
-    np.add(out, np.multiply(a[:, 1:], b[1:], out=tmp), out=out)
+def _mat_mul(a, b):
+    """a @ b for 2x2 matrices held as (2, 2, ...) arrays:
+    [i, j] = a[i, 0] b[0, j] + a[i, 1] b[1, j]."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
 
 
-def _comm(a, b, scale, out, tmp):
-    """out = scale [a, b] for traceless 2x2 matrices held as (x, y, z),
-    the matrix [[x, y], [z, -x]], stacked on the first axis:
+def _comm(a, b, scale):
+    """scale [a, b] for traceless 2x2 matrices held as (x, y, z), the
+    matrix [[x, y], [z, -x]], stacked on the first axis:
 
         [a, b] = (a_y b_z - b_y a_z, 2 (a_x b_y - b_x a_y), 2 (a_z b_x - b_z a_x))
 
     ``scale`` is the vector (s, 2 s, 2 s) of the scalar s, shaped to
-    broadcast along the first axis (see ``_comm_scales``).  ``out`` must
-    not share memory with ``a`` or ``b``; ``tmp`` has the shape of one
-    component.
+    broadcast along the first axis (see ``_comm_scales``).
     """
     terms = ((a[1], b[2], b[1], a[2]), (a[0], b[1], b[0], a[1]), (a[2], b[0], b[2], a[0]))
+    # written into one block: stacking the components made the step stage ~5% slower
+    out = np.empty((3,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]), np.complex128)
     for dst, (p, q, r, s) in zip(out, terms):
-        np.multiply(p, q, out=dst)
-        np.subtract(dst, np.multiply(r, s, out=tmp), out=dst)
-    np.multiply(out, scale, out=out)
+        np.subtract(p * q, r * s, out=dst)
+    out *= scale
+    return out
 
 
 def _comm_scales(h):
@@ -306,16 +295,14 @@ def _comm_scales(h):
     return np.multiply.outer(s, (1.0, 2.0, 2.0)).reshape(3, 3, 1, 1)
 
 
-def _gauss_sum(c1, c2, c3, out, s13, scratch):
-    """out = 5/18 (c1 + c3) + 4/9 c2, the Gauss-Legendre sum over one
-    step's nodes, leaving c1 + c3 in ``s13`` (which may be ``out``);
-    ``scratch`` has the shape of ``out``.  Returns ``out``."""
-    np.add(c1, c3, out=s13)
-    np.multiply(s13, _W_OUTER, out=out)
-    return np.add(out, np.multiply(c2, _W_MID, out=scratch), out=out)
+def _gauss_sum(c1, c2, c3):
+    """5/18 (c1 + c3) + 4/9 c2, the Gauss-Legendre sum over one step's
+    nodes, and c1 + c3."""
+    s13 = c1 + c3
+    return s13 * _W_OUTER + c2 * _W_MID, s13
 
 
-def _step_propagators(M, h, scales, ws: Workspace):
+def _step_propagators(M, h, scales):
     """Per-step propagators for dU/dzeta = M U, and the phase that they
     leave out.
 
@@ -337,48 +324,30 @@ def _step_propagators(M, h, scales, ws: Workspace):
     Phi the sum of Im t over the steps: each frequency's phase is taken
     once, from real cos and sin.  ``M[0]`` is overwritten.  The R come
     back as one (4, freq, step) block and the phases e^(i Phi) as one
-    (freq,) array, both taken from ``ws``, which stay taken.  Each
-    frequency's sum runs along its own steps, so it does not depend on
-    the tile.
+    (freq,) array.  Each frequency's sum runs along its own steps, so it
+    does not depend on the tile.
     """
-    shape, comps = M.shape[2:], (3,) + M.shape[2:]
     h_a2, h_a3 = math.sqrt(15.0) * h / 3.0, 10.0 * h / 3.0
-    mul, add, sub = np.multiply, np.add, np.subtract
-    R, phase = ws.take((4,) + shape), ws.take(shape[:-1])
-    with ws.frame():
-        tmp, tmp2 = ws.take(comps), ws.take(comps)
-        # half trace at each node; then M[0] becomes the traceless x, so
-        # that M[:3, k] is the traceless part (x, y, z) of M at node k
-        tau = mul(add(M[0], M[3], out=ws.take(M.shape[1:])), 0.5, out=ws.take(M.shape[1:]))
-        mul(sub(M[0], M[3], out=M[0]), 0.5, out=M[0])
-        A1, A2, A3 = (M[:3, k] for k in range(3))
-        t, omega, b2, b3 = ws.take(shape), ws.take(comps), ws.take(comps), ws.take(comps)
-        mul(_gauss_sum(*tau, t, tmp[0], tmp2[0]), h, out=t)
-        mul(_gauss_sum(A1, A2, A3, omega, b3, tmp2), h, out=omega)   # b3 = A1 + A3
-        sub(A3, A1, out=b2)                              # a2 / h_a2
-        sub(b3, mul(A2, 2.0, out=tmp), out=b3)           # a3 / h_a3
-        c, u, w = ws.take(comps), ws.take(comps), ws.take(comps)
-        _comm(A2, b2, scales[0], c, tmp[0])              # [a1, a2]
-        sub(c, mul(A2, 20.0 * h, out=u), out=u)          # u = -20 a1 + [a1, a2]
-        sub(u, mul(b3, h_a3, out=tmp), out=u)            #     - a3
-        add(c, mul(b3, 2.0 * h_a3, out=w), out=w)        # w = 2 a3 + [a1, a2]
-        _comm(A2, w, scales[1], c, tmp[0])
-        sub(mul(b2, h_a2, out=b2), c, out=b2)            # v = a2 - [a1, w] / 60
-        _comm(u, b2, scales[2], c, tmp[0])
-        nx, ny, nz = add(omega, c, out=omega)
-        phi = np.sum(t.imag, axis=-1, out=ws.take(shape[:-1], np.float64))
-        np.cos(phi, out=phase.real)
-        np.sin(phi, out=phase.imag)
-        D, S = R[1], R[2]   # overwritten last, below
-        re_t = ws.take(shape, np.float64)
-        np.copyto(re_t, t.real)
-        _exp_terms(re_t, nx, ny, nz, D, S, ws)
-        mul(S, nx, out=tmp[0])
-        add(add(D, tmp[0], out=R[0]), 1.0, out=R[0])
-        add(sub(D, tmp[0], out=R[3]), 1.0, out=R[3])
-        mul(S, ny, out=R[1])
-        mul(S, nz, out=R[2])
-    return R, phase
+    t = _gauss_sum(*((M[0] + M[3]) * 0.5))[0] * h   # h times the half trace's quadrature
+    # M[0] becomes the traceless x, so that M[:3, k] is the traceless part
+    # (x, y, z) of M at node k
+    M[0] -= M[3]
+    M[0] *= 0.5
+    A1, A2, A3 = (M[:3, k] for k in range(3))
+    omega, b3 = _gauss_sum(A1, A2, A3)               # b3 = A1 + A3
+    omega *= h
+    b2 = A3 - A1                                     # a2 / h_a2
+    b3 -= A2 * 2.0                                   # a3 / h_a3
+    c = _comm(A2, b2, scales[0])                     # [a1, a2]
+    u = (c - A2 * (20.0 * h)) - b3 * h_a3            # -20 a1 + [a1, a2] - a3
+    c = _comm(A2, c + b3 * (2.0 * h_a3), scales[1])  # [a1, 2 a3 + [a1, a2]]
+    c = _comm(u, b2 * h_a2 - c, scales[2])           # v = a2 - [a1, w] / 60
+    nx, ny, nz = omega + c
+    phi = np.sum(t.imag, axis=-1)
+    D, S = _exp_terms(np.ascontiguousarray(t.real), nx, ny, nz)
+    Snx = S * nx
+    R = np.stack(((D + Snx) + 1.0, S * ny, S * nz, (D - Snx) + 1.0))
+    return R, np.cos(phi) + 1j * np.sin(phi)
 
 
 # cosh q - 1 = z (1/2! + z/4! + ...) and sinh(q)/q = 1/1! + z/3! + ... in
@@ -389,9 +358,9 @@ _SERIES = np.array([[1.0 / math.factorial(2 * k + 2), 1.0 / math.factorial(2 * k
 _SERIES_BOUND = 1.0 / 16.0
 
 
-def _exp_terms(tau, nx, ny, nz, D, S, ws: Workspace):
+def _exp_terms(tau, nx, ny, nz):
     """D and S of exp(tau I + N) = I + D I + S N for real ``tau`` and the
-    traceless N = (nx, ny, nz), written into ``D`` and ``S``.
+    traceless N = (nx, ny, nz).
 
     With q^2 = N_11^2 + N_12 N_21 (N^2 = q^2 I),
 
@@ -407,58 +376,39 @@ def _exp_terms(tau, nx, ny, nz, D, S, ws: Workspace):
     strongly absorbed channel next to a clear one) nor overflows where
     cosh q would.  The arrays are (freq, step).
     """
-    mul, add = np.multiply, np.add
-    shape = tau.shape
-    with ws.frame():
-        z, series, decay = ws.take(shape), ws.take((2,) + shape), ws.take((2,) + shape)
-        add(mul(nx, nx, out=z), mul(ny, nz, out=D), out=z)   # q^2
-        np.copyto(series, _SERIES[-1])
-        for c in _SERIES[-2::-1]:
-            add(mul(series, z, out=series), c, out=series)
-        ch, sh = series                                   # cosh q - 1, sinh(q)/q
-        mul(ch, z, out=ch)
-        # e^tau and expm1(tau), held as complex: numpy multiplies a complex
-        # array by a real one through a cast, at half the speed
-        decay.imag = 0.0
-        np.exp(tau, out=decay[0].real)
-        np.expm1(tau, out=decay[1].real)
-        mul(decay[1], add(ch, 1.0, out=D), out=D)         # expm1(tau) cosh q
-        add(D, ch, out=D)
-        mul(sh, decay[0], out=S)
-        far = np.greater(np.abs(z, out=ws.take(shape, np.float64)), _SERIES_BOUND,
-                         out=ws.take(shape, np.bool_))
-        if far.any():
-            tw, qw = tau[far], np.sqrt(z[far])
-            up, down = np.exp(tw + qw), np.exp(tw - qw)
-            D[far] = (up + down) * 0.5 - 1.0
-            S[far] = (up - down) * 0.5 / qw
+    z = nx * nx + ny * nz   # q^2
+    series = _SERIES[-1]
+    for c in _SERIES[-2::-1]:
+        series = series * z + c
+    ch, sh = series[0] * z, series[1]                 # cosh q - 1, sinh(q)/q
+    D = np.expm1(tau) * (ch + 1.0) + ch
+    S = sh * np.exp(tau)
+    far = np.abs(z) > _SERIES_BOUND
+    if far.any():
+        tw, qw = tau[far], np.sqrt(z[far])
+        up, down = np.exp(tw + qw), np.exp(tw - qw)
+        D[far] = (up + down) * 0.5 - 1.0
+        S[far] = (up - down) * 0.5 / qw
+    return D, S
 
 
-def _ordered_product(R, ws: Workspace):
+def _ordered_product(R):
     """Product R_{n-1} @ ... @ R_0 by pairwise reduction along the last axis.
 
     ``R`` is one (4, ..., step) block of entries (11, 12, 21, 22); the
-    result is one (4, ...) block.  Each level writes into the other of
-    two buffers taken from ``ws``: an ``out=`` that overlaps its inputs
-    would make numpy copy them.  ``R`` is not modified.
+    result is one (4, ...) block.  ``R`` is not modified.
     """
     n = R.shape[-1]
-    shape = (2, 2) + R.shape[1:-1] + ((n + 1) // 2,)
-    bufs = [ws.take(shape), ws.take(shape)]
-    tmp = ws.take(shape[:-1] + (n // 2,))
-    cur = R.reshape(shape[:-1] + (n,))
+    cur = R.reshape((2, 2) + R.shape[1:])
     while n > 1:
         m = n // 2
-        dst = bufs[0][..., :m + n % 2]
-        _mat_mul(cur[..., 1:2 * m:2], cur[..., 0:2 * m:2], dst[..., :m], tmp[..., :m])
-        if n % 2:
-            dst[..., m] = cur[..., n - 1]
-        cur, n = dst, m + n % 2
-        bufs.reverse()
+        prod = _mat_mul(cur[..., 1:2 * m:2], cur[..., 0:2 * m:2])
+        cur = np.concatenate((prod, cur[..., 2 * m:]), axis=-1) if n % 2 else prod
+        n = m + n % 2
     return cur[..., 0].reshape(R.shape[:-1])
 
 
-def _diagonal_propagator(M, h, ws: Workspace):
+def _diagonal_propagator(M, h):
     """Transfer matrix of a diagonal M, whose Magnus commutators all vanish.
 
     The propagator over the steps is then exp of the Gauss quadrature of
@@ -467,19 +417,13 @@ def _diagonal_propagator(M, h, ws: Workspace):
     The exponential is taken entry by entry, so a channel the medium does
     not couple stays exactly 1 and one absorbed beyond the float range
     goes to exactly 0.  ``M`` is one (4, node, freq, step) block as in
-    ``_step_propagators``; the result is one (4, freq) block taken from
-    ``ws``, which stays taken.  Each frequency's sum runs along its own
-    steps, so it does not depend on the tile.
+    ``_step_propagators``; the result is one (4, freq) block.  Each
+    frequency's sum runs along its own steps, so it does not depend on
+    the tile.
     """
     d = M[::3]   # entries 11 and 22, (2, node, freq, step)
-    R = ws.take((4,) + M.shape[2:-1])
-    R[1:3] = 0.0
-    diag = R[::3]
-    with ws.frame():
-        quad = ws.take(d[:, 0].shape)
-        _gauss_sum(d[:, 0], d[:, 1], d[:, 2], quad, quad, ws.take(quad.shape))
-        np.sum(quad, axis=-1, out=diag)
-    np.exp(np.multiply(diag, h, out=diag), out=diag)
+    R = np.zeros((4,) + M.shape[2:-1], np.complex128)
+    R[::3] = np.exp(np.sum(_gauss_sum(d[:, 0], d[:, 1], d[:, 2])[0], axis=-1) * h)
     return R
 
 
@@ -494,14 +438,6 @@ def _response_gain(M, h):
     lam = 0.5 * (h11 + h22) + np.hypot(0.5 * (h11 - h22), 0.5 * np.abs(M[1] + np.conj(M[2])))
     lam = np.maximum(lam, 0.0)
     return math.expm1(2.0 * h * float(np.sum(_W_OUTER * (lam[0] + lam[2]) + _W_MID * lam[1])))
-
-
-def _workspace() -> Workspace:
-    """The calling thread's Workspace, made on its first use."""
-    ws = getattr(_thread, "workspace", None)
-    if ws is None:
-        ws = _thread.workspace = Workspace()
-    return ws
 
 
 def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
@@ -542,8 +478,8 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     the profile and of the drive, as does the passivity guard at the
     column of most gain.
 
-    The tiles run in order on the calling thread, in its Workspace, and
-    the first tile that raises ends the call.  ``threads`` starts no
+    The tiles run in order on the calling thread, and the first tile that
+    raises ends the call.  ``threads`` starts no
     thread and changes nothing; the CLI's ``--threads`` passes it.
     """
     rates, medium, drive = bundle.rates, bundle.medium, bundle.drive
@@ -591,25 +527,23 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
     no_loop = not np.any(omega_d)   # one chi branch for every tile
     scales = _comm_scales(h)
 
-    def coupling_matrix(sl, ws):
-        """M = i c chi at the frequencies ``sl`` and their drive rows, taken from ``ws``."""
+    def coupling_matrix(sl):
+        """M = i c chi at the frequencies ``sl`` and their drive rows."""
         rows = slice(None) if points == 1 else sl
         M = _chi_arrays(wc[:, rows], rho33[:, rows], rho31[:, rows], x[sl, None], delta_c[rows],
-                        delta_d[rows], omega_d[rows], rates, no_loop, ws)
+                        delta_d[rows], omega_d[rows], rates, no_loop)
         return np.multiply(couplings, M, out=M)
 
-    ws = _workspace()
     # an overflow shows as a non-finite or non-passive output, which the
     # guard below reports once
     with np.errstate(over="ignore", invalid="ignore"):
         for sl in slices:
-            ws.reset()
-            M = coupling_matrix(sl, ws)
+            M = coupling_matrix(sl)
             if diagonal:
-                out[:, sl] = _diagonal_propagator(M, h, ws)
+                out[:, sl] = _diagonal_propagator(M, h)
             else:
-                R, phase = _step_propagators(M, h, scales, ws)
-                np.multiply(_ordered_product(R, ws=ws), phase, out=out[:, sl])
+                R, phase = _step_propagators(M, h, scales)
+                np.multiply(_ordered_product(R), phase, out=out[:, sl])
     finite = np.isfinite(out).all()
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.abs(out.reshape(2, 2, -1)) ** 2   # (|a|^2, |b|^2), (|c|^2, |d|^2)
@@ -621,7 +555,7 @@ def _transfer_components(bundle: ConfigBundle, profile: CouplingProfile,
         if finite:   # M at every node of the column of most gain
             k = int(np.argmax(column_sums)) % x.size
             with np.errstate(over="ignore", invalid="ignore"):
-                bound = _response_gain(coupling_matrix(slice(k, k + 1), Workspace()), h)
+                bound = _response_gain(coupling_matrix(slice(k, k + 1)), h)
             if bound > PASSIVITY_TOL:
                 cause = (f"the medium's own response has gain, up to {bound:.3g}, which no grid "
                          "removes (check the rates: a coherence rate below half the sum of its "

@@ -20,8 +20,6 @@ the sideband frequency omega.
 
 from __future__ import annotations
 
-import contextlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,59 +118,18 @@ def two_level_steady_state(omega_c_local: complex, delta_c: float,
     return ZerothOrderState(rho33=float(rho33), rho31=complex(rho31))
 
 
-class Workspace:
-    """Scratch arrays for one thread, taken in stack order from one buffer
-    that is reused from call to call.
-
-    ``take(shape)`` returns the next free block of the buffer, and the
-    blocks taken inside ``with frame():`` are free again when it exits.
-    A block that does not fit is allocated fresh; ``reset()`` then grows
-    the buffer to the deepest stack seen, so the next round of takes
-    allocates nothing.
-    """
-
-    def __init__(self):
-        self._buf = np.empty(0, np.complex128)
-        self._top = 0    # complex128 words in use
-        self._peak = 0   # deepest _top seen
-
-    def take(self, shape, dtype=np.complex128):
-        count = math.prod(shape)
-        start = self._top
-        self._top += -(-count * np.dtype(dtype).itemsize // 16)
-        self._peak = max(self._peak, self._top)
-        if self._top > self._buf.size:
-            return np.empty(shape, dtype)
-        return self._buf[start:self._top].view(dtype)[:count].reshape(shape)
-
-    @contextlib.contextmanager
-    def frame(self):
-        top = self._top
-        try:
-            yield
-        finally:
-            self._top = top
-
-    def reset(self):
-        """Free every block; grow the buffer if the last round overflowed it."""
-        if self._peak > self._buf.size:
-            self._buf = np.empty(self._peak, np.complex128)
-        self._top = 0
-
-
-def _cross(out, a, x, b, y, inv, tmp, scale=None):
-    """out = (a x - b y) inv, or ((a x - b y) scale) inv: one entry of a
-    2x2 solve by the adjugate, with inv = 1 / det.  ``tmp`` holds b y and
-    may be ``y``; it has the shape of b y."""
-    np.multiply(a, x, out=out)
-    np.subtract(out, np.multiply(b, y, out=tmp), out=out)
+def _cross(a, x, b, y, inv, scale=None, out=None):
+    """(a x - b y) inv, or ((a x - b y) scale) inv: one entry of a 2x2
+    solve by the adjugate, with inv = 1 / det; written into ``out`` if
+    given."""
+    t = a * x
+    t -= b * y
     if scale is not None:
-        np.multiply(scale, out, out=out)
-    np.multiply(out, inv, out=out)
+        t = scale * t
+    return np.multiply(t, inv, out=out)
 
 
-def _chi_arrays(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, no_loop,
-                ws: Workspace):
+def _chi_arrays(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, no_loop):
     """Susceptibility coefficients at the frequencies x of a drive, from
     the two-level state: ``omega_c``, ``rho33`` and ``rho31`` are arrays
     of the grid's shape, and ``delta_c``, ``delta_d`` and ``omega_d`` are
@@ -199,17 +156,12 @@ def _chi_arrays(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, no_l
     are each one block's solve, the operations the elimination performs
     on them when omega_d = 0, so the values are the same.
 
-    The full shape is the grid's broadcast against x.  The terms below it
-    (the diagonals d1...d4, the couplings and the sources) are formed
-    from the inputs as plain expressions, so they last one call; every
-    array of the full shape is taken from ``ws``.  The result, one
-    (4,) + full block of chi_pp, chi_ps, chi_sp and chi_ss, stays taken;
-    the scratch is free again on return.  Each step is the numpy
-    operation of the formula in the comments, on the same operands in
-    the same order, so the result does not depend on how a caller splits
-    its frequencies and drive rows into calls, bit for bit.
+    The full shape is the grid's broadcast against x; the result is one
+    (4,) + full block of chi_pp, chi_ps, chi_sp and chi_ss.  Each step is
+    the numpy operation of the formula in the comments, on the same
+    operands in the same order, so the result does not depend on how a
+    caller splits its frequencies and drive rows into calls, bit for bit.
     """
-    mul, add, sub = np.multiply, np.add, np.subtract
     xd = x + delta_d
     d1 = 1j * x - rates.gamma21
     d2 = 1j * (x - delta_c) - rates.gamma23
@@ -219,82 +171,58 @@ def _chi_arrays(omega_c, rho33, rho31, x, delta_c, delta_d, omega_d, rates, no_l
     v = 0.5j * omega_d
     # oc = -0.5j omega_c, occ = -0.5j conj(omega_c): upper off-diagonals
     # of the 2x2 blocks; g = oc occ = -|omega_c|^2 / 4
-    oc, occ = mul(-0.5j, omega_c), mul(-0.5j, np.conj(omega_c))
+    oc, occ = np.multiply(-0.5j, omega_c), np.multiply(-0.5j, np.conj(omega_c))
     g = oc * occ
     # sources bp = -(i/2)(rho11, rho13) and bq = -(i/2)(rho31, rho33)
-    bp1, bp2 = mul(-0.5j, 1.0 - rho33), mul(-0.5j, np.conj(rho31))
-    bq1, bq2 = mul(-0.5j, rho31), mul(-0.5j, rho33)
-    full = np.broadcast_shapes(np.shape(oc), np.shape(d1))
-    chi = ws.take((4,) + full)
-    chi_pp, chi_ps, chi_sp, chi_ss = (chi[k, ...] for k in range(4))   # arrays even if full is ()
+    bp1, bp2 = np.multiply(-0.5j, 1.0 - rho33), np.multiply(-0.5j, np.conj(rho31))
+    bq1, bq2 = np.multiply(-0.5j, rho31), np.multiply(-0.5j, rho33)
+    chi = np.empty((4,) + np.broadcast_shapes(np.shape(oc), np.shape(d1)), np.complex128)
+    chi_pp, chi_ps, chi_sp, chi_ss = (chi[k, ...] for k in range(4))   # arrays even if 0-d
+    threshold = _DET_TOL * np.square(1.0 + np.abs(d1) + np.abs(d2) + np.abs(d3) + np.abs(d4)
+                                     + np.abs(omega_c) + np.abs(omega_d))
 
-    with ws.frame():
-        tmp, inv_q, inv_p = (ws.take(full) for _ in range(3))
-        # threshold = _DET_TOL (1 + |d1| + |d2| + |d3| + |d4| + |omega_c| + |omega_d|)^2
-        threshold, mag = ws.take(full, np.float64), ws.take(full, np.float64)
-        add(1.0 + np.abs(d1) + np.abs(d2) + np.abs(d3) + np.abs(d4), np.abs(omega_c),
-            out=threshold)
-        add(threshold, np.abs(omega_d), out=threshold)
-        np.square(threshold, out=threshold)
-        mul(_DET_TOL, threshold, out=threshold)
-        below = ws.take(full, np.bool_)
+    def inverse(det, block, rates_named):
+        """1 / det, unless |det| is below the threshold somewhere."""
+        if (np.abs(det) < threshold).any():
+            raise SingularResponseError(
+                f"{block} is singular (zero decoherence with coincident resonances: "
+                f"{rates_named} vanish against the detunings)")
+        return 1.0 / det
 
-        def invert(det, block, rates_named):
-            """det = 1 / det, unless |det| is below the threshold somewhere."""
-            if np.less(np.abs(det, out=mag), threshold, out=below).any():
-                raise SingularResponseError(
-                    f"{block} is singular (zero decoherence with coincident resonances: "
-                    f"{rates_named} vanish against the detunings)")
-            np.divide(1.0, det, out=det)
+    inv_q = inverse(d3 * d4 - g, "lower coherence block", "rates.gamma41 and rates.gamma43")
+    probe_block = ("reduced probe block", "rates.gamma21 and rates.gamma23")
 
-        sub(d3 * d4, g, out=inv_q)   # det_q
-        invert(inv_q, "lower coherence block", "rates.gamma41 and rates.gamma43")
-        probe_block = ("reduced probe block", "rates.gamma21 and rates.gamma23")
+    if no_loop:
+        # one block each: chi_pp = [Dp^{-1} bp]_1 with det_p = d1 d2 - g,
+        # chi_ss = [Dq^{-1} bq]_2
+        inv_p = inverse(d1 * d2 - g, *probe_block)
+        _cross(d2, bp1, oc, bp2, inv_p, out=chi_pp)
+        _cross(d3, bq2, occ, bq1, inv_q, out=chi_ss)
+        chi[1:3] = 0.0   # chi_ps, chi_sp
+        return chi
 
-        if no_loop:
-            # one block each: chi_pp = [Dp^{-1} bp]_1 with det_p = d1 d2 - g,
-            # chi_ss = [Dq^{-1} bq]_2
-            invert(sub(d1 * d2, g, out=inv_p), *probe_block)
-            _cross(chi_pp, d2, bp1, oc, bp2, inv_p, tmp)
-            _cross(chi_ss, d3, bq2, occ, bq1, inv_q, tmp)
-            chi[1:3] = 0.0   # chi_ps, chi_sp
-            return chi
+    # Schur complement of the Q block: S = Dp - e Dq^{-1}, with
+    # f = e inv_q (e = w v = -|omega_d|^2 / 4): s11 = d1 - f d4,
+    # s22 = d2 - f d3, fac = 1 + f, off-diagonals oc fac and occ fac
+    f = (w * v) * inv_q
+    s11, s22, fac = d1 - f * d4, d2 - f * d3, 1.0 + f
+    oc_fac, occ_fac = oc * fac, occ * fac
+    inv_p = inverse(s11 * s22 - (g * fac) * fac, *probe_block)   # det_p
 
-        s11, s22, oc_fac, occ_fac, p2 = (ws.take(full) for _ in range(5))
-        with ws.frame():
-            # Schur complement of the Q block: S = Dp - e Dq^{-1}, with
-            # f = e inv_q: s11 = d1 - f d4, s22 = d2 - f d3, fac = 1 + f,
-            # off-diagonals oc fac and occ fac
-            fac = f = mul(w * v, inv_q, out=ws.take(full))   # e = w v = -|omega_d|^2 / 4
-            sub(d1, mul(f, d4, out=s11), out=s11)
-            sub(d2, mul(f, d3, out=s22), out=s22)
-            add(1.0, f, out=fac)
-            mul(oc, fac, out=oc_fac)
-            mul(occ, fac, out=occ_fac)
-            # det_p = s11 s22 - g fac fac
-            mul(s11, s22, out=inv_p)
-            sub(inv_p, mul(mul(g, fac, out=tmp), fac, out=tmp), out=inv_p)
-            invert(inv_p, *probe_block)
+    # probe source, bp = -(i/2)(rho11, rho13) and bq = 0:
+    # (chi_pp, p2) = S^{-1} bp, chi_sp = -v [Dq^{-1} (chi_pp, p2)]_2
+    _cross(s22, bp1, oc_fac, bp2, inv_p, out=chi_pp)
+    p2 = _cross(s11, bp2, occ_fac, bp1, inv_p)
+    _cross(d3, p2, occ, chi_pp, inv_q, scale=-v, out=chi_sp)
 
-        # probe source, bp = -(i/2)(rho11, rho13) and bq = 0:
-        # (chi_pp, p2) = S^{-1} bp, chi_sp = -v [Dq^{-1} (chi_pp, p2)]_2
-        _cross(chi_pp, s22, bp1, oc_fac, bp2, inv_p, tmp)
-        _cross(p2, s11, bp2, occ_fac, bp1, inv_p, tmp)
-        _cross(chi_sp, d3, p2, occ, chi_pp, inv_q, tmp, scale=-v)
-
-        # signal source, bp = 0 and bq = -(i/2)(rho31, rho33):
-        # rp = -w Dq^{-1} bq, (chi_ps, p2) = S^{-1} rp,
-        # chi_ss = [Dq^{-1} (bq - v (chi_ps, p2))]_2
-        with ws.frame():
-            rp1, rp2, off_b = ws.take(full), ws.take(full), ws.take(np.shape(oc))
-            # oc bq2 and occ bq1 have the grid's shape: off_b holds them
-            _cross(rp1, d4, bq1, oc, bq2, inv_q, off_b, scale=-w)
-            _cross(rp2, d3, bq2, occ, bq1, inv_q, off_b, scale=-w)
-            _cross(chi_ps, s22, rp1, oc_fac, rp2, inv_p, tmp)
-            _cross(p2, s11, rp2, occ_fac, rp1, inv_p, tmp)
-        sub(bq2, mul(v, p2, out=p2), out=p2)
-        sub(bq1, mul(v, chi_ps, out=tmp), out=tmp)
-        _cross(chi_ss, d3, p2, occ, tmp, inv_q, tmp)
+    # signal source, bp = 0 and bq = -(i/2)(rho31, rho33):
+    # rp = -w Dq^{-1} bq, (chi_ps, p2) = S^{-1} rp,
+    # chi_ss = [Dq^{-1} (bq - v (chi_ps, p2))]_2
+    rp1 = _cross(d4, bq1, oc, bq2, inv_q, scale=-w)
+    rp2 = _cross(d3, bq2, occ, bq1, inv_q, scale=-w)
+    _cross(s22, rp1, oc_fac, rp2, inv_p, out=chi_ps)
+    p2 = _cross(s11, rp2, occ_fac, rp1, inv_p)
+    _cross(d3, bq2 - v * p2, occ, bq1 - v * chi_ps, inv_q, out=chi_ss)
     return chi
 
 
@@ -305,7 +233,7 @@ def linear_response(omega: float, drive: DriveConfig, omega_c_local: complex,
     the zeroth-order state consistent with it."""
     chi = _chi_arrays(np.complex128(omega_c_local), zeroth.rho33, zeroth.rho31,
                       float(drive.delta_p) + float(omega), drive.delta_c, drive.delta_d,
-                      drive.omega_d, rates, not drive.omega_d, Workspace())
+                      drive.omega_d, rates, not drive.omega_d)
     return ResponseMatrix(*(complex(c) for c in chi))
 
 

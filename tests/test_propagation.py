@@ -15,7 +15,7 @@ import diamondfwm as dfm
 from diamondfwm import (ConfigValidationError, NumericalError, RateTable, coupling_profile,
                         observables_at, spectrum_sweep, transfer_matrix)
 from diamondfwm import propagation
-from diamondfwm.response import Workspace, _two_level_arrays
+from diamondfwm.response import _two_level_arrays
 
 from conftest import rk4_integrate
 
@@ -546,6 +546,11 @@ def test_chi_terms_are_built_once_per_call(monkeypatch, batched, per_tile, threa
     assert len(calls) == 67 // per_tile
 
 
+def _tile_arrays(nbytes):
+    """``nbytes`` as a count of complex arrays of one tile's size."""
+    return nbytes / (propagation._TILE_ELEMENTS * np.dtype(complex).itemsize)
+
+
 def test_warm_batch_call_peak_does_not_grow_with_the_batch():
     # chi's terms last one tile, so a DriveBatch's scratch is one tile's
     def peak(k):
@@ -563,7 +568,7 @@ def test_warm_batch_call_peak_does_not_grow_with_the_batch():
             tracemalloc.stop()
 
     small, large = peak(60), peak(200)
-    assert large <= 1.1 * small and large < 3 << 20
+    assert large <= 1.1 * small and _tile_arrays(large) < 40
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -603,9 +608,7 @@ def test_step_exponential_matches_expm():
     nz = np.concatenate([edge, (q2 - x * x) / y])
     tau = rng.uniform(-3.0, 1.0, nx.size)
     shape = (4, nx.size // 4)   # (frequency, step) as in the kernel
-    D, S = np.empty(shape, complex), np.empty(shape, complex)
-    propagation._exp_terms(*(a.reshape(shape) for a in (tau, nx, ny, nz)), D, S,
-                           Workspace())
+    D, S = propagation._exp_terms(*(a.reshape(shape) for a in (tau, nx, ny, nz)))
     D, S = D.ravel(), S.ravel()
     far = np.abs(nx * nx + ny * nz) > bound
     assert not far[:8].any() and far[8:12].all() and 10 < far.sum() < 100
@@ -628,8 +631,7 @@ def test_loopless_chi_is_the_elimination_at_zero_omega_d(mode):
     dp, om = rng.uniform(-10, 15, 67), rng.uniform(-40, 40, 67)
     d = b.drive
     chi = propagation._chi_arrays(prof.omega_c, prof.rho33, prof.rho31, (dp + om)[:, None],
-                                  d.delta_c, d.delta_d, d.omega_d, b.rates,
-                                  not d.omega_d, Workspace())
+                                  d.delta_c, d.delta_d, d.omega_d, b.rates, not d.omega_d)
     got = chi.transpose(0, 2, 1, 3).reshape(4, dp.size, -1)   # (freq, node-major column)
     want = _reference_chi(b, prof, dp, om, 0, b.medium.n_z)
     assert got[0].tobytes() == want[0].tobytes() and got[3].tobytes() == want[3].tobytes()
@@ -663,9 +665,9 @@ def test_uncoupled_signal_channel_is_exact(name, mode, n_z):
     assert np.all(table.eta_p == 0.0)
 
 
-def test_warm_transfer_call_allocates_under_1mb(fig3):
-    # the tiles write into the thread's workspace, so a call after a warm
-    # one allocates only its O(grid + batch) inputs and outputs
+def test_warm_transfer_call_peak_is_under_40_tiles(fig3):
+    # each tile's arrays are freed before the next tile: the 501 rows are 24
+    # tiles, and chi alone on all of them would be 96 tile-sized arrays
     prof = coupling_profile(fig3)
     dp = np.linspace(-10.0, 15.0, 501)
     om = np.zeros_like(dp)
@@ -676,11 +678,11 @@ def test_warm_transfer_call_allocates_under_1mb(fig3):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert _tile_arrays(peak) < 40
 
 
-def test_warm_two_thread_call_allocates_under_1mb(fig3):
-    # threads=2 starts no thread, so a warm call allocates no workspace
+def test_warm_two_thread_call_peak_is_under_40_tiles(fig3):
+    # threads=2 starts no thread, so a call holds one tile's arrays at a time
     prof = coupling_profile(fig3)
     dp = np.linspace(-10.0, 15.0, 200)   # 10 tiles
     propagation._transfer_components(fig3, prof, dp, 0.0, threads=2)
@@ -690,7 +692,7 @@ def test_warm_two_thread_call_allocates_under_1mb(fig3):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert _tile_arrays(peak) < 40
 
 
 @pytest.mark.parametrize("threads", [1, 2, 8])
@@ -730,19 +732,17 @@ def test_a_failing_tile_ends_the_call(monkeypatch, fig3):
 
 
 def test_two_calling_threads_keep_their_own_workspaces(monkeypatch, fig3):
-    # each calling thread writes into its own workspace: two threads'
-    # concurrent calls, on a short switch interval, match serial calls bit
-    # for bit
+    # each call allocates its own arrays: two threads' concurrent calls, on a
+    # short switch interval, match serial calls bit for bit
     prof = coupling_profile(fig3)
     monkeypatch.setattr(propagation, "_TILE_ELEMENTS", 4 * 3 * fig3.medium.n_z)   # 4 per tile
     grids = [np.linspace(-10.0, 15.0, 41), np.linspace(-3.0, 2.0, 37)]   # 11 and 10 tiles
     want = [propagation._transfer_components(fig3, prof, dp, 0.0) for dp in grids]
-    got, kept = [[], []], [None, None]
+    got = [[], []]
 
     def caller(i):
         for _ in range(5):
             got[i].append(propagation._transfer_components(fig3, prof, grids[i], 0.0, threads=2))
-        kept[i] = propagation._workspace()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -757,7 +757,6 @@ def test_two_calling_threads_keep_their_own_workspaces(monkeypatch, fig3):
     assert not any(t.is_alive() for t in callers)
     for i in (0, 1):
         assert len(got[i]) == 5 and all(g.tobytes() == want[i].tobytes() for g in got[i])
-    assert len({id(ws) for ws in kept + [propagation._workspace()]}) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +847,7 @@ def test_diagonal_tiles_and_threads_match_bitwise(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["v_type", "cascade"])
-def test_warm_diagonal_transfer_call_allocates_under_1mb(mode):
+def test_warm_diagonal_transfer_call_peak_is_under_40_tiles(mode):
     b = dfm.with_mode(dfm.preset("fig3"), mode)
     prof = coupling_profile(b)
     dp = np.linspace(-10.0, 15.0, 501)
@@ -860,7 +859,7 @@ def test_warm_diagonal_transfer_call_allocates_under_1mb(mode):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert _tile_arrays(peak) < 40
 
 
 def test_mixed_batch_takes_the_general_path_for_every_row(fig3):
